@@ -219,14 +219,18 @@ def fuse_defkt(
     on its own loss (cross-entropy plus KL toward the other's predictions,
     the other's treated as a constant target). The updates are therefore
     simultaneous, not alternating. Returns the final received-model
-    parameters, which the receiver stores in place of its own.
+    parameters, which the receiver stores in place of its own. The local
+    model is discarded, so its step on the last minibatch of the last pass
+    is not taken.
     """
     w_received = received
     w_local = local
     state_received = MomentumState.zeros(w_received.size, momentum)
     state_local = MomentumState.zeros(w_local.size, momentum)
-    for _ in range(passes):
-        for batch in minibatches(receiver_data.train, batch_size, rng):
+    n_train = len(receiver_data.train)
+    for pass_index in range(passes):
+        last_pass = pass_index == passes - 1
+        for count, batch in enumerate(minibatches(receiver_data.train, batch_size, rng), start=1):
             logits_r, cache_r = forward_cached(spec, w_received, batch)
             logits_l, cache_l = forward_cached(spec, w_local, batch)
             probs_r = softmax(logits_r)
@@ -235,11 +239,13 @@ def fuse_defkt(
                 spec, w_received, cache_r,
                 mutual_loss_grad_logits(probs_r, probs_l, batch.labels, reduction),
             )
+            w_received, state_received = sgd_step(w_received, grad_r, state_received, lr_received)
+            if last_pass and count * batch_size >= n_train:
+                break
             grad_l = backward_from_cache(
                 spec, w_local, cache_l,
                 mutual_loss_grad_logits(probs_l, probs_r, batch.labels, reduction),
             )
-            w_received, state_received = sgd_step(w_received, grad_r, state_received, lr_received)
             w_local, state_local = sgd_step(w_local, grad_l, state_local, lr_local)
     return w_received
 

@@ -4,7 +4,9 @@ Models are described by a ModelSpec and parameterized by a single 1-D
 vector in canonical order: for each layer in sequence, weights
 (C-order flattened) followed by biases. forward produces logits; the
 softmax lives in the losses module. backward is exact reverse-mode
-differentiation of <logits, grad_logits> with respect to the parameters.
+differentiation of <logits, grad_logits> with respect to the parameters;
+it stops at the first layer's parameter gradients and never computes the
+gradient with respect to the input, which no caller reads.
 
 All operations are pure: identical inputs give bitwise-identical outputs.
 """
@@ -308,12 +310,18 @@ def forward(spec: ModelSpec, params: np.ndarray, batch: Batch) -> np.ndarray:
 def backward_from_cache(
     spec: ModelSpec, params: np.ndarray, cache: list, grad_logits: np.ndarray
 ) -> np.ndarray:
-    """Gradient of <logits, grad_logits> w.r.t. params, reusing a forward cache."""
+    """Gradient of <logits, grad_logits> w.r.t. params, reusing a forward cache.
+
+    Backpropagation ends at the parameter gradients of the first layer that
+    has parameters; the gradient with respect to the batch inputs is not
+    computed.
+    """
     params = np.asarray(params, dtype=np.float64)
     views = _unpack(spec, params)
+    first = next(i for i, view in enumerate(views) if view is not None)
     layer_grads: list[tuple[np.ndarray, np.ndarray] | None] = [None] * len(spec.layers)
     dx = np.asarray(grad_logits, dtype=np.float64)
-    for i in range(len(spec.layers) - 1, -1, -1):
+    for i in range(len(spec.layers) - 1, first - 1, -1):
         layer = spec.layers[i]
         entry = cache[i]
         if isinstance(layer, DenseLayer):
@@ -321,6 +329,8 @@ def backward_from_cache(
             weights, _ = views[i]
             dz = np.where(mask, dx, 0.0) if mask is not None else dx
             layer_grads[i] = (x_in.T @ dz, dz.sum(axis=0))
+            if i == first:
+                break
             dx = dz @ weights.T
             if len(pre_flatten) > 2:
                 dx = dx.reshape(pre_flatten)
@@ -330,11 +340,12 @@ def backward_from_cache(
             dz = np.where(mask, dx, 0.0) if mask is not None else dx
             n, out_ch, out_h, out_w = dz.shape
             dz_flat = dz.reshape(n, out_ch, out_h * out_w)
-            w_mat = weights.reshape(out_ch, -1)
             dw_mat = np.einsum("bop,bpf->of", dz_flat, cols)
-            db = dz.sum(axis=(0, 2, 3))
+            layer_grads[i] = (dw_mat.reshape(weights.shape), dz.sum(axis=(0, 2, 3)))
+            if i == first:
+                break
+            w_mat = weights.reshape(out_ch, -1)
             dcols = np.einsum("bop,of->bpf", dz_flat, w_mat)
-            layer_grads[i] = (dw_mat.reshape(weights.shape), db)
             k = layer.kernel
             dcols = dcols.reshape(n, out_h, out_w, layer.in_channels, k, k)
             dx = np.zeros(in_shape, dtype=np.float64)
@@ -376,13 +387,20 @@ def backward(spec: ModelSpec, params: np.ndarray, batch: Batch, grad_logits: np.
 def sgd_step(
     params: np.ndarray, grad: np.ndarray, state: MomentumState, lr: float
 ) -> tuple[np.ndarray, MomentumState]:
-    """One classical-momentum step: v <- mu*v + g, params <- params - lr*v."""
+    """One classical-momentum step: v <- mu*v + g, params <- params - lr*v.
+
+    Pure: params, grad and state.velocity are not written; the new
+    parameters and velocity are two fresh arrays.
+    """
     if params.shape != grad.shape:
         raise ConfigurationError("parameter and gradient vectors have different lengths")
     if not np.all(np.isfinite(grad)):
         raise NumericalError("non-finite gradient")
-    velocity = state.momentum * state.velocity + grad
-    return params - lr * velocity, replace(state, velocity=velocity)
+    velocity = state.momentum * state.velocity
+    velocity += grad
+    new_params = lr * velocity
+    np.subtract(params, new_params, out=new_params)
+    return new_params, replace(state, velocity=velocity)
 
 
 def split_segments(params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

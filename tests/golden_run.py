@@ -1,0 +1,98 @@
+"""Golden trajectory digests: one tiny run per fusion strategy, hashed.
+
+Prints one JSON object: the environment key (numpy version, OpenBLAS
+runtime configuration, BLAS thread count; float64 results are bit-exact
+only within one key) and, per configuration, the sha256 of its CSV
+timeline and of each client's final parameter vector. test_golden.py runs
+this in a fresh interpreter with OPENBLAS_NUM_THREADS=1 and compares the
+output with golden_digests.json. To store the digests of a new
+environment:
+
+    OPENBLAS_NUM_THREADS=1 python tests/golden_run.py --record
+"""
+
+from __future__ import annotations
+
+import ctypes
+import glob
+import hashlib
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+GOLDEN_FILE = HERE / "golden_digests.json"
+sys.path.insert(0, str(HERE.parent / "src"))
+
+import numpy as np  # noqa: E402
+
+from defkt.data import partition_iid, synth_dataset  # noqa: E402
+from defkt.federation import FusionStrategy, HyperParams, build_client_states, run_experiment  # noqa: E402
+from defkt.metrics import emit_csv  # noqa: E402
+from defkt.nn import ModelSpec  # noqa: E402
+
+# name -> (strategy, model, input dims). Each client holds 16 training rows,
+# so batches of 6 end on a smaller batch of 4; two passes of local update and
+# of mutual transfer exercise the last-batch-of-last-pass path. The MLP has
+# 53 parameters, an odd count, so combo's split point is asymmetric.
+CONFIGS = {
+    "defkt-mlp": (FusionStrategy.DEFKT, ModelSpec.mlp(6, (5,), 3), 6),
+    "defkt-cnn": (FusionStrategy.DEFKT, ModelSpec.cnn_small((1, 10, 10), num_classes=3), 100),
+    "fullavg": (FusionStrategy.FULLAVG, ModelSpec.mlp(6, (5,), 3), 6),
+    "combo": (FusionStrategy.COMBO, ModelSpec.mlp(6, (5,), 3), 6),
+}
+
+
+def environment_key() -> str:
+    """What decides float64 bits: numpy build, OpenBLAS runtime kernel, BLAS thread count."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    runtime = f"{blas.get('name')} {blas.get('version')}"
+    for lib_path in glob.glob(str(Path(np.__file__).parent.parent / "numpy.libs" / "libscipy_openblas*.so*")):
+        try:
+            get_config = ctypes.CDLL(lib_path).scipy_openblas_get_config64_
+        except (OSError, AttributeError):
+            continue
+        get_config.restype = ctypes.c_char_p
+        runtime = get_config().decode()
+    return f"numpy {np.__version__}; {runtime}; OPENBLAS_NUM_THREADS={os.environ.get('OPENBLAS_NUM_THREADS')}"
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run_config(strategy: FusionStrategy, spec: ModelSpec, dims: int, out_dir: Path) -> dict:
+    hyper = HyperParams(
+        num_clients=6, senders_per_round=2, rounds=4,
+        local_batch_size=6, local_passes=2, local_lr=0.05,
+        mkt_batch_size=6, mkt_passes=2, mkt_lr_received=0.05, mkt_lr_local=0.03,
+        momentum=0.5, seed=11,
+    )
+    shards = partition_iid(synth_dataset(3, 40, dims, seed=12), hyper.num_clients, seed=13)
+    clients = build_client_states(spec, shards, hyper)
+    timeline, final = run_experiment(spec, hyper, strategy, clients, synth_dataset(3, 10, dims, seed=14),
+                                     eval_every=2)
+    path = out_dir / f"{strategy.value}.csv"
+    emit_csv(timeline, str(path))
+    return {
+        "csv": sha256(path.read_bytes()),
+        "params": [sha256(final[k].params.tobytes()) for k in sorted(final)],
+    }
+
+
+def main(argv: list[str]) -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        digests = {name: run_config(*config, Path(tmp)) for name, config in CONFIGS.items()}
+    key = environment_key()
+    if "--record" in argv:
+        stored = json.loads(GOLDEN_FILE.read_text()) if GOLDEN_FILE.is_file() else {}
+        stored[key] = digests
+        GOLDEN_FILE.write_text(json.dumps(stored, indent=1, sort_keys=True) + "\n")
+    print(json.dumps({"key": key, "digests": digests}))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -70,3 +70,64 @@ def accuracy_by_loop(logit_rows: np.ndarray, labels: np.ndarray) -> float:
         if best + 1 == int(y):
             correct += 1
     return correct / labels.shape[0]
+
+
+def backward_with_input_grad(spec, params: np.ndarray, cache: list, grad_logits: np.ndarray):
+    """Full reverse pass through every layer, down to the gradient w.r.t. the inputs.
+
+    This is the engine's backward as it was before it learned to stop at the
+    first layer's parameter gradients. Returns (parameter gradient in
+    canonical order, input gradient); the parameter gradient must match
+    nn.backward_from_cache bit for bit.
+    """
+    from defkt.nn import ConvLayer, DenseLayer, _unpack
+
+    views = _unpack(spec, np.asarray(params, dtype=np.float64))
+    layer_grads = [None] * len(spec.layers)
+    dx = np.asarray(grad_logits, dtype=np.float64)
+    for i in range(len(spec.layers) - 1, -1, -1):
+        layer = spec.layers[i]
+        entry = cache[i]
+        if isinstance(layer, DenseLayer):
+            _, x_in, mask, pre_flatten = entry
+            weights, _ = views[i]
+            dz = np.where(mask, dx, 0.0) if mask is not None else dx
+            layer_grads[i] = (x_in.T @ dz, dz.sum(axis=0))
+            dx = dz @ weights.T
+            if len(pre_flatten) > 2:
+                dx = dx.reshape(pre_flatten)
+        elif isinstance(layer, ConvLayer):
+            _, cols, mask, in_shape = entry
+            weights, _ = views[i]
+            dz = np.where(mask, dx, 0.0) if mask is not None else dx
+            n, out_ch, out_h, out_w = dz.shape
+            dz_flat = dz.reshape(n, out_ch, out_h * out_w)
+            w_mat = weights.reshape(out_ch, -1)
+            dw_mat = np.einsum("bop,bpf->of", dz_flat, cols)
+            db = dz.sum(axis=(0, 2, 3))
+            dcols = np.einsum("bop,of->bpf", dz_flat, w_mat)
+            layer_grads[i] = (dw_mat.reshape(weights.shape), db)
+            k = layer.kernel
+            dcols = dcols.reshape(n, out_h, out_w, layer.in_channels, k, k)
+            dx = np.zeros(in_shape, dtype=np.float64)
+            for di in range(k):
+                for dj in range(k):
+                    dx[:, :, di : di + out_h, dj : dj + out_w] += dcols[:, :, :, :, di, dj].transpose(
+                        0, 3, 1, 2
+                    )
+        else:
+            _, argmax, in_shape = entry
+            s = layer.size
+            n, channels, out_h, out_w = dx.shape
+            dflat = np.zeros((n, channels, out_h, out_w, s * s), dtype=np.float64)
+            np.put_along_axis(dflat, argmax[..., None], dx[..., None], axis=-1)
+            dwin = dflat.reshape(n, channels, out_h, out_w, s, s).transpose(0, 1, 2, 4, 3, 5)
+            dx_full = np.zeros(in_shape, dtype=np.float64)
+            dx_full[:, :, : out_h * s, : out_w * s] = dwin.reshape(n, channels, out_h * s, out_w * s)
+            dx = dx_full
+    chunks = []
+    for grad in layer_grads:
+        if grad is not None:
+            chunks.append(grad[0].ravel())
+            chunks.append(grad[1])
+    return np.concatenate(chunks), dx

@@ -247,7 +247,7 @@ def _tiny_protocol_setup(seed: int):
     return spec, hyper, shards
 
 
-def test_criterion_6_protocol_invariants():
+def test_criterion_6_protocol_invariants(tmp_path):
     spec, hyper, shards = _tiny_protocol_setup(seed=606)
     total = param_count(spec)
 
@@ -279,7 +279,7 @@ def test_criterion_6_protocol_invariants():
             spec, hyper, FusionStrategy.DEFKT, states, synth_dataset(3, 30, 6, seed=63),
             eval_every=100,
         )
-        path = f"/tmp/defkt-acceptance-{run_id}.csv"
+        path = str(tmp_path / f"defkt-acceptance-{run_id}.csv")
         emit_csv(timeline, path)
         csv_paths.append(path)
     with open(csv_paths[0], "rb") as fa, open(csv_paths[1], "rb") as fb:

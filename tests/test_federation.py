@@ -233,8 +233,10 @@ class TestFuseDefkt:
         data = self.receiver_data()
         received = init_params(SPEC, 1)
         local = init_params(SPEC, 2)
+        received_bytes, local_bytes = received.tobytes(), local.tobytes()
         out = fuse_defkt(received, local, data, SPEC, 8, 0, 0.1, 0.1, 0.5, derive_rng(5))
-        np.testing.assert_array_equal(out, received)
+        assert out.tobytes() == received_bytes
+        assert received.tobytes() == received_bytes and local.tobytes() == local_bytes
 
     def test_identical_models_stay_identical(self):
         # equal start, equal rates: both trajectories coincide step by step
@@ -344,13 +346,19 @@ class TestRunRound:
         states = make_states(4)
         hyper = tiny_hyper()
         plan = RoundPlan(round_index=1, senders=(2,), receivers=(3,))
-        out = run_round(states, plan, FusionStrategy.DEFKT, hyper, SPEC)
+        before = {k: states[k].params.tobytes() for k in states}
+        comm = CommLog(keep_messages=True)
+        out = run_round(states, plan, FusionStrategy.DEFKT, hyper, SPEC, comm=comm)
         rng = derive_rng(hyper.seed, LOCAL_STREAM, 1, 2)
         expected = local_update(
             states[2], SPEC, hyper.local_batch_size, hyper.local_passes,
             hyper.local_lr, hyper.momentum, rng,
         )
-        np.testing.assert_array_equal(out[2].params, expected.params)
+        # the receiver fuses the sender's stored array itself, and must not write to it
+        (message,) = comm.messages
+        assert message.payload is out[2].params
+        assert out[2].params.tobytes() == expected.params.tobytes()
+        assert {k: states[k].params.tobytes() for k in states} == before
 
     def test_pair_processing_order_does_not_matter(self):
         states = make_states(6)

@@ -13,7 +13,9 @@ from defkt.nn import (
     ModelSpec,
     MomentumState,
     backward,
+    backward_from_cache,
     forward,
+    forward_cached,
     init_params,
     join_segments,
     param_count,
@@ -21,7 +23,7 @@ from defkt.nn import (
     split_segments,
 )
 
-from oracles import central_difference, mlp_forward_by_hand, relative_error
+from oracles import backward_with_input_grad, central_difference, mlp_forward_by_hand, relative_error
 
 
 class TestParamCount:
@@ -181,6 +183,21 @@ class TestBackward:
             backward(spec, params, batch, g), backward(spec, params, batch, g)
         )
 
+    @pytest.mark.parametrize(
+        "spec", [ModelSpec.mlp(784), ModelSpec.cnn_small()], ids=["mlp", "cnn-small"]
+    )
+    def test_parameter_gradient_bitwise_equals_full_backward(self, spec):
+        # batches of 32, 32 and a smaller last batch of 7, as minibatches yields them
+        rng = np.random.default_rng(17)
+        params = init_params(spec, 18)
+        for rows in (32, 32, 7):
+            batch = Batch(rng.random((rows, spec.input_dim)), rng.integers(1, spec.num_classes + 1, rows))
+            g_logits = rng.standard_normal((rows, spec.num_classes))
+            _, cache = forward_cached(spec, params, batch)
+            expected, input_grad = backward_with_input_grad(spec, params, cache, g_logits)
+            assert input_grad.shape == (rows, *spec.input_shape)
+            assert np.array_equal(backward_from_cache(spec, params, cache, g_logits), expected)
+
 
 class TestSgdStep:
     def test_no_momentum_is_plain_sgd(self):
@@ -205,6 +222,17 @@ class TestSgdStep:
         params, state = sgd_step(params, g, state, lr=0.1)
         params, state = sgd_step(params, g, state, lr=0.1)
         np.testing.assert_allclose(params, -0.25 * g, rtol=1e-15)
+
+    def test_pure(self):
+        params = np.array([1.0, -2.0, 3.0])
+        grad = np.array([0.5, 0.25, -1.0])
+        state = MomentumState(velocity=np.array([0.1, -0.2, 0.3]), momentum=0.5)
+        copies = [a.copy() for a in (params, grad, state.velocity)]
+        new, new_state = sgd_step(params, grad, state, lr=0.1)
+        for before, after in zip(copies, (params, grad, state.velocity)):
+            assert before.tobytes() == after.tobytes()
+        for out in (new, new_state.velocity):
+            assert not any(np.shares_memory(out, a) for a in (params, grad, state.velocity))
 
     def test_non_finite_gradient_aborts(self):
         state = MomentumState.zeros(2, momentum=0.0)
