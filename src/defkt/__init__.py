@@ -8,7 +8,6 @@ knowledge transfer or one of two model-averaging baselines.
 from .data import (
     ClientData,
     Dataset,
-    PartitionConfig,
     load_idx,
     minibatches,
     partition,
@@ -39,7 +38,6 @@ from .losses import (
     cross_entropy_grad_logits,
     kl_divergence,
     mutual_loss_1,
-    mutual_loss_2,
     mutual_loss_grad_logits,
     one_hot,
     softmax,

@@ -7,8 +7,8 @@ Subcommands:
 
 Configuration comes from an optional YAML/JSON file plus flags; flags
 override file values. The environment variable DEFKT_DATA_DIR supplies
-the default dataset root. Exit codes: 0 success, 1 configuration error,
-2 runtime/numerical error.
+the default dataset root. Exit codes: 0 success, 1 configuration or input
+error (a bad setting, or data too small for it), 2 load or numerical error.
 """
 
 from __future__ import annotations
@@ -20,14 +20,14 @@ import math
 import os
 import struct
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 import yaml
 
-from .data import Dataset, PartitionConfig, label_counts, load_idx, partition, synth_dataset
-from .errors import ConfigurationError, DefktError, LoadError
+from .data import Dataset, label_counts, load_idx, partition, synth_dataset
+from .errors import ConfigurationError, DefktError, InputError, LoadError
 from .federation import FusionStrategy, HyperParams, build_client_states, run_experiment
 from .metrics import emit_csv, evaluate
 from .nn import ModelSpec, param_count
@@ -61,9 +61,12 @@ _IDX_NAMES = {
 }
 
 
-@dataclass
-class RunConfig:
-    """Fully resolved experiment configuration."""
+@dataclass(kw_only=True)
+class RunConfig(HyperParams):
+    """Fully resolved experiment configuration: the protocol settings plus the CLI-side ones.
+
+    The inherited `seed` stays at its default; `hyper_for` sets it per run.
+    """
 
     dataset: str
     data_dir: str
@@ -72,17 +75,6 @@ class RunConfig:
     strategy: str
     partition_mode: str
     classes_per_client: int | None
-    clients: int
-    senders: int
-    rounds: int
-    local_lr: float
-    mkt_lr_received: float
-    mkt_lr_local: float
-    momentum: float
-    local_batch: int
-    mkt_batch: int
-    local_passes: int
-    mkt_passes: int
     seeds: tuple[int, ...]
     eval_every: int
     reduction: str
@@ -90,21 +82,13 @@ class RunConfig:
     subset: int | None
     synthetic: dict
 
-    def hyper_for(self, seed: int) -> HyperParams:
-        return HyperParams(
-            num_clients=self.clients,
-            senders_per_round=self.senders,
-            rounds=self.rounds,
-            local_batch_size=self.local_batch,
-            local_passes=self.local_passes,
-            local_lr=self.local_lr,
-            mkt_batch_size=self.mkt_batch,
-            mkt_passes=self.mkt_passes,
-            mkt_lr_received=self.mkt_lr_received,
-            mkt_lr_local=self.mkt_lr_local,
-            momentum=self.momentum,
-            seed=seed,
-        )
+    @property
+    def senders(self) -> int:
+        """Alias of senders_per_round, kept only because perfbench/workloads.py reads it."""
+        return self.senders_per_round
+
+    def hyper_for(self, seed: int) -> RunConfig:
+        return replace(self, seed=seed)
 
     def strategies(self) -> list[FusionStrategy]:
         if self.strategy == "all":
@@ -215,6 +199,9 @@ def resolve_config(file_values: dict | None = None, flags: dict | None = None) -
         raise ConfigurationError(f"unknown synthetic keys: {', '.join(sorted(unknown_synth))}")
 
     subset = pick("subset", None)
+    subset = None if subset is None else int(subset)
+    if subset is not None and subset < 1:
+        raise ConfigurationError(f"subset must be at least 1, got {subset}")
     data_dir = pick("data_dir", None)
     if data_dir is None:
         data_dir = os.environ.get("DEFKT_DATA_DIR", "data")
@@ -227,25 +214,24 @@ def resolve_config(file_values: dict | None = None, flags: dict | None = None) -
         strategy=strategy,
         partition_mode=partition_mode,
         classes_per_client=None if xi is None else int(xi),
-        clients=clients,
-        senders=senders,
+        num_clients=clients,
+        senders_per_round=senders,
         rounds=int(pick("rounds", 500)),
         local_lr=local_lr,
         mkt_lr_received=mkt_lr_received,
         mkt_lr_local=mkt_lr_local,
         momentum=float(pick("momentum", 0.5)),
-        local_batch=int(pick("batch_b1", 200)),
-        mkt_batch=int(pick("batch_b2", 200)),
+        local_batch_size=int(pick("batch_b1", 200)),
+        mkt_batch_size=int(pick("batch_b2", 200)),
         local_passes=int(pick("passes_m", 1)),
         mkt_passes=int(pick("passes_e", 1)),
         seeds=tuple(int(s) for s in seeds),
         eval_every=eval_every,
         reduction=reduction,
         output_dir=str(pick("out", file_values.get("output_dir", "runs"))),
-        subset=None if subset is None else int(subset),
+        subset=subset,
         synthetic=synthetic,
     )
-    config.hyper_for(0)  # constraint check (e.g. 2Q <= K) before any work starts
     if config.dataset != "synthetic":
         _find_idx_files(config.data_dir, config.dataset)
     return config
@@ -312,13 +298,10 @@ def make_shards(config: RunConfig, corpus: Dataset, seed: int) -> list[Dataset]:
         raise ConfigurationError(
             f"xi={config.classes_per_client} exceeds the corpus class count {corpus.num_classes}"
         )
-    pconf = PartitionConfig(
-        num_clients=config.clients,
-        mode=config.partition_mode,
-        classes_per_client=config.classes_per_client,
-        seed=derive_seed(seed, "partition"),
+    return partition(
+        corpus, config.partition_mode, config.num_clients, config.classes_per_client,
+        derive_seed(seed, "partition"),
     )
-    return partition(corpus, pconf)
 
 
 # ---------------------------- model checkpoints ---------------------------- #
@@ -355,6 +338,8 @@ def load_model(path: str, spec: ModelSpec) -> np.ndarray:
             payload = fh.read(8 * length)
             if len(payload) != 8 * length:
                 raise LoadError(f"{path}: truncated payload")
+            if fh.read(1):
+                raise LoadError(f"{path}: trailing bytes after the payload")
     except OSError as exc:
         raise LoadError(f"{path}: {exc}") from exc
     return np.frombuffer(payload, dtype="<f8").astype(np.float64)
@@ -362,22 +347,10 @@ def load_model(path: str, spec: ModelSpec) -> np.ndarray:
 
 # ------------------------------- subcommands ------------------------------- #
 
-def _metadata(config: RunConfig, strategy: FusionStrategy, seed: int, spec: ModelSpec) -> dict:
+def _metadata(hyper: RunConfig, strategy: FusionStrategy, spec: ModelSpec) -> dict:
     total = param_count(spec)
-    meta = asdict(config)
-    meta.update(
-        {
-            "strategy": strategy.value,
-            "seed": seed,
-            "senders_per_round": config.senders,
-            "mkt_passes": config.mkt_passes,
-            "reduction": config.reduction,
-            "param_count": total,
-            "segment_split_index": (total + 1) // 2,
-            "hidden": list(config.hidden),
-            "seeds": list(config.seeds),
-        }
-    )
+    meta = asdict(hyper)
+    meta.update(strategy=strategy.value, param_count=total, segment_split_index=(total + 1) // 2)
     return meta
 
 
@@ -400,7 +373,7 @@ def cmd_run(config: RunConfig) -> int:
             emit_csv(timeline, str(csv_path))
             meta_path = out / f"{strategy.value}_{seed}.meta.json"
             with open(meta_path, "w") as fh:
-                json.dump(_metadata(config, strategy, seed, spec), fh, indent=2, sort_keys=True)
+                json.dump(_metadata(hyper, strategy, spec), fh, indent=2, sort_keys=True)
             final = timeline[-1]
             print(
                 f"{strategy.value} seed={seed}: rounds={final.round} "
@@ -414,7 +387,7 @@ def cmd_inspect_partition(config: RunConfig) -> int:
     seed = config.seeds[0]
     corpus, _ = load_corpus(config, seed)
     shards = make_shards(config, corpus, seed)
-    print(f"dataset={config.dataset} mode={config.partition_mode} clients={config.clients} seed={seed}")
+    print(f"dataset={config.dataset} mode={config.partition_mode} clients={config.num_clients} seed={seed}")
     print(f"{'client':>6} {'samples':>8} {'classes':>8}  histogram")
     for k, shard in enumerate(shards, start=1):
         hist = label_counts(shard)
@@ -473,7 +446,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "inspect-partition":
             return cmd_inspect_partition(config)
         return cmd_eval(config, args.model_file)
-    except ConfigurationError as exc:
+    except (ConfigurationError, InputError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
     except DefktError as exc:

@@ -56,25 +56,6 @@ class ClientData:
     validation: Dataset
 
 
-@dataclass
-class PartitionConfig:
-    """How a corpus is divided among clients."""
-
-    num_clients: int
-    mode: str = "iid"  # "iid" or "noniid"
-    classes_per_client: int | None = None  # required for noniid
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.num_clients < 2:
-            raise ConfigurationError("partitioning needs at least 2 clients")
-        if self.mode not in ("iid", "noniid"):
-            raise ConfigurationError(f"unknown partition mode {self.mode!r}")
-        if self.mode == "noniid":
-            if self.classes_per_client is None or self.classes_per_client < 1:
-                raise ConfigurationError("noniid partitioning needs classes_per_client >= 1")
-
-
 def label_counts(data: Dataset) -> dict[int, int]:
     """Histogram of labels as {label: count}."""
     values, counts = np.unique(data.labels, return_counts=True)
@@ -140,8 +121,10 @@ def synth_dataset(
     num_classes: int, per_class: int, dims: int, seed: int, sigma: float = 1.0
 ) -> Dataset:
     """Gaussian-blob classification set: per_class samples around each class mean."""
-    if num_classes < 2 or per_class < 1:
-        raise InputError("synthetic data needs num_classes >= 2 and per_class >= 1")
+    if num_classes < 2 or per_class < 1 or dims < 1 or not sigma >= 0:  # `not >=` also rejects NaN
+        raise InputError(
+            "synthetic data needs num_classes >= 2, per_class >= 1, dims >= 1 and sigma >= 0"
+        )
     rng = derive_rng(seed)
     means = class_means(num_classes, dims)
     inputs = np.empty((num_classes * per_class, dims), dtype=np.float64)
@@ -188,11 +171,19 @@ def partition_noniid(data: Dataset, num_clients: int, classes_per_client: int, s
     return shards
 
 
-def partition(data: Dataset, config: PartitionConfig) -> list[Dataset]:
-    """Dispatch on the configured partition mode."""
-    if config.mode == "iid":
-        return partition_iid(data, config.num_clients, config.seed)
-    return partition_noniid(data, config.num_clients, config.classes_per_client, config.seed)
+def partition(
+    data: Dataset, mode: str, num_clients: int, classes_per_client: int | None, seed: int
+) -> list[Dataset]:
+    """Divide a corpus among clients by mode: "iid", or "noniid" with classes_per_client >= 1."""
+    if num_clients < 2:
+        raise ConfigurationError("partitioning needs at least 2 clients")
+    if mode == "iid":
+        return partition_iid(data, num_clients, seed)
+    if mode != "noniid":
+        raise ConfigurationError(f"unknown partition mode {mode!r}")
+    if classes_per_client is None or classes_per_client < 1:
+        raise ConfigurationError("noniid partitioning needs classes_per_client >= 1")
+    return partition_noniid(data, num_clients, classes_per_client, seed)
 
 
 def train_val_split(data: Dataset, fraction: float = 0.8, seed: int = 0) -> ClientData:

@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
-The CLI maps ConfigurationError to exit code 1 and every other
-DefktError to exit code 2.
+The CLI maps ConfigurationError and InputError to exit code 1 and every
+other DefktError (LoadError, NumericalError) to exit code 2.
 """
 
 

@@ -134,28 +134,22 @@ class Message:
 
 
 class CommLog:
-    """Per-run accounting of transmitted scalars.
+    """Per-run count of transmitted scalars.
 
-    Payload arrays are only retained when keep_messages is set (used by
-    tests that inspect the message layer); long runs keep counts only.
+    Delivered messages, payloads included, are kept in delivery order only
+    when keep_messages is set (used by tests that inspect the message
+    layer); long runs keep the count only.
     """
 
     def __init__(self, keep_messages: bool = False):
         self.keep_messages = keep_messages
         self.messages: list[Message] = []
-        self.entries: list[tuple[int, int, int, str, int]] = []  # (round, sender, receiver, kind, size)
         self.total_scalars = 0
 
-    def record(self, round_index: int, message: Message) -> None:
+    def record(self, message: Message) -> None:
         self.total_scalars += int(message.payload.size)
-        self.entries.append(
-            (round_index, message.sender, message.receiver, message.kind, int(message.payload.size))
-        )
         if self.keep_messages:
             self.messages.append(message)
-
-    def round_scalars(self, round_index: int) -> int:
-        return sum(size for r, _, _, _, size in self.entries if r == round_index)
 
 
 def select_round(num_clients: int, senders_per_round: int, round_index: int, master_seed: int) -> RoundPlan:
@@ -317,7 +311,7 @@ def run_round(
             deliveries.append(Message(sender_id, receiver_id, "params", updated.params))
     for message in deliveries:
         if comm is not None:
-            comm.record(plan.round_index, message)
+            comm.record(message)
         sender_id, receiver_id = message.sender, message.receiver
         receiver = new_states[receiver_id]
         n_sender = len(new_states[sender_id].data.train)
@@ -339,7 +333,7 @@ def run_round(
         else:
             reply = Message(receiver_id, sender_id, "leading-segment", split_segments(receiver.params)[0])
             if comm is not None:
-                comm.record(plan.round_index, reply)
+                comm.record(reply)
             sender_params, receiver_params = fuse_combo(
                 new_states[sender_id].params, receiver.params, n_sender, n_receiver
             )

@@ -1,4 +1,4 @@
-"""Soft predictions, cross-entropy, KL divergence, and the two mutual losses.
+"""Soft predictions, cross-entropy, KL divergence, and the mutual-transfer loss.
 
 Probability matrices are (B, C) float64 arrays with rows summing to 1;
 labels are (B,) integers in 1..C. Every loss supports "sum" and "mean"
@@ -15,11 +15,12 @@ from .errors import InputError
 LOG_CLAMP = 1e-12
 
 
-def _reduce(per_sample: np.ndarray, reduction: str) -> float:
+def _batch_divisor(reduction: str, batch_size: int) -> int:
+    """Divisor of a batch-summed loss and of its logit gradient: 1 for "sum", B for "mean"."""
     if reduction == "sum":
-        return float(per_sample.sum())
+        return 1
     if reduction == "mean":
-        return float(per_sample.mean())
+        return batch_size
     raise ValueError(f"unknown reduction {reduction!r}; expected 'sum' or 'mean'")
 
 
@@ -51,7 +52,8 @@ def cross_entropy(probs: np.ndarray, labels: np.ndarray, reduction: str = "mean"
     probs = np.asarray(probs, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     picked = probs[np.arange(labels.shape[0]), labels - 1]
-    return _reduce(-np.log(np.maximum(picked, LOG_CLAMP)), reduction)
+    per_sample = -np.log(np.maximum(picked, LOG_CLAMP))
+    return float(per_sample.sum() / _batch_divisor(reduction, per_sample.shape[0]))
 
 
 def kl_divergence(target_probs: np.ndarray, probs: np.ndarray, reduction: str = "mean") -> float:
@@ -64,7 +66,7 @@ def kl_divergence(target_probs: np.ndarray, probs: np.ndarray, reduction: str = 
     probs = np.asarray(probs, dtype=np.float64)
     log_ratio = np.log(np.maximum(target_probs, LOG_CLAMP)) - np.log(np.maximum(probs, LOG_CLAMP))
     per_sample = (target_probs * log_ratio).sum(axis=1)
-    return _reduce(per_sample, reduction)
+    return float(per_sample.sum() / _batch_divisor(reduction, per_sample.shape[0]))
 
 
 def mutual_loss_1(
@@ -76,13 +78,6 @@ def mutual_loss_1(
     gradient from this loss.
     """
     return cross_entropy(p_self, labels, reduction) + kl_divergence(p_other, p_self, reduction)
-
-
-def mutual_loss_2(
-    p_self: np.ndarray, p_other: np.ndarray, labels: np.ndarray, reduction: str = "mean"
-) -> float:
-    """Mirror of mutual_loss_1 with the model roles swapped."""
-    return mutual_loss_1(p_self, p_other, labels, reduction)
 
 
 def mutual_loss_grad_logits(
@@ -97,11 +92,7 @@ def mutual_loss_grad_logits(
     p_other = np.asarray(p_other, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     grad = 2.0 * p_self - _one_hot_rows(labels, p_self.shape[1]) - p_other
-    if reduction == "mean":
-        return grad / p_self.shape[0]
-    if reduction == "sum":
-        return grad
-    raise ValueError(f"unknown reduction {reduction!r}; expected 'sum' or 'mean'")
+    return grad / _batch_divisor(reduction, grad.shape[0])
 
 
 def cross_entropy_grad_logits(
@@ -111,8 +102,4 @@ def cross_entropy_grad_logits(
     probs = np.asarray(probs, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     grad = probs - _one_hot_rows(labels, probs.shape[1])
-    if reduction == "mean":
-        return grad / probs.shape[0]
-    if reduction == "sum":
-        return grad
-    raise ValueError(f"unknown reduction {reduction!r}; expected 'sum' or 'mean'")
+    return grad / _batch_divisor(reduction, grad.shape[0])

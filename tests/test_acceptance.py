@@ -256,18 +256,19 @@ def test_criterion_6_protocol_invariants(tmp_path):
     payload_exact = True
     for strategy in FusionStrategy:
         states = build_client_states(spec, shards, hyper)
-        comm = CommLog()
+        comm = CommLog(keep_messages=True)
         for t in range(1, hyper.rounds + 1):
             plan = select_round(hyper.num_clients, hyper.senders_per_round, t, hyper.seed)
             disjoint_every_round &= not (set(plan.senders) & set(plan.receivers))
             before = {k: states[k].params for k in states}
+            sent_before = len(comm.messages)
             states = run_round(states, plan, strategy, hyper, spec, comm=comm)
             changed = {k for k in states if not np.array_equal(states[k].params, before[k])}
             only_participants_change &= changed == set(plan.senders) | set(plan.receivers)
             for sender, receiver in plan.pairs():
                 pair_scalars = sum(
-                    size for r, s, d, _, size in comm.entries
-                    if r == t and {s, d} == {sender, receiver}
+                    m.payload.size for m in comm.messages[sent_before:]
+                    if {m.sender, m.receiver} == {sender, receiver}
                 )
                 payload_exact &= pair_scalars == total
 

@@ -73,7 +73,7 @@ class TestResolveConfig:
     def test_flags_override_file(self):
         config = resolve_config({"clients": 10, "rounds": 100}, {"rounds": 7})
         assert config.rounds == 7
-        assert config.clients == 10
+        assert config.num_clients == 10
 
     def test_empty_seeds_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -207,6 +207,22 @@ class TestCmdRun:
         config = write_config(tmp_path, senders=3)  # 2Q=6 > K=4
         assert main(["run", "--config", config]) == 1
 
+    @pytest.mark.parametrize(
+        "overrides, flags",
+        [
+            ({}, ["--clients", "5000"]),  # more clients than samples
+            ({"synthetic": dict(TINY["synthetic"], dims=0)}, []),
+            ({"synthetic": dict(TINY["synthetic"], sigma=-1.0)}, []),
+            ({"subset": -5}, []),
+        ],
+        ids=["clients-exceed-corpus", "synthetic-dims-0", "synthetic-sigma-negative", "subset-negative"],
+    )
+    def test_bad_input_exits_one_with_message(self, tmp_path, capsys, overrides, flags):
+        config = write_config(tmp_path, **overrides)
+        out = tmp_path / "runs"
+        assert main(["run", "--config", config, "--out", str(out), *flags]) == 1
+        assert capsys.readouterr().err.startswith("configuration error: ")
+
 
 class TestCmdInspectPartition:
     def test_reports_counts_and_conserves_histogram(self, tmp_path, capsys):
@@ -276,6 +292,17 @@ class TestCmdEval:
         blob[10] ^= 0x01
         model_path.write_bytes(bytes(blob))
         assert main(["eval", "--config", config_path, "--model-file", str(model_path)]) == 2
+
+    def test_trailing_bytes_exits_two(self, tmp_path, capsys):
+        config_path = write_config(tmp_path)
+        config = resolve_config(dict(TINY))
+        corpus, _ = load_corpus(config, seed=1)
+        spec = model_spec(config, corpus)
+        model_path = tmp_path / "w.bin"
+        save_model(str(model_path), spec, init_params(spec, 1))
+        model_path.write_bytes(model_path.read_bytes() + b"\x00" * 8)
+        assert main(["eval", "--config", config_path, "--model-file", str(model_path)]) == 2
+        assert "trailing bytes" in capsys.readouterr().err
 
     def test_eval_agrees_with_evaluate(self, tmp_path, capsys):
         from defkt.metrics import evaluate

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from defkt.data import (
-    PartitionConfig,
     class_means,
     label_counts,
     load_idx,
@@ -207,17 +206,18 @@ class TestPartitionNonIid:
 
 
 class TestPartitionConfig:
+    """The mode dispatch and the settings checks of `partition`."""
+
     def test_dispatch_iid(self, surrogate_corpus):
-        config = PartitionConfig(num_clients=5, mode="iid", seed=1)
-        assert len(partition(surrogate_corpus, config)) == 5
+        assert len(partition(surrogate_corpus, "iid", 5, None, 1)) == 5
 
-    def test_noniid_requires_xi(self):
+    def test_noniid_requires_xi(self, surrogate_corpus):
         with pytest.raises(ConfigurationError):
-            PartitionConfig(num_clients=5, mode="noniid")
+            partition(surrogate_corpus, "noniid", 5, None, 0)
 
-    def test_unknown_mode_rejected(self):
+    def test_unknown_mode_rejected(self, surrogate_corpus):
         with pytest.raises(ConfigurationError):
-            PartitionConfig(num_clients=5, mode="dirichlet")
+            partition(surrogate_corpus, "dirichlet", 5, None, 0)
 
 
 class TestTrainValSplit:
