@@ -37,20 +37,89 @@ DATASETS = ("mnist", "fashion-mnist", "synthetic")
 MODELS = ("mlp", "cnn-small")
 STRATEGIES = ("defkt", "fullavg", "combo", "all")
 
-_SYNTH_DEFAULTS = {
-    "classes": 4,
-    "per_class": 400,
-    "dims": 20,
-    "sigma": 1.0,
-    "test_per_class": 100,
-    "seed": None,  # fixes the corpus across run seeds; derived from the run seed when unset
+
+def _int(value) -> int:
+    """A whole number: 10, 10.0 and "10" are accepted, 2.7 and inf are not."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError("not a whole number")
+    return int(value)
+
+
+def _ints(value) -> tuple[int, ...]:
+    if not isinstance(value, (list, tuple)):
+        raise TypeError("expected a list of whole numbers")
+    return tuple(_int(v) for v in value)
+
+
+def _seeds(value) -> tuple[int, ...]:
+    seeds = _ints(value if isinstance(value, (list, tuple)) else [value])
+    if not seeds:
+        raise ValueError("need at least one seed")
+    return seeds
+
+
+def _synthetic(value) -> dict:
+    if not isinstance(value, dict):
+        raise TypeError("expected a mapping")
+    return _convert(_SYNTH_KEYS, value, "synthetic")
+
+
+def _convert(table: dict, values: dict, section: str) -> dict:
+    """Resolve every key of `table`, whose entries end in (converter, default); null means the default."""
+    unknown = set(values) - set(table)
+    if unknown:
+        raise ConfigurationError(f"unknown {section} keys: {', '.join(sorted(map(str, unknown)))}")
+    resolved = {}
+    for key, entry in table.items():
+        convert, default = entry[-2:]
+        value = values.get(key)
+        if value is None:
+            value = default
+        try:
+            resolved[key] = None if value is None else convert(value)
+        except (TypeError, ValueError) as exc:
+            raise ConfigurationError(f"{section} key {key}: cannot use {value!r} ({exc})") from exc
+    return resolved
+
+
+# Synthetic corpus sub-keys: key -> (converter, default).
+_SYNTH_KEYS = {
+    "classes": (_int, 4),
+    "per_class": (_int, 400),
+    "dims": (_int, 20),
+    "sigma": (float, 1.0),
+    "test_per_class": (_int, 100),
+    "seed": (_int, None),  # fixes the corpus across run seeds; derived from the run seed when unset
 }
 
-_FILE_KEYS = {
-    "dataset", "data_dir", "model", "hidden", "strategy", "partition", "xi",
-    "clients", "senders", "rounds", "lr", "local_lr", "mkt_lr_received",
-    "mkt_lr_local", "momentum", "batch_b1", "batch_b2", "passes_m", "passes_e",
-    "seeds", "eval_every", "reduction", "output_dir", "subset", "synthetic",
+# Config-file keys, also the flags' argparse dests: key -> (RunConfig field, converter, default).
+# A None default means unset, or derived in resolve_config (senders, partition, rates, data_dir).
+_KEYS = {
+    "dataset": ("dataset", str, "synthetic"),
+    "data_dir": ("data_dir", str, None),
+    "model": ("model", str, "mlp"),
+    "hidden": ("hidden", _ints, (200, 200)),
+    "strategy": ("strategy", str, "all"),
+    "partition": ("partition_mode", str, None),
+    "xi": ("classes_per_client", _int, None),
+    "clients": ("num_clients", _int, 10),
+    "senders": ("senders_per_round", _int, None),
+    "rounds": ("rounds", _int, 500),
+    "lr": (None, float, 0.01),
+    "local_lr": ("local_lr", float, None),
+    "mkt_lr_received": ("mkt_lr_received", float, None),
+    "mkt_lr_local": ("mkt_lr_local", float, None),
+    "momentum": ("momentum", float, 0.5),
+    "batch_b1": ("local_batch_size", _int, 200),
+    "batch_b2": ("mkt_batch_size", _int, 200),
+    "passes_m": ("local_passes", _int, 1),
+    "passes_e": ("mkt_passes", _int, 1),
+    "seeds": ("seeds", _seeds, (1,)),
+    "eval_every": ("eval_every", _int, 10),
+    "reduction": ("reduction", str, "mean"),
+    "output_dir": ("output_dir", str, "runs"),
+    "subset": ("subset", _int, None),
+    "synthetic": ("synthetic", _synthetic, {}),
 }
 
 _IDX_NAMES = {
@@ -137,101 +206,34 @@ def _find_idx_files(data_dir: str, dataset: str) -> dict[str, str]:
 
 def resolve_config(file_values: dict | None = None, flags: dict | None = None) -> RunConfig:
     """Merge defaults, config-file values, and flags (flags win) into a RunConfig."""
-    file_values = dict(file_values or {})
-    flags = {k: v for k, v in (flags or {}).items() if v is not None}
-    unknown = set(file_values) - _FILE_KEYS
-    if unknown:
-        raise ConfigurationError(f"unknown config keys: {', '.join(sorted(unknown))}")
+    merged = dict(file_values or {})
+    merged.update((key, value) for key, value in (flags or {}).items() if value is not None)
+    v = _convert(_KEYS, merged, "config")
 
-    def pick(key, default):
-        return flags.get(key, file_values.get(key, default))
+    if v["senders"] is None:
+        v["senders"] = math.ceil(v["clients"] / 10)
+    for key in ("local_lr", "mkt_lr_received", "mkt_lr_local"):
+        if v[key] is None:
+            v[key] = v["lr"]
+    if v["partition"] is None:
+        v["partition"] = "iid" if v["xi"] is None else "noniid"
+    if v["data_dir"] is None:
+        v["data_dir"] = os.environ.get("DEFKT_DATA_DIR", "data")
 
-    dataset = pick("dataset", "synthetic")
-    if dataset not in DATASETS:
-        raise ConfigurationError(f"unknown dataset {dataset!r}; expected one of {DATASETS}")
-    model = pick("model", "mlp")
-    if model not in MODELS:
-        raise ConfigurationError(f"unknown model {model!r}; expected one of {MODELS}")
-    strategy = pick("strategy", "all")
-    if strategy not in STRATEGIES:
-        raise ConfigurationError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
-
-    clients = int(pick("clients", 10))
-    senders = pick("senders", None)
-    senders = math.ceil(clients / 10) if senders is None else int(senders)
-
-    xi = pick("xi", None)
-    partition_mode = pick("partition", None)
-    if partition_mode is None:
-        partition_mode = "noniid" if xi is not None else "iid"
-    if partition_mode not in ("iid", "noniid"):
-        raise ConfigurationError(f"unknown partition mode {partition_mode!r}")
-    if partition_mode == "noniid" and xi is None:
+    for key, allowed in (
+        ("dataset", DATASETS), ("model", MODELS), ("strategy", STRATEGIES),
+        ("partition", ("iid", "noniid")), ("reduction", ("mean", "sum")),
+    ):
+        if v[key] not in allowed:
+            raise ConfigurationError(f"unknown {key} {v[key]!r}; expected one of {allowed}")
+    if v["partition"] == "noniid" and v["xi"] is None:
         raise ConfigurationError("noniid partitioning requires xi (classes per client)")
-
-    base_lr = pick("lr", None)
-    base_lr = 0.01 if base_lr is None else float(base_lr)
-    local_lr = float(pick("local_lr", base_lr))
-    mkt_lr_received = float(pick("mkt_lr_received", base_lr))
-    mkt_lr_local = float(pick("mkt_lr_local", base_lr))
-
-    seeds = pick("seeds", None)
-    if seeds is None:
-        seeds = [1]
-    if isinstance(seeds, int):
-        seeds = [seeds]
-    if not seeds:
-        raise ConfigurationError("seeds must be a nonempty list of integers")
-
-    reduction = pick("reduction", "mean")
-    if reduction not in ("mean", "sum"):
-        raise ConfigurationError(f"reduction must be 'mean' or 'sum', got {reduction!r}")
-
-    eval_every = int(pick("eval_every", 10))
-    if eval_every < 1:
+    if v["eval_every"] < 1:
         raise ConfigurationError("eval_every must be at least 1")
+    if v["subset"] is not None and v["subset"] < 1:
+        raise ConfigurationError(f"subset must be at least 1, got {v['subset']}")
 
-    hidden = pick("hidden", [200, 200])
-    synthetic = dict(_SYNTH_DEFAULTS)
-    synthetic.update(file_values.get("synthetic") or {})
-    unknown_synth = set(synthetic) - set(_SYNTH_DEFAULTS)
-    if unknown_synth:
-        raise ConfigurationError(f"unknown synthetic keys: {', '.join(sorted(unknown_synth))}")
-
-    subset = pick("subset", None)
-    subset = None if subset is None else int(subset)
-    if subset is not None and subset < 1:
-        raise ConfigurationError(f"subset must be at least 1, got {subset}")
-    data_dir = pick("data_dir", None)
-    if data_dir is None:
-        data_dir = os.environ.get("DEFKT_DATA_DIR", "data")
-
-    config = RunConfig(
-        dataset=dataset,
-        data_dir=str(data_dir),
-        model=model,
-        hidden=tuple(int(h) for h in hidden),
-        strategy=strategy,
-        partition_mode=partition_mode,
-        classes_per_client=None if xi is None else int(xi),
-        num_clients=clients,
-        senders_per_round=senders,
-        rounds=int(pick("rounds", 500)),
-        local_lr=local_lr,
-        mkt_lr_received=mkt_lr_received,
-        mkt_lr_local=mkt_lr_local,
-        momentum=float(pick("momentum", 0.5)),
-        local_batch_size=int(pick("batch_b1", 200)),
-        mkt_batch_size=int(pick("batch_b2", 200)),
-        local_passes=int(pick("passes_m", 1)),
-        mkt_passes=int(pick("passes_e", 1)),
-        seeds=tuple(int(s) for s in seeds),
-        eval_every=eval_every,
-        reduction=reduction,
-        output_dir=str(pick("out", file_values.get("output_dir", "runs"))),
-        subset=subset,
-        synthetic=synthetic,
-    )
+    config = RunConfig(**{field: v[key] for key, (field, _, _) in _KEYS.items() if field})
     if config.dataset != "synthetic":
         _find_idx_files(config.data_dir, config.dataset)
     return config
@@ -240,25 +242,7 @@ def resolve_config(file_values: dict | None = None, flags: dict | None = None) -
 def parse_config(args: argparse.Namespace) -> RunConfig:
     """Build a RunConfig from parsed CLI arguments, honoring --config."""
     file_values = _load_config_file(args.config) if args.config else {}
-    flags = {
-        "dataset": args.dataset,
-        "model": args.model,
-        "strategy": args.strategy,
-        "clients": args.clients,
-        "senders": args.senders,
-        "rounds": args.rounds,
-        "xi": args.xi,
-        "lr": args.lr,
-        "momentum": args.momentum,
-        "batch_b1": args.batch_b1,
-        "batch_b2": args.batch_b2,
-        "passes_m": args.passes_m,
-        "passes_e": args.passes_e,
-        "seeds": args.seed if args.seed else None,
-        "eval_every": args.eval_every,
-        "out": args.out,
-    }
-    return resolve_config(file_values, flags)
+    return resolve_config(file_values, {k: v for k, v in vars(args).items() if k in _KEYS})
 
 
 def load_corpus(config: RunConfig, seed: int) -> tuple[Dataset, Dataset]:
@@ -357,7 +341,10 @@ def _metadata(hyper: RunConfig, strategy: FusionStrategy, spec: ModelSpec) -> di
 def cmd_run(config: RunConfig) -> int:
     """One run per (strategy, seed); emits {strategy}_{seed}.csv plus metadata."""
     out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise LoadError(f"{out}: {exc}") from exc
     for seed in config.seeds:
         corpus, test = load_corpus(config, seed)
         spec = model_spec(config, corpus)
@@ -372,8 +359,11 @@ def cmd_run(config: RunConfig) -> int:
             csv_path = out / f"{strategy.value}_{seed}.csv"
             emit_csv(timeline, str(csv_path))
             meta_path = out / f"{strategy.value}_{seed}.meta.json"
-            with open(meta_path, "w") as fh:
-                json.dump(_metadata(hyper, strategy, spec), fh, indent=2, sort_keys=True)
+            try:
+                with open(meta_path, "w") as fh:
+                    json.dump(_metadata(hyper, strategy, spec), fh, indent=2, sort_keys=True)
+            except OSError as exc:
+                raise LoadError(f"{meta_path}: {exc}") from exc
             final = timeline[-1]
             print(
                 f"{strategy.value} seed={seed}: rounds={final.round} "
@@ -424,9 +414,9 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--batch-b2", dest="batch_b2", type=int, help="knowledge-transfer batch size")
     shared.add_argument("--passes-m", dest="passes_m", type=int, help="local-update passes per round")
     shared.add_argument("--passes-e", dest="passes_e", type=int, help="knowledge-transfer passes")
-    shared.add_argument("--seed", action="append", type=int, help="run seed; repeat for several")
+    shared.add_argument("--seed", dest="seeds", action="append", type=int, help="run seed; repeat for several")
     shared.add_argument("--eval-every", dest="eval_every", type=int)
-    shared.add_argument("--out", help="output directory")
+    shared.add_argument("--out", dest="output_dir", help="output directory")
 
     parser = argparse.ArgumentParser(prog="defkt", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -18,7 +18,7 @@ class InputError(DefktError):
 
 
 class LoadError(DefktError):
-    """A data or model file failed to load; the message names the file."""
+    """A data, model or output file could not be read or written; the message names the file."""
 
 
 class NumericalError(DefktError):

@@ -88,8 +88,8 @@ class HyperParams:
         if self.local_passes < 1 or self.mkt_passes < 0:
             raise ConfigurationError("local_passes must be >= 1 and mkt_passes >= 0")
         for name in ("local_lr", "mkt_lr_received", "mkt_lr_local"):
-            if getattr(self, name) < 0:
-                raise ConfigurationError(f"{name} must be nonnegative")
+            if not 0 <= getattr(self, name) < np.inf:
+                raise ConfigurationError(f"{name} must be nonnegative and finite")
         if not 0.0 <= self.momentum < 1.0:
             raise ConfigurationError("momentum must lie in [0, 1)")
 

@@ -66,6 +66,8 @@ Layer = DenseLayer | ConvLayer | MaxPoolLayer
 def _layer_out_shape(layer: Layer, in_shape: tuple[int, ...]) -> tuple[int, ...]:
     """Shape produced by `layer` on a single sample of shape `in_shape`."""
     if isinstance(layer, DenseLayer):
+        if layer.n_out < 1:
+            raise ConfigurationError(f"dense layer width must be at least 1, got {layer.n_out}")
         flat = int(np.prod(in_shape))
         if flat != layer.n_in:
             raise ConfigurationError(
@@ -73,6 +75,8 @@ def _layer_out_shape(layer: Layer, in_shape: tuple[int, ...]) -> tuple[int, ...]
             )
         return (layer.n_out,)
     if isinstance(layer, ConvLayer):
+        if layer.out_channels < 1 or layer.kernel < 1:
+            raise ConfigurationError("convolution channels and kernel must be at least 1")
         if len(in_shape) != 3:
             raise ConfigurationError("convolution layer requires (channels, height, width) input")
         c, h, w = in_shape
@@ -84,6 +88,8 @@ def _layer_out_shape(layer: Layer, in_shape: tuple[int, ...]) -> tuple[int, ...]
             raise ConfigurationError("convolution kernel larger than its input")
         return (layer.out_channels, h - layer.kernel + 1, w - layer.kernel + 1)
     if isinstance(layer, MaxPoolLayer):
+        if layer.size < 1:
+            raise ConfigurationError(f"pooling window must be at least 1, got {layer.size}")
         if len(in_shape) != 3:
             raise ConfigurationError("pooling layer requires (channels, height, width) input")
         c, h, w = in_shape

@@ -7,11 +7,14 @@ import pytest
 import yaml
 
 from defkt.cli import (
+    _IDX_NAMES,
+    build_parser,
     load_corpus,
     load_model,
     main,
     make_shards,
     model_spec,
+    parse_config,
     resolve_config,
     save_model,
 )
@@ -33,6 +36,27 @@ TINY = {
     "hidden": [6],
     "synthetic": {"classes": 3, "per_class": 40, "dims": 5, "sigma": 1.0, "test_per_class": 20},
 }
+
+
+# One case per `run` flag: the flags and the RunConfig fields they must set.
+RUN_FLAGS = [
+    (["--dataset", "mnist"], {"dataset": "mnist"}),
+    (["--model", "cnn-small"], {"model": "cnn-small"}),
+    (["--strategy", "combo"], {"strategy": "combo"}),
+    (["--clients", "20"], {"num_clients": 20}),
+    (["--senders", "3"], {"senders_per_round": 3}),
+    (["--rounds", "7"], {"rounds": 7}),
+    (["--xi", "3"], {"classes_per_client": 3, "partition_mode": "noniid"}),
+    (["--lr", "0.2"], {"local_lr": 0.2, "mkt_lr_received": 0.2, "mkt_lr_local": 0.2}),
+    (["--momentum", "0.9"], {"momentum": 0.9}),
+    (["--batch-b1", "17"], {"local_batch_size": 17}),
+    (["--batch-b2", "19"], {"mkt_batch_size": 19}),
+    (["--passes-m", "2"], {"local_passes": 2}),
+    (["--passes-e", "3"], {"mkt_passes": 3}),
+    (["--seed", "3", "--seed", "4"], {"seeds": (3, 4)}),
+    (["--eval-every", "5"], {"eval_every": 5}),
+    (["--out", "d"], {"output_dir": "d"}),
+]
 
 
 class TestResolveConfig:
@@ -117,6 +141,14 @@ class TestResolveConfig:
         corpus_b, _ = load_corpus(config, seed=2)
         assert not np.array_equal(corpus_a.inputs, corpus_b.inputs)
 
+    @pytest.mark.parametrize("flags, expected", RUN_FLAGS, ids=[flags[0] for flags, _ in RUN_FLAGS])
+    def test_run_flag_sets_its_field(self, tmp_path, monkeypatch, flags, expected):
+        for name in _IDX_NAMES.values():
+            (tmp_path / name).write_bytes(b"")
+        monkeypatch.setenv("DEFKT_DATA_DIR", str(tmp_path))
+        config = parse_config(build_parser().parse_args(["run", *flags]))
+        assert {field: getattr(config, field) for field in expected} == expected
+
 
 class TestCheckpoints:
     def test_save_load_round_trip(self, tmp_path):
@@ -153,11 +185,11 @@ class TestCheckpoints:
             load_model(str(path), spec)
 
 
-def write_config(tmp_path, **overrides):
-    values = dict(TINY)
-    values.update(overrides)
+def write_config(tmp_path, extra=None, **overrides):
+    values = dict(TINY, **overrides)
+    values.update(extra or {})
     path = tmp_path / "config.yaml"
-    path.write_text(yaml.safe_dump(values))
+    path.write_text(yaml.safe_dump(values, sort_keys=False))
     return str(path)
 
 
@@ -214,14 +246,39 @@ class TestCmdRun:
             ({"synthetic": dict(TINY["synthetic"], dims=0)}, []),
             ({"synthetic": dict(TINY["synthetic"], sigma=-1.0)}, []),
             ({"subset": -5}, []),
+            ({"clients": "ten"}, []),
+            ({"hidden": 5}, []),
+            ({"synthetic": dict(TINY["synthetic"], classes=2.5)}, []),
+            ({"synthetic": 5}, []),
+            ({"momentum": "fast"}, []),
+            ({"rounds": 2.7}, []),
+            ({"hidden": [0]}, []),
+            ({"lr": float("nan")}, []),
+            ({1: 2}, []),
         ],
-        ids=["clients-exceed-corpus", "synthetic-dims-0", "synthetic-sigma-negative", "subset-negative"],
+        ids=[
+            "clients-exceed-corpus", "synthetic-dims-0", "synthetic-sigma-negative", "subset-negative",
+            "clients-not-a-number", "hidden-not-a-list", "synthetic-classes-fractional",
+            "synthetic-not-a-mapping", "momentum-not-a-number", "rounds-fractional", "hidden-width-0",
+            "lr-nan", "non-string-key",
+        ],
     )
     def test_bad_input_exits_one_with_message(self, tmp_path, capsys, overrides, flags):
-        config = write_config(tmp_path, **overrides)
+        config = write_config(tmp_path, overrides)
         out = tmp_path / "runs"
         assert main(["run", "--config", config, "--out", str(out), *flags]) == 1
         assert capsys.readouterr().err.startswith("configuration error: ")
+
+    # "file" is a regular file; "runs" holds a directory where the metadata file goes
+    @pytest.mark.parametrize(
+        "target", ["file", "file/sub", "runs"], ids=["out-is-file", "out-under-file", "meta-path-is-dir"]
+    )
+    def test_unwritable_output_exits_two_with_message(self, tmp_path, capsys, target):
+        (tmp_path / "file").write_text("")
+        (tmp_path / "runs" / "defkt_1.meta.json").mkdir(parents=True)
+        config = write_config(tmp_path, strategy="defkt", seeds=[1])
+        assert main(["run", "--config", config, "--out", str(tmp_path / target)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestCmdInspectPartition:

@@ -61,8 +61,9 @@ class TestHyperParams:
             tiny_hyper(num_clients=10, senders_per_round=6)
 
     def test_negative_rate_rejected(self):
-        with pytest.raises(ConfigurationError):
-            tiny_hyper(local_lr=-0.1)
+        for rate in (-0.1, float("nan"), float("inf")):
+            with pytest.raises(ConfigurationError):
+                tiny_hyper(local_lr=rate)
 
     def test_momentum_range(self):
         with pytest.raises(ConfigurationError):

@@ -10,6 +10,7 @@ from defkt.nn import (
     Batch,
     ConvLayer,
     DenseLayer,
+    MaxPoolLayer,
     ModelSpec,
     MomentumState,
     backward,
@@ -58,6 +59,18 @@ class TestModelSpec:
     def test_rejects_activated_output_layer(self):
         with pytest.raises(ConfigurationError):
             ModelSpec(input_shape=(4,), layers=(DenseLayer(4, 3, relu=True),), num_classes=3)
+
+    @pytest.mark.parametrize(
+        "layer",
+        [
+            DenseLayer(36, 0, relu=True), DenseLayer(36, -1, relu=True),
+            ConvLayer(1, 0, 3), ConvLayer(1, 2, 0), MaxPoolLayer(0),
+        ],
+        ids=["dense-0", "dense-negative", "conv-channels-0", "conv-kernel-0", "pool-0"],
+    )
+    def test_rejects_layer_size_below_one(self, layer):
+        with pytest.raises(ConfigurationError, match="at least 1"):
+            ModelSpec(input_shape=(1, 6, 6), layers=(layer, DenseLayer(4, 3)), num_classes=3)
 
 
 class TestInitParams:
