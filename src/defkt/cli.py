@@ -45,6 +45,13 @@ def _int(value) -> int:
     return int(value)
 
 
+def _text(value) -> str:
+    """A scalar as text: a name or a path, never a list or a mapping."""
+    if isinstance(value, (list, tuple, dict)):
+        raise TypeError("expected a single value, not a list or mapping")
+    return str(value)
+
+
 def _ints(value) -> tuple[int, ...]:
     if not isinstance(value, (list, tuple)):
         raise TypeError("expected a list of whole numbers")
@@ -95,12 +102,12 @@ _SYNTH_KEYS = {
 # Config-file keys, also the flags' argparse dests: key -> (RunConfig field, converter, default).
 # A None default means unset, or derived in resolve_config (senders, partition, rates, data_dir).
 _KEYS = {
-    "dataset": ("dataset", str, "synthetic"),
-    "data_dir": ("data_dir", str, None),
-    "model": ("model", str, "mlp"),
+    "dataset": ("dataset", _text, "synthetic"),
+    "data_dir": ("data_dir", _text, None),
+    "model": ("model", _text, "mlp"),
     "hidden": ("hidden", _ints, (200, 200)),
-    "strategy": ("strategy", str, "all"),
-    "partition": ("partition_mode", str, None),
+    "strategy": ("strategy", _text, "all"),
+    "partition": ("partition_mode", _text, None),
     "xi": ("classes_per_client", _int, None),
     "clients": ("num_clients", _int, 10),
     "senders": ("senders_per_round", _int, None),
@@ -116,8 +123,8 @@ _KEYS = {
     "passes_e": ("mkt_passes", _int, 1),
     "seeds": ("seeds", _seeds, (1,)),
     "eval_every": ("eval_every", _int, 10),
-    "reduction": ("reduction", str, "mean"),
-    "output_dir": ("output_dir", str, "runs"),
+    "reduction": ("reduction", _text, "mean"),
+    "output_dir": ("output_dir", _text, "runs"),
     "subset": ("subset", _int, None),
     "synthetic": ("synthetic", _synthetic, {}),
 }

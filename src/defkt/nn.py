@@ -2,11 +2,15 @@
 
 Models are described by a ModelSpec and parameterized by a single 1-D
 vector in canonical order: for each layer in sequence, weights
-(C-order flattened) followed by biases. forward produces logits; the
-softmax lives in the losses module. backward is exact reverse-mode
-differentiation of <logits, grad_logits> with respect to the parameters;
-it stops at the first layer's parameter gradients and never computes the
-gradient with respect to the input, which no caller reads.
+(C-order flattened) followed by biases. Each ModelSpec computes this
+layout once, as per-layer slices, when it is built; init_params and
+_unpack both read it, so no forward or backward call re-derives it.
+
+forward produces logits; the softmax lives in the losses module.
+backward is exact reverse-mode differentiation of <logits, grad_logits>
+with respect to the parameters; it stops at the first layer's parameter
+gradients and never computes the gradient with respect to the input,
+which no caller reads.
 
 All operations are pure: identical inputs give bitwise-identical outputs.
 """
@@ -14,7 +18,7 @@ All operations are pure: identical inputs give bitwise-identical outputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -110,6 +114,13 @@ class ModelSpec:
     input_shape: tuple[int, ...]
     layers: tuple[Layer, ...]
     num_classes: int
+    # Derived in __post_init__ and left out of repr and comparison. layout holds,
+    # per layer, (weight slice, weight shape, bias slice) into the canonical
+    # parameter vector, or None for pooling.
+    layout: tuple = field(init=False, repr=False, compare=False)
+    param_count: int = field(init=False, repr=False, compare=False)
+    input_dim: int = field(init=False, repr=False, compare=False)
+    first_param_layer: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.num_classes < 2:
@@ -120,12 +131,26 @@ class ModelSpec:
         if not isinstance(last, DenseLayer) or last.relu or last.n_out != self.num_classes:
             raise ConfigurationError("final layer must be a linear DenseLayer with num_classes outputs")
         shape = tuple(self.input_shape)
+        layout: list[tuple[slice, tuple[int, ...], slice] | None] = []
+        offset = 0
         for layer in self.layers:
             shape = _layer_out_shape(layer, shape)
-
-    @property
-    def input_dim(self) -> int:
-        return int(np.prod(self.input_shape))
+            if isinstance(layer, MaxPoolLayer):
+                layout.append(None)
+                continue
+            if isinstance(layer, DenseLayer):
+                w_shape: tuple[int, ...] = (layer.n_in, layer.n_out)
+                n_bias = layer.n_out
+            else:
+                w_shape = (layer.out_channels, layer.in_channels, layer.kernel, layer.kernel)
+                n_bias = layer.out_channels
+            w_end = offset + math.prod(w_shape)
+            layout.append((slice(offset, w_end), w_shape, slice(w_end, w_end + n_bias)))
+            offset = w_end + n_bias
+        object.__setattr__(self, "layout", tuple(layout))
+        object.__setattr__(self, "param_count", offset)
+        object.__setattr__(self, "input_dim", int(math.prod(self.input_shape)))
+        object.__setattr__(self, "first_param_layer", next(i for i, e in enumerate(layout) if e is not None))
 
     @classmethod
     def mlp(cls, input_dim: int, hidden: tuple[int, ...] = (200, 200), num_classes: int = 10) -> "ModelSpec":
@@ -195,56 +220,40 @@ class MomentumState:
 
 def param_count(spec: ModelSpec) -> int:
     """Total number of scalar parameters of a model built from `spec`."""
-    return sum(layer.param_count for layer in spec.layers)
+    return spec.param_count
 
 
 def init_params(spec: ModelSpec, seed: int) -> np.ndarray:
     """Deterministic initial parameter vector for (spec, seed).
 
-    Weights are drawn from U(-a, a) with a = sqrt(6 / (fan_in + fan_out));
-    biases start at zero.
+    Weights are drawn from U(-a, a) with a = sqrt(6 / (fan_in + fan_out)),
+    one draw per layer in canonical order; biases start at zero.
     """
     rng = derive_rng(seed)
-    chunks: list[np.ndarray] = []
-    for layer in spec.layers:
+    params = np.zeros(spec.param_count, dtype=np.float64)
+    for layer, view in zip(spec.layers, _unpack(spec, params)):
         if isinstance(layer, DenseLayer):
-            limit = math.sqrt(6.0 / (layer.n_in + layer.n_out))
-            chunks.append(rng.uniform(-limit, limit, size=(layer.n_in, layer.n_out)).ravel())
-            chunks.append(np.zeros(layer.n_out, dtype=np.float64))
+            fan_in, fan_out = layer.n_in, layer.n_out
         elif isinstance(layer, ConvLayer):
             fan_in = layer.in_channels * layer.kernel * layer.kernel
             fan_out = layer.out_channels * layer.kernel * layer.kernel
-            limit = math.sqrt(6.0 / (fan_in + fan_out))
-            shape = (layer.out_channels, layer.in_channels, layer.kernel, layer.kernel)
-            chunks.append(rng.uniform(-limit, limit, size=shape).ravel())
-            chunks.append(np.zeros(layer.out_channels, dtype=np.float64))
-    return np.concatenate(chunks)
+        else:
+            continue
+        weights, _ = view
+        limit = math.sqrt(6.0 / (fan_in + fan_out))
+        weights[...] = rng.uniform(-limit, limit, size=weights.shape)
+    return params
 
 
 def _unpack(spec: ModelSpec, params: np.ndarray) -> list[tuple[np.ndarray, np.ndarray] | None]:
-    """Views of (weights, bias) per layer in canonical order; None for pooling."""
-    expected = param_count(spec)
+    """Views of (weights, bias) per layer through spec.layout; None for pooling."""
+    expected = spec.param_count
     if params.shape != (expected,):
         raise ConfigurationError(f"parameter vector has length {params.shape}, expected ({expected},)")
-    views: list[tuple[np.ndarray, np.ndarray] | None] = []
-    offset = 0
-    for layer in spec.layers:
-        if isinstance(layer, MaxPoolLayer):
-            views.append(None)
-            continue
-        if isinstance(layer, DenseLayer):
-            w_shape: tuple[int, ...] = (layer.n_in, layer.n_out)
-            n_bias = layer.n_out
-        else:
-            w_shape = (layer.out_channels, layer.in_channels, layer.kernel, layer.kernel)
-            n_bias = layer.out_channels
-        n_weights = int(np.prod(w_shape))
-        weights = params[offset : offset + n_weights].reshape(w_shape)
-        offset += n_weights
-        bias = params[offset : offset + n_bias]
-        offset += n_bias
-        views.append((weights, bias))
-    return views
+    return [
+        None if entry is None else (params[entry[0]].reshape(entry[1]), params[entry[2]])
+        for entry in spec.layout
+    ]
 
 
 def _im2col(x: np.ndarray, kernel: int) -> np.ndarray:
@@ -324,7 +333,7 @@ def backward_from_cache(
     """
     params = np.asarray(params, dtype=np.float64)
     views = _unpack(spec, params)
-    first = next(i for i, view in enumerate(views) if view is not None)
+    first = spec.first_param_layer
     layer_grads: list[tuple[np.ndarray, np.ndarray] | None] = [None] * len(spec.layers)
     dx = np.asarray(grad_logits, dtype=np.float64)
     for i in range(len(spec.layers) - 1, first - 1, -1):

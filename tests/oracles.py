@@ -72,6 +72,37 @@ def accuracy_by_loop(logit_rows: np.ndarray, labels: np.ndarray) -> float:
     return correct / labels.shape[0]
 
 
+def unpack_by_offsets(spec, params: np.ndarray) -> list:
+    """Views of (weights, bias) per layer, found by walking the offsets one layer at a time.
+
+    Canonical order: each layer's weights (C-order) then its biases; None for
+    a pooling layer. The views slice `params` itself, no copies.
+    """
+    from defkt.nn import ConvLayer, DenseLayer
+
+    views = []
+    offset = 0
+    for layer in spec.layers:
+        if isinstance(layer, DenseLayer):
+            w_shape = (layer.n_in, layer.n_out)
+            n_bias = layer.n_out
+        elif isinstance(layer, ConvLayer):
+            w_shape = (layer.out_channels, layer.in_channels, layer.kernel, layer.kernel)
+            n_bias = layer.out_channels
+        else:
+            views.append(None)
+            continue
+        n_weights = 1
+        for d in w_shape:
+            n_weights *= d
+        weights = params[offset : offset + n_weights].reshape(w_shape)
+        offset += n_weights
+        views.append((weights, params[offset : offset + n_bias]))
+        offset += n_bias
+    assert offset == params.size
+    return views
+
+
 def backward_with_input_grad(spec, params: np.ndarray, cache: list, grad_logits: np.ndarray):
     """Full reverse pass through every layer, down to the gradient w.r.t. the inputs.
 
@@ -80,9 +111,9 @@ def backward_with_input_grad(spec, params: np.ndarray, cache: list, grad_logits:
     canonical order, input gradient); the parameter gradient must match
     nn.backward_from_cache bit for bit.
     """
-    from defkt.nn import ConvLayer, DenseLayer, _unpack
+    from defkt.nn import ConvLayer, DenseLayer
 
-    views = _unpack(spec, np.asarray(params, dtype=np.float64))
+    views = unpack_by_offsets(spec, np.asarray(params, dtype=np.float64))
     layer_grads = [None] * len(spec.layers)
     dx = np.asarray(grad_logits, dtype=np.float64)
     for i in range(len(spec.layers) - 1, -1, -1):

@@ -255,18 +255,22 @@ class TestCmdRun:
             ({"hidden": [0]}, []),
             ({"lr": float("nan")}, []),
             ({1: 2}, []),
+            ({"output_dir": ["a", "b"]}, []),
+            ({"data_dir": {"x": 1}}, []),
         ],
         ids=[
             "clients-exceed-corpus", "synthetic-dims-0", "synthetic-sigma-negative", "subset-negative",
             "clients-not-a-number", "hidden-not-a-list", "synthetic-classes-fractional",
             "synthetic-not-a-mapping", "momentum-not-a-number", "rounds-fractional", "hidden-width-0",
-            "lr-nan", "non-string-key",
+            "lr-nan", "non-string-key", "output-dir-a-list", "data-dir-a-mapping",
         ],
     )
-    def test_bad_input_exits_one_with_message(self, tmp_path, capsys, overrides, flags):
+    def test_bad_input_exits_one_with_message(self, tmp_path, monkeypatch, capsys, overrides, flags):
+        monkeypatch.chdir(tmp_path)  # a relative output_dir accepted by mistake is written here
         config = write_config(tmp_path, overrides)
-        out = tmp_path / "runs"
-        assert main(["run", "--config", config, "--out", str(out), *flags]) == 1
+        # --out would win over the file's output_dir
+        out = [] if "output_dir" in overrides else ["--out", str(tmp_path / "runs")]
+        assert main(["run", "--config", config, *out, *flags]) == 1
         assert capsys.readouterr().err.startswith("configuration error: ")
 
     # "file" is a regular file; "runs" holds a directory where the metadata file goes

@@ -13,6 +13,7 @@ from defkt.nn import (
     MaxPoolLayer,
     ModelSpec,
     MomentumState,
+    _unpack,
     backward,
     backward_from_cache,
     forward,
@@ -24,7 +25,13 @@ from defkt.nn import (
     split_segments,
 )
 
-from oracles import backward_with_input_grad, central_difference, mlp_forward_by_hand, relative_error
+from oracles import (
+    backward_with_input_grad,
+    central_difference,
+    mlp_forward_by_hand,
+    relative_error,
+    unpack_by_offsets,
+)
 
 
 class TestParamCount:
@@ -71,6 +78,27 @@ class TestModelSpec:
     def test_rejects_layer_size_below_one(self, layer):
         with pytest.raises(ConfigurationError, match="at least 1"):
             ModelSpec(input_shape=(1, 6, 6), layers=(layer, DenseLayer(4, 3)), num_classes=3)
+
+
+class TestUnpack:
+    @pytest.mark.parametrize(
+        "spec",
+        [ModelSpec.mlp(784), ModelSpec.cnn_small(), ModelSpec.mlp(5, (3,), 2)],
+        ids=["mlp-784", "cnn-small", "mlp-one-hidden"],
+    )
+    def test_views_match_offset_walk_without_copies(self, spec):
+        params = np.random.default_rng(0).standard_normal(param_count(spec))
+        views = _unpack(spec, params)
+        expected = unpack_by_offsets(spec, params)
+        assert len(views) == len(expected) == len(spec.layers)
+        for view, want in zip(views, expected):
+            if want is None:
+                assert view is None
+                continue
+            for got, ref in zip(view, want):
+                assert got.shape == ref.shape
+                assert np.array_equal(got, ref)
+                assert np.shares_memory(got, params)
 
 
 class TestInitParams:
