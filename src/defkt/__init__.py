@@ -16,7 +16,7 @@ from .data import (
     synth_dataset,
     train_val_split,
 )
-from .errors import ConfigurationError, DefktError, InputError, LoadError, NumericalError
+from .errors import ConfigurationError, DefktError, LoadError, NumericalError
 from .federation import (
     ClientState,
     CommLog,
@@ -39,18 +39,14 @@ from .losses import (
     kl_divergence,
     mutual_loss_1,
     mutual_loss_grad_logits,
-    one_hot,
     softmax,
 )
 from .metrics import MetricsRecord, emit_csv, evaluate, global_accuracy, local_accuracy, read_csv
 from .nn import (
     Batch,
     ModelSpec,
-    MomentumState,
-    backward,
     forward,
     init_params,
-    join_segments,
     param_count,
     sgd_step,
     split_segments,

@@ -27,7 +27,7 @@ import numpy as np
 import yaml
 
 from .data import Dataset, label_counts, load_idx, partition, synth_dataset
-from .errors import ConfigurationError, DefktError, InputError, LoadError
+from .errors import ConfigurationError, DefktError, LoadError
 from .federation import FusionStrategy, HyperParams, build_client_states, run_experiment
 from .metrics import emit_csv, evaluate
 from .nn import ModelSpec, param_count
@@ -235,6 +235,8 @@ def resolve_config(file_values: dict | None = None, flags: dict | None = None) -
             raise ConfigurationError(f"unknown {key} {v[key]!r}; expected one of {allowed}")
     if v["partition"] == "noniid" and v["xi"] is None:
         raise ConfigurationError("noniid partitioning requires xi (classes per client)")
+    if v["partition"] == "iid" and v["xi"] is not None:
+        raise ConfigurationError("xi (classes per client) applies only to partition noniid, not iid")
     if v["eval_every"] < 1:
         raise ConfigurationError("eval_every must be at least 1")
     if v["subset"] is not None and v["subset"] < 1:
@@ -443,7 +445,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "inspect-partition":
             return cmd_inspect_partition(config)
         return cmd_eval(config, args.model_file)
-    except (ConfigurationError, InputError) as exc:
+    except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
     except DefktError as exc:

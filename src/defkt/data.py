@@ -15,7 +15,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import ConfigurationError, InputError, LoadError
+from .errors import ConfigurationError, LoadError
 from .nn import Batch
 from .seeding import derive_rng
 
@@ -109,11 +109,11 @@ def load_idx(images_path: str, labels_path: str, num_classes: int | None = None)
     return Dataset(inputs, labels, num_classes)
 
 
-def class_means(num_classes: int, dims: int, scale: float = 2.0) -> np.ndarray:
+def class_means(num_classes: int, dims: int) -> np.ndarray:
     """Deterministic, pairwise-distinct blob centers, one row per class."""
     means = np.zeros((num_classes, dims), dtype=np.float64)
     for c in range(num_classes):
-        means[c, c % dims] = scale * (1 + c // dims)
+        means[c, c % dims] = 2.0 * (1 + c // dims)
     return means
 
 
@@ -122,7 +122,7 @@ def synth_dataset(
 ) -> Dataset:
     """Gaussian-blob classification set: per_class samples around each class mean."""
     if num_classes < 2 or per_class < 1 or dims < 1 or not sigma >= 0:  # `not >=` also rejects NaN
-        raise InputError(
+        raise ConfigurationError(
             "synthetic data needs num_classes >= 2, per_class >= 1, dims >= 1 and sigma >= 0"
         )
     rng = derive_rng(seed)
@@ -139,7 +139,7 @@ def synth_dataset(
 def partition_iid(data: Dataset, num_clients: int, seed: int) -> list[Dataset]:
     """Shuffle the corpus and deal it into num_clients near-equal shards."""
     if num_clients > len(data):
-        raise InputError(f"cannot split {len(data)} samples among {num_clients} clients")
+        raise ConfigurationError(f"cannot split {len(data)} samples among {num_clients} clients")
     rng = derive_rng(seed)
     order = rng.permutation(len(data))
     return [data.subset(part) for part in np.array_split(order, num_clients)]
@@ -155,7 +155,7 @@ def partition_noniid(data: Dataset, num_clients: int, classes_per_client: int, s
     """
     total_segments = num_clients * classes_per_client
     if total_segments > len(data):
-        raise InputError(
+        raise ConfigurationError(
             f"cannot cut {len(data)} samples into {total_segments} segments"
         )
     order = np.argsort(data.labels, kind="stable")
@@ -189,7 +189,7 @@ def partition(
 def train_val_split(data: Dataset, fraction: float = 0.8, seed: int = 0) -> ClientData:
     """Seeded shuffle, first floor(fraction*N) samples to train, rest to validation."""
     if len(data) < 5:
-        raise InputError(f"need at least 5 samples to split, got {len(data)}")
+        raise ConfigurationError(f"need at least 5 samples to split, got {len(data)}")
     rng = derive_rng(seed)
     order = rng.permutation(len(data))
     n_train = int(fraction * len(data))
@@ -206,7 +206,7 @@ def minibatches(data: Dataset, batch_size: int, rng: np.random.Generator) -> Ite
     sample appears exactly once per pass.
     """
     if batch_size < 1:
-        raise InputError("batch_size must be at least 1")
+        raise ConfigurationError("batch_size must be at least 1")
     order = rng.permutation(len(data))
     for start in range(0, len(data), batch_size):
         idx = order[start : start + batch_size]

@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
-The CLI maps ConfigurationError and InputError to exit code 1 and every
-other DefktError (LoadError, NumericalError) to exit code 2.
+The CLI maps ConfigurationError to exit code 1 and every other
+DefktError (LoadError, NumericalError) to exit code 2.
 """
 
 
@@ -10,11 +10,7 @@ class DefktError(Exception):
 
 
 class ConfigurationError(DefktError):
-    """Invalid configuration: bad shapes, inconsistent settings, broken constraints."""
-
-
-class InputError(DefktError):
-    """A runtime argument is outside its valid range."""
+    """Invalid configuration: bad shapes, inconsistent settings, data too small for a setting."""
 
 
 class LoadError(DefktError):

@@ -26,11 +26,9 @@ from .losses import cross_entropy_grad_logits, mutual_loss_grad_logits, softmax
 from .metrics import MetricsRecord, global_accuracy, local_accuracy
 from .nn import (
     ModelSpec,
-    MomentumState,
     backward_from_cache,
     forward_cached,
     init_params,
-    join_segments,
     sgd_step,
     split_segments,
 )
@@ -183,13 +181,13 @@ def local_update(
     client's stored model is replaced by the fine-tuned one.
     """
     params = client.params
-    state = MomentumState.zeros(params.size, momentum)
+    velocity = np.zeros(params.size)
     for _ in range(passes):
         for batch in minibatches(client.data.train, batch_size, rng):
             logits, cache = forward_cached(spec, params, batch)
             grad_logits = cross_entropy_grad_logits(softmax(logits), batch.labels, reduction)
             grad = backward_from_cache(spec, params, cache, grad_logits)
-            params, state = sgd_step(params, grad, state, lr)
+            params, velocity = sgd_step(params, grad, velocity, lr, momentum)
     return replace(client, params=params)
 
 
@@ -219,8 +217,8 @@ def fuse_defkt(
     """
     w_received = received
     w_local = local
-    state_received = MomentumState.zeros(w_received.size, momentum)
-    state_local = MomentumState.zeros(w_local.size, momentum)
+    v_received = np.zeros(w_received.size)
+    v_local = np.zeros(w_local.size)
     n_train = len(receiver_data.train)
     for pass_index in range(passes):
         last_pass = pass_index == passes - 1
@@ -233,14 +231,14 @@ def fuse_defkt(
                 spec, w_received, cache_r,
                 mutual_loss_grad_logits(probs_r, probs_l, batch.labels, reduction),
             )
-            w_received, state_received = sgd_step(w_received, grad_r, state_received, lr_received)
+            w_received, v_received = sgd_step(w_received, grad_r, v_received, lr_received, momentum)
             if last_pass and count * batch_size >= n_train:
                 break
             grad_l = backward_from_cache(
                 spec, w_local, cache_l,
                 mutual_loss_grad_logits(probs_l, probs_r, batch.labels, reduction),
             )
-            w_local, state_local = sgd_step(w_local, grad_l, state_local, lr_local)
+            w_local, v_local = sgd_step(w_local, grad_l, v_local, lr_local, momentum)
     return w_received
 
 
@@ -268,7 +266,7 @@ def fuse_combo(
     total = n_sender + n_receiver
     avg_lead = (n_sender * lead_s + n_receiver * lead_r) / total
     avg_trail = (n_sender * trail_s + n_receiver * trail_r) / total
-    return join_segments(avg_lead, trail_s), join_segments(lead_r, avg_trail)
+    return np.concatenate([avg_lead, trail_s]), np.concatenate([lead_r, avg_trail])
 
 
 def _wrap_numerical(round_index: int, client_id: int, exc: NumericalError) -> NumericalError:
@@ -343,7 +341,7 @@ def run_round(
 
 
 def build_client_states(
-    spec: ModelSpec, shards: list[Dataset], hyper: HyperParams, split_fraction: float = 0.8
+    spec: ModelSpec, shards: list[Dataset], hyper: HyperParams
 ) -> dict[int, ClientState]:
     """Split each shard 80/20 and initialize every client with one shared model."""
     if len(shards) != hyper.num_clients:
@@ -353,7 +351,7 @@ def build_client_states(
     shared = init_params(spec, derive_seed(hyper.seed, INIT_STREAM))
     states: dict[int, ClientState] = {}
     for k, shard in enumerate(shards, start=1):
-        split = train_val_split(shard, split_fraction, derive_seed(hyper.seed, SPLIT_STREAM, k))
+        split = train_val_split(shard, 0.8, derive_seed(hyper.seed, SPLIT_STREAM, k))
         states[k] = ClientState(client_id=k, params=shared.copy(), data=split)
     return states
 

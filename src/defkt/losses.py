@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InputError
-
 LOG_CLAMP = 1e-12
 
 
@@ -30,15 +28,6 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=1, keepdims=True)
     exp = np.exp(shifted)
     return exp / exp.sum(axis=1, keepdims=True)
-
-
-def one_hot(label: int, num_classes: int) -> np.ndarray:
-    """Length-C indicator vector with a single 1 at position `label` (1-based)."""
-    if not 1 <= label <= num_classes:
-        raise InputError(f"label {label} outside 1..{num_classes}")
-    vec = np.zeros(num_classes, dtype=np.float64)
-    vec[label - 1] = 1.0
-    return vec
 
 
 def _one_hot_rows(labels: np.ndarray, num_classes: int) -> np.ndarray:

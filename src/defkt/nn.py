@@ -7,10 +7,12 @@ layout once, as per-layer slices, when it is built; init_params and
 _unpack both read it, so no forward or backward call re-derives it.
 
 forward produces logits; the softmax lives in the losses module.
-backward is exact reverse-mode differentiation of <logits, grad_logits>
-with respect to the parameters; it stops at the first layer's parameter
-gradients and never computes the gradient with respect to the input,
-which no caller reads.
+backward_from_cache is exact reverse-mode differentiation of
+<logits, grad_logits> with respect to the parameters, from the cache of a
+forward_cached call; it stops at the first layer's parameter gradients and
+never computes the gradient with respect to the input, which no caller
+reads. sgd_step takes the momentum velocity as a plain array and returns
+the new one.
 
 All operations are pure: identical inputs give bitwise-identical outputs.
 """
@@ -18,7 +20,7 @@ All operations are pure: identical inputs give bitwise-identical outputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,10 +36,6 @@ class DenseLayer:
     n_out: int
     relu: bool = False
 
-    @property
-    def param_count(self) -> int:
-        return self.n_in * self.n_out + self.n_out
-
 
 @dataclass(frozen=True)
 class ConvLayer:
@@ -48,20 +46,12 @@ class ConvLayer:
     kernel: int
     relu: bool = False
 
-    @property
-    def param_count(self) -> int:
-        return self.out_channels * self.in_channels * self.kernel * self.kernel + self.out_channels
-
 
 @dataclass(frozen=True)
 class MaxPoolLayer:
     """Non-overlapping max pooling; trailing rows/columns that do not fill a window are dropped."""
 
     size: int = 2
-
-    @property
-    def param_count(self) -> int:
-        return 0
 
 
 Layer = DenseLayer | ConvLayer | MaxPoolLayer
@@ -204,18 +194,6 @@ class Batch:
 
     def __len__(self) -> int:
         return self.inputs.shape[0]
-
-
-@dataclass(frozen=True)
-class MomentumState:
-    """Velocity buffer for classical momentum SGD."""
-
-    velocity: np.ndarray
-    momentum: float
-
-    @classmethod
-    def zeros(cls, size: int, momentum: float) -> "MomentumState":
-        return cls(velocity=np.zeros(size, dtype=np.float64), momentum=momentum)
 
 
 def param_count(spec: ModelSpec) -> int:
@@ -388,34 +366,23 @@ def backward_from_cache(
     return np.concatenate(chunks)
 
 
-def backward(spec: ModelSpec, params: np.ndarray, batch: Batch, grad_logits: np.ndarray) -> np.ndarray:
-    """Exact reverse-mode gradient of <logits, grad_logits> with respect to params."""
-    grad_logits = np.asarray(grad_logits, dtype=np.float64)
-    if grad_logits.shape != (len(batch), spec.num_classes):
-        raise ConfigurationError(
-            f"grad_logits has shape {grad_logits.shape}, expected {(len(batch), spec.num_classes)}"
-        )
-    _, cache = forward_cached(spec, params, batch)
-    return backward_from_cache(spec, params, cache, grad_logits)
-
-
 def sgd_step(
-    params: np.ndarray, grad: np.ndarray, state: MomentumState, lr: float
-) -> tuple[np.ndarray, MomentumState]:
-    """One classical-momentum step: v <- mu*v + g, params <- params - lr*v.
+    params: np.ndarray, grad: np.ndarray, velocity: np.ndarray, lr: float, momentum: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """One classical-momentum step with mu = momentum: v <- mu*v + g, params <- params - lr*v.
 
-    Pure: params, grad and state.velocity are not written; the new
-    parameters and velocity are two fresh arrays.
+    Returns (new params, new velocity). Pure: params, grad and velocity are
+    not written; the two results are fresh arrays.
     """
     if params.shape != grad.shape:
         raise ConfigurationError("parameter and gradient vectors have different lengths")
     if not np.all(np.isfinite(grad)):
         raise NumericalError("non-finite gradient")
-    velocity = state.momentum * state.velocity
+    velocity = momentum * velocity
     velocity += grad
     new_params = lr * velocity
     np.subtract(params, new_params, out=new_params)
-    return new_params, replace(state, velocity=velocity)
+    return new_params, velocity
 
 
 def split_segments(params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -425,8 +392,3 @@ def split_segments(params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ConfigurationError("cannot split a vector with fewer than 2 entries")
     cut = (total + 1) // 2
     return params[:cut].copy(), params[cut:].copy()
-
-
-def join_segments(leading: np.ndarray, trailing: np.ndarray) -> np.ndarray:
-    """Inverse of split_segments; concatenation restores the original vector."""
-    return np.concatenate([leading, trailing])

@@ -72,6 +72,14 @@ def accuracy_by_loop(logit_rows: np.ndarray, labels: np.ndarray) -> float:
     return correct / labels.shape[0]
 
 
+def backward(spec, params: np.ndarray, batch, grad_logits: np.ndarray) -> np.ndarray:
+    """Gradient of <logits, grad_logits> w.r.t. params: a forward pass, then nn.backward_from_cache."""
+    from defkt.nn import backward_from_cache, forward_cached
+
+    _, cache = forward_cached(spec, params, batch)
+    return backward_from_cache(spec, params, cache, grad_logits)
+
+
 def unpack_by_offsets(spec, params: np.ndarray) -> list:
     """Views of (weights, bias) per layer, found by walking the offsets one layer at a time.
 

@@ -44,10 +44,10 @@ from defkt.losses import (
     softmax,
 )
 from defkt.metrics import emit_csv, evaluate
-from defkt.nn import Batch, ModelSpec, backward, forward, init_params, param_count
+from defkt.nn import Batch, ModelSpec, forward, init_params, param_count
 from defkt.seeding import derive_rng
 
-from oracles import label_histogram, relative_error
+from oracles import backward, label_histogram, relative_error
 
 
 def report(label: str, ok: bool, detail: str = "") -> bool:

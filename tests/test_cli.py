@@ -257,12 +257,14 @@ class TestCmdRun:
             ({1: 2}, []),
             ({"output_dir": ["a", "b"]}, []),
             ({"data_dir": {"x": 1}}, []),
+            ({"partition": "iid", "xi": 2}, []),
         ],
         ids=[
             "clients-exceed-corpus", "synthetic-dims-0", "synthetic-sigma-negative", "subset-negative",
             "clients-not-a-number", "hidden-not-a-list", "synthetic-classes-fractional",
             "synthetic-not-a-mapping", "momentum-not-a-number", "rounds-fractional", "hidden-width-0",
             "lr-nan", "non-string-key", "output-dir-a-list", "data-dir-a-mapping",
+            "xi-under-iid",
         ],
     )
     def test_bad_input_exits_one_with_message(self, tmp_path, monkeypatch, capsys, overrides, flags):

@@ -17,7 +17,7 @@ from defkt.data import (
     synth_dataset,
     train_val_split,
 )
-from defkt.errors import ConfigurationError, InputError, LoadError
+from defkt.errors import ConfigurationError, LoadError
 from defkt.seeding import derive_rng
 
 from oracles import label_histogram, row_multiset
@@ -124,7 +124,7 @@ class TestSynthDataset:
         assert len({tuple(m) for m in means}) == 7
 
     def test_invalid_args_rejected(self):
-        with pytest.raises(InputError):
+        with pytest.raises(ConfigurationError):
             synth_dataset(1, 10, 4, seed=0)
 
 
@@ -157,7 +157,7 @@ class TestPartitionIid:
 
     def test_too_many_clients_rejected(self):
         data = synth_dataset(2, 2, 3, seed=0)
-        with pytest.raises(InputError):
+        with pytest.raises(ConfigurationError):
             partition_iid(data, 5, seed=0)
 
 
@@ -195,7 +195,7 @@ class TestPartitionNonIid:
 
     def test_oversubscription_rejected(self):
         data = synth_dataset(2, 3, 3, seed=0)  # 6 samples
-        with pytest.raises(InputError):
+        with pytest.raises(ConfigurationError):
             partition_noniid(data, 4, 2, seed=0)
 
     def test_deterministic(self, surrogate_corpus):
@@ -240,7 +240,7 @@ class TestTrainValSplit:
 
     def test_too_small_rejected(self):
         data = synth_dataset(2, 2, 3, seed=0)
-        with pytest.raises(InputError):
+        with pytest.raises(ConfigurationError):
             train_val_split(data, seed=0)
 
 
@@ -270,7 +270,7 @@ class TestMinibatches:
 
     def test_bad_batch_size_rejected(self):
         data = synth_dataset(2, 5, 3, seed=0)
-        with pytest.raises(InputError):
+        with pytest.raises(ConfigurationError):
             list(minibatches(data, 0, derive_rng(0)))
 
 

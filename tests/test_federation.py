@@ -23,8 +23,10 @@ from defkt.federation import (
 )
 from defkt.losses import cross_entropy, cross_entropy_grad_logits, mutual_loss_grad_logits, softmax
 from defkt.metrics import evaluate
-from defkt.nn import Batch, ModelSpec, MomentumState, backward, forward, init_params, param_count, sgd_step
+from defkt.nn import Batch, ModelSpec, forward, init_params, param_count, sgd_step
 from defkt.seeding import derive_rng
+
+from oracles import backward
 
 
 SPEC = ModelSpec.mlp(6, (5,), 3)
@@ -133,7 +135,7 @@ class TestLocalUpdate:
         batch = Batch(client.data.train.inputs, client.data.train.labels)
         probs = softmax(forward(SPEC, client.params, batch))
         grad = backward(SPEC, client.params, batch, cross_entropy_grad_logits(probs, batch.labels))
-        expected, _ = sgd_step(client.params, grad, MomentumState.zeros(grad.size, 0.0), 0.1)
+        expected, _ = sgd_step(client.params, grad, np.zeros(grad.size), 0.1, 0.0)
         np.testing.assert_allclose(out.params, expected, rtol=0, atol=1e-12)
 
     def test_training_reduces_loss_on_easy_problem(self):
@@ -216,6 +218,10 @@ class TestFuseCombo:
         w = np.arange(7.0)
         s, r = fuse_combo(w, w + 1.0, 1, 2)
         assert s.shape == r.shape == (7,)
+        # ceil(7/2) = 4: the sender averages entries 0..3, the receiver entries 4..6
+        avg = (1 * w + 2 * (w + 1.0)) / 3
+        assert np.array_equal(s, [*avg[:4], *w[4:]])
+        assert np.array_equal(r, [*(w + 1.0)[:4], *avg[4:]])
 
 
 class TestFuseDefkt:
@@ -277,16 +283,16 @@ def _mkt_oracle(w_received, w_local, data, spec, batch_size, passes, lr_r, lr_l,
     """Step-by-step mutual-knowledge-transfer reference tracking both trajectories."""
     from defkt.data import minibatches
 
-    state_r = MomentumState.zeros(w_received.size, momentum)
-    state_l = MomentumState.zeros(w_local.size, momentum)
+    v_r = np.zeros(w_received.size)
+    v_l = np.zeros(w_local.size)
     for _ in range(passes):
         for batch in minibatches(data.train, batch_size, rng):
             p_r = softmax(forward(spec, w_received, batch))
             p_l = softmax(forward(spec, w_local, batch))
             g_r = backward(spec, w_received, batch, mutual_loss_grad_logits(p_r, p_l, batch.labels))
             g_l = backward(spec, w_local, batch, mutual_loss_grad_logits(p_l, p_r, batch.labels))
-            w_received, state_r = sgd_step(w_received, g_r, state_r, lr_r)
-            w_local, state_l = sgd_step(w_local, g_l, state_l, lr_l)
+            w_received, v_r = sgd_step(w_received, g_r, v_r, lr_r, momentum)
+            w_local, v_l = sgd_step(w_local, g_l, v_l, lr_l, momentum)
     return w_received, w_local
 
 
