@@ -6,9 +6,12 @@ Subcommands:
   eval               print a saved model's accuracy on the configured test set
 
 Configuration comes from an optional YAML/JSON file plus flags; flags
-override file values. The environment variable DEFKT_DATA_DIR supplies
-the default dataset root. Exit codes: 0 success, 1 configuration or input
-error (a bad setting, or data too small for it), 2 load or numerical error.
+override file values. A flag is the text of a config key's value, so one
+key table converts, defaults and checks both. The environment variable
+DEFKT_DATA_DIR supplies the default dataset root. Exit codes: 0 success,
+1 configuration or input error (a bad value, from a flag or a file, or
+data too small for it), 2 load or numerical error. A malformed command
+line (an unknown flag, a flag without its value) exits 2 from argparse.
 """
 
 from __future__ import annotations
@@ -35,14 +38,23 @@ from .seeding import derive_rng, derive_seed
 
 DATASETS = ("mnist", "fashion-mnist", "synthetic")
 MODELS = ("mlp", "cnn-small")
-STRATEGIES = ("defkt", "fullavg", "combo", "all")
+STRATEGIES = (*(strategy.value for strategy in FusionStrategy), "all")
 
 
 def _int(value) -> int:
-    """A whole number: 10, 10.0 and "10" are accepted, 2.7 and inf are not."""
+    """A whole number: 10, 10.0 and "10" are accepted, 2.7, inf and booleans are not."""
+    if isinstance(value, bool):
+        raise TypeError("expected a whole number, not a boolean")
     if isinstance(value, float) and not value.is_integer():
         raise ValueError("not a whole number")
     return int(value)
+
+
+def _float(value) -> float:
+    """A real number: 0.5 and "0.5" are accepted, booleans (YAML's on/off) are not."""
+    if isinstance(value, bool):
+        raise TypeError("expected a number, not a boolean")
+    return float(value)
 
 
 def _text(value) -> str:
@@ -94,29 +106,29 @@ _SYNTH_KEYS = {
     "classes": (_int, 4),
     "per_class": (_int, 400),
     "dims": (_int, 20),
-    "sigma": (float, 1.0),
+    "sigma": (_float, 1.0),
     "test_per_class": (_int, 100),
     "seed": (_int, None),  # fixes the corpus across run seeds; derived from the run seed when unset
 }
 
 # Config-file keys, also the flags' argparse dests: key -> (RunConfig field, converter, default).
-# A None default means unset, or derived in resolve_config (senders, partition, rates, data_dir).
+# A None default means unset, or derived in resolve_config (senders, rates, data_dir).
+# These are the only defaults of the protocol settings; HyperParams declares none.
 _KEYS = {
     "dataset": ("dataset", _text, "synthetic"),
     "data_dir": ("data_dir", _text, None),
     "model": ("model", _text, "mlp"),
     "hidden": ("hidden", _ints, (200, 200)),
     "strategy": ("strategy", _text, "all"),
-    "partition": ("partition_mode", _text, None),
-    "xi": ("classes_per_client", _int, None),
+    "xi": ("classes_per_client", _int, None),  # unset: IID partition
     "clients": ("num_clients", _int, 10),
     "senders": ("senders_per_round", _int, None),
     "rounds": ("rounds", _int, 500),
-    "lr": (None, float, 0.01),
-    "local_lr": ("local_lr", float, None),
-    "mkt_lr_received": ("mkt_lr_received", float, None),
-    "mkt_lr_local": ("mkt_lr_local", float, None),
-    "momentum": ("momentum", float, 0.5),
+    "lr": (None, _float, 0.01),
+    "local_lr": ("local_lr", _float, None),
+    "mkt_lr_received": ("mkt_lr_received", _float, None),
+    "mkt_lr_local": ("mkt_lr_local", _float, None),
+    "momentum": ("momentum", _float, 0.5),
     "batch_b1": ("local_batch_size", _int, 200),
     "batch_b2": ("mkt_batch_size", _int, 200),
     "passes_m": ("local_passes", _int, 1),
@@ -149,7 +161,6 @@ class RunConfig(HyperParams):
     model: str
     hidden: tuple[int, ...]
     strategy: str
-    partition_mode: str
     classes_per_client: int | None
     seeds: tuple[int, ...]
     eval_every: int
@@ -168,7 +179,7 @@ class RunConfig(HyperParams):
 
     def strategies(self) -> list[FusionStrategy]:
         if self.strategy == "all":
-            return [FusionStrategy.DEFKT, FusionStrategy.FULLAVG, FusionStrategy.COMBO]
+            return list(FusionStrategy)
         return [FusionStrategy(self.strategy)]
 
 
@@ -222,21 +233,15 @@ def resolve_config(file_values: dict | None = None, flags: dict | None = None) -
     for key in ("local_lr", "mkt_lr_received", "mkt_lr_local"):
         if v[key] is None:
             v[key] = v["lr"]
-    if v["partition"] is None:
-        v["partition"] = "iid" if v["xi"] is None else "noniid"
     if v["data_dir"] is None:
         v["data_dir"] = os.environ.get("DEFKT_DATA_DIR", "data")
 
     for key, allowed in (
         ("dataset", DATASETS), ("model", MODELS), ("strategy", STRATEGIES),
-        ("partition", ("iid", "noniid")), ("reduction", ("mean", "sum")),
+        ("reduction", ("mean", "sum")),
     ):
         if v[key] not in allowed:
             raise ConfigurationError(f"unknown {key} {v[key]!r}; expected one of {allowed}")
-    if v["partition"] == "noniid" and v["xi"] is None:
-        raise ConfigurationError("noniid partitioning requires xi (classes per client)")
-    if v["partition"] == "iid" and v["xi"] is not None:
-        raise ConfigurationError("xi (classes per client) applies only to partition noniid, not iid")
     if v["eval_every"] < 1:
         raise ConfigurationError("eval_every must be at least 1")
     if v["subset"] is not None and v["subset"] < 1:
@@ -287,14 +292,11 @@ def model_spec(config: RunConfig, corpus: Dataset) -> ModelSpec:
 
 
 def make_shards(config: RunConfig, corpus: Dataset, seed: int) -> list[Dataset]:
-    if config.partition_mode == "noniid" and config.classes_per_client > corpus.num_classes:
-        raise ConfigurationError(
-            f"xi={config.classes_per_client} exceeds the corpus class count {corpus.num_classes}"
-        )
-    return partition(
-        corpus, config.partition_mode, config.num_clients, config.classes_per_client,
-        derive_seed(seed, "partition"),
-    )
+    """Client shards: IID when xi is unset, else xi label segments per client."""
+    xi = config.classes_per_client
+    if xi is not None and xi > corpus.num_classes:
+        raise ConfigurationError(f"xi={xi} exceeds the corpus class count {corpus.num_classes}")
+    return partition(corpus, config.num_clients, xi, derive_seed(seed, "partition"))
 
 
 # ---------------------------- model checkpoints ---------------------------- #
@@ -386,7 +388,7 @@ def cmd_inspect_partition(config: RunConfig) -> int:
     seed = config.seeds[0]
     corpus, _ = load_corpus(config, seed)
     shards = make_shards(config, corpus, seed)
-    print(f"dataset={config.dataset} mode={config.partition_mode} clients={config.num_clients} seed={seed}")
+    print(f"dataset={config.dataset} xi={config.classes_per_client} clients={config.num_clients} seed={seed}")
     print(f"{'client':>6} {'samples':>8} {'classes':>8}  histogram")
     for k, shard in enumerate(shards, start=1):
         hist = label_counts(shard)
@@ -410,21 +412,21 @@ def cmd_eval(config: RunConfig, model_file: str) -> int:
 def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--config", help="YAML or JSON config file")
-    shared.add_argument("--dataset", choices=DATASETS)
-    shared.add_argument("--model", choices=MODELS)
-    shared.add_argument("--strategy", choices=STRATEGIES)
-    shared.add_argument("--clients", type=int, help="number of clients K")
-    shared.add_argument("--senders", type=int, help="transmitting clients per round Q")
-    shared.add_argument("--rounds", type=int, help="total training rounds T")
-    shared.add_argument("--xi", type=int, help="classes per client (noniid partitioning)")
-    shared.add_argument("--lr", type=float, help="learning rate for local updates and fusion")
-    shared.add_argument("--momentum", type=float)
-    shared.add_argument("--batch-b1", dest="batch_b1", type=int, help="local-update batch size")
-    shared.add_argument("--batch-b2", dest="batch_b2", type=int, help="knowledge-transfer batch size")
-    shared.add_argument("--passes-m", dest="passes_m", type=int, help="local-update passes per round")
-    shared.add_argument("--passes-e", dest="passes_e", type=int, help="knowledge-transfer passes")
-    shared.add_argument("--seed", dest="seeds", action="append", type=int, help="run seed; repeat for several")
-    shared.add_argument("--eval-every", dest="eval_every", type=int)
+    shared.add_argument("--dataset", help=f"one of {', '.join(DATASETS)}")
+    shared.add_argument("--model", help=f"one of {', '.join(MODELS)}")
+    shared.add_argument("--strategy", help=f"one of {', '.join(STRATEGIES)}")
+    shared.add_argument("--clients", help="number of clients K")
+    shared.add_argument("--senders", help="transmitting clients per round Q")
+    shared.add_argument("--rounds", help="total training rounds T")
+    shared.add_argument("--xi", help="classes per client; unset means an IID partition")
+    shared.add_argument("--lr", help="learning rate for local updates and fusion")
+    shared.add_argument("--momentum")
+    shared.add_argument("--batch-b1", dest="batch_b1", help="local-update batch size")
+    shared.add_argument("--batch-b2", dest="batch_b2", help="knowledge-transfer batch size")
+    shared.add_argument("--passes-m", dest="passes_m", help="local-update passes per round")
+    shared.add_argument("--passes-e", dest="passes_e", help="knowledge-transfer passes")
+    shared.add_argument("--seed", dest="seeds", action="append", help="run seed; repeat for several")
+    shared.add_argument("--eval-every", dest="eval_every")
     shared.add_argument("--out", dest="output_dir", help="output directory")
 
     parser = argparse.ArgumentParser(prog="defkt", description=__doc__)

@@ -172,16 +172,14 @@ def partition_noniid(data: Dataset, num_clients: int, classes_per_client: int, s
 
 
 def partition(
-    data: Dataset, mode: str, num_clients: int, classes_per_client: int | None, seed: int
+    data: Dataset, num_clients: int, classes_per_client: int | None, seed: int
 ) -> list[Dataset]:
-    """Divide a corpus among clients by mode: "iid", or "noniid" with classes_per_client >= 1."""
+    """Divide a corpus among clients: IID when classes_per_client is None, else non-IID."""
     if num_clients < 2:
         raise ConfigurationError("partitioning needs at least 2 clients")
-    if mode == "iid":
+    if classes_per_client is None:
         return partition_iid(data, num_clients, seed)
-    if mode != "noniid":
-        raise ConfigurationError(f"unknown partition mode {mode!r}")
-    if classes_per_client is None or classes_per_client < 1:
+    if classes_per_client < 1:
         raise ConfigurationError("noniid partitioning needs classes_per_client >= 1")
     return partition_noniid(data, num_clients, classes_per_client, seed)
 

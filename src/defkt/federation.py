@@ -53,22 +53,22 @@ class HyperParams:
     """Protocol settings for one run.
 
     senders_per_round is the number of transmitting clients per round;
-    2 * senders_per_round clients participate in total. The default
-    participation rate of 20% corresponds to senders_per_round =
-    ceil(num_clients / 10).
+    2 * senders_per_round clients participate in total. Every setting but
+    the seed must be given; the reference defaults live in the CLI's key
+    table (`defkt.cli._KEYS`).
     """
 
     num_clients: int
     senders_per_round: int
     rounds: int
-    local_batch_size: int = 200
-    local_passes: int = 1
-    local_lr: float = 0.01
-    mkt_batch_size: int = 200
-    mkt_passes: int = 1
-    mkt_lr_received: float = 0.01
-    mkt_lr_local: float = 0.01
-    momentum: float = 0.5
+    local_batch_size: int
+    local_passes: int
+    local_lr: float
+    mkt_batch_size: int
+    mkt_passes: int
+    mkt_lr_received: float
+    mkt_lr_local: float
+    momentum: float
     seed: int = 0
 
     def __post_init__(self):
@@ -132,22 +132,13 @@ class Message:
 
 
 class CommLog:
-    """Per-run count of transmitted scalars.
+    """Per-run count of transmitted scalars."""
 
-    Delivered messages, payloads included, are kept in delivery order only
-    when keep_messages is set (used by tests that inspect the message
-    layer); long runs keep the count only.
-    """
-
-    def __init__(self, keep_messages: bool = False):
-        self.keep_messages = keep_messages
-        self.messages: list[Message] = []
+    def __init__(self):
         self.total_scalars = 0
 
     def record(self, message: Message) -> None:
         self.total_scalars += int(message.payload.size)
-        if self.keep_messages:
-            self.messages.append(message)
 
 
 def select_round(num_clients: int, senders_per_round: int, round_index: int, master_seed: int) -> RoundPlan:

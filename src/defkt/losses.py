@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ConfigurationError
+
 LOG_CLAMP = 1e-12
 
 
@@ -30,17 +32,25 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return exp / exp.sum(axis=1, keepdims=True)
 
 
+def _label_columns(labels: np.ndarray, num_classes: int) -> np.ndarray:
+    """0-based column of each label; a label outside 1..C would silently wrap, so it is rejected."""
+    labels = np.asarray(labels, dtype=np.int64)
+    if labels.min() < 1 or labels.max() > num_classes:
+        raise ConfigurationError(f"labels must lie in 1..{num_classes}")
+    return labels - 1
+
+
 def _one_hot_rows(labels: np.ndarray, num_classes: int) -> np.ndarray:
-    rows = np.zeros((labels.shape[0], num_classes), dtype=np.float64)
-    rows[np.arange(labels.shape[0]), labels - 1] = 1.0
+    columns = _label_columns(labels, num_classes)
+    rows = np.zeros((columns.shape[0], num_classes), dtype=np.float64)
+    rows[np.arange(columns.shape[0]), columns] = 1.0
     return rows
 
 
 def cross_entropy(probs: np.ndarray, labels: np.ndarray, reduction: str = "mean") -> float:
     """-sum_z log p_z[y_z], reduced over the batch."""
     probs = np.asarray(probs, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    picked = probs[np.arange(labels.shape[0]), labels - 1]
+    picked = probs[np.arange(probs.shape[0]), _label_columns(labels, probs.shape[1])]
     per_sample = -np.log(np.maximum(picked, LOG_CLAMP))
     return float(per_sample.sum() / _batch_divisor(reduction, per_sample.shape[0]))
 
@@ -79,7 +89,6 @@ def mutual_loss_grad_logits(
     """
     p_self = np.asarray(p_self, dtype=np.float64)
     p_other = np.asarray(p_other, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
     grad = 2.0 * p_self - _one_hot_rows(labels, p_self.shape[1]) - p_other
     return grad / _batch_divisor(reduction, grad.shape[0])
 
@@ -89,6 +98,5 @@ def cross_entropy_grad_logits(
 ) -> np.ndarray:
     """Gradient of cross_entropy with respect to the logits behind probs: p - h(y)."""
     probs = np.asarray(probs, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
     grad = probs - _one_hot_rows(labels, probs.shape[1])
     return grad / _batch_divisor(reduction, grad.shape[0])

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from defkt.federation import CommLog
+
 
 def central_difference(f, x: np.ndarray, coords, h: float = 1e-5) -> dict[int, float]:
     """Central finite differences of a scalar function at selected coordinates."""
@@ -170,3 +172,15 @@ def backward_with_input_grad(spec, params: np.ndarray, cache: list, grad_logits:
             chunks.append(grad[0].ravel())
             chunks.append(grad[1])
     return np.concatenate(chunks), dx
+
+
+class RecordingLog(CommLog):
+    """A CommLog that also keeps every delivered message, payloads included, in delivery order."""
+
+    def __init__(self):
+        super().__init__()
+        self.messages = []
+
+    def record(self, message) -> None:
+        super().record(message)
+        self.messages.append(message)

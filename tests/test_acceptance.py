@@ -27,7 +27,6 @@ from defkt.federation import (
     FusionStrategy,
     HyperParams,
     RoundPlan,
-    CommLog,
     build_client_states,
     fuse_combo,
     fuse_defkt,
@@ -47,7 +46,7 @@ from defkt.metrics import emit_csv, evaluate
 from defkt.nn import Batch, ModelSpec, forward, init_params, param_count
 from defkt.seeding import derive_rng
 
-from oracles import backward, label_histogram, relative_error
+from oracles import RecordingLog, backward, label_histogram, relative_error
 
 
 def report(label: str, ok: bool, detail: str = "") -> bool:
@@ -256,7 +255,7 @@ def test_criterion_6_protocol_invariants(tmp_path):
     payload_exact = True
     for strategy in FusionStrategy:
         states = build_client_states(spec, shards, hyper)
-        comm = CommLog(keep_messages=True)
+        comm = RecordingLog()
         for t in range(1, hyper.rounds + 1):
             plan = select_round(hyper.num_clients, hyper.senders_per_round, t, hyper.seed)
             disjoint_every_round &= not (set(plan.senders) & set(plan.receivers))
@@ -430,7 +429,9 @@ def test_criterion_9_trivial_round_identities():
     spec = ModelSpec.mlp(6, (5,), 3)
     hyper = HyperParams(
         num_clients=4, senders_per_round=1, rounds=0,
-        local_batch_size=8, local_lr=0.05, mkt_batch_size=8, momentum=0.5, seed=9,
+        local_batch_size=8, local_passes=1, local_lr=0.05,
+        mkt_batch_size=8, mkt_passes=1, mkt_lr_received=0.01, mkt_lr_local=0.01,
+        momentum=0.5, seed=9,
     )
     corpus = synth_dataset(3, 40, 6, seed=91)
     shards = partition_iid(corpus, 4, seed=92)

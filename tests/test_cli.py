@@ -1,5 +1,6 @@
 """CLI tests: config resolution, run/inspect/eval subcommands, exit codes."""
 
+import argparse
 import json
 
 import numpy as np
@@ -8,6 +9,7 @@ import yaml
 
 from defkt.cli import (
     _IDX_NAMES,
+    _KEYS,
     build_parser,
     load_corpus,
     load_model,
@@ -46,7 +48,7 @@ RUN_FLAGS = [
     (["--clients", "20"], {"num_clients": 20}),
     (["--senders", "3"], {"senders_per_round": 3}),
     (["--rounds", "7"], {"rounds": 7}),
-    (["--xi", "3"], {"classes_per_client": 3, "partition_mode": "noniid"}),
+    (["--xi", "3"], {"classes_per_client": 3}),
     (["--lr", "0.2"], {"local_lr": 0.2, "mkt_lr_received": 0.2, "mkt_lr_local": 0.2}),
     (["--momentum", "0.9"], {"momentum": 0.9}),
     (["--batch-b1", "17"], {"local_batch_size": 17}),
@@ -66,7 +68,7 @@ class TestResolveConfig:
         assert config.mkt_passes == 1
         assert config.momentum == 0.5
         assert config.reduction == "mean"
-        assert config.partition_mode == "iid"
+        assert config.classes_per_client is None  # IID
 
     def test_single_lr_sets_all_three(self):
         config = resolve_config({"lr": 0.05})
@@ -87,11 +89,11 @@ class TestResolveConfig:
 
     def test_xi_implies_noniid(self):
         config = resolve_config({"xi": 4})
-        assert config.partition_mode == "noniid"
         assert config.classes_per_client == 4
 
     def test_noniid_without_xi_rejected(self):
-        with pytest.raises(ConfigurationError):
+        # xi alone selects the partition, so `partition` is an unknown key
+        with pytest.raises(ConfigurationError, match="partition"):
             resolve_config({"partition": "noniid"})
 
     def test_flags_override_file(self):
@@ -148,6 +150,15 @@ class TestResolveConfig:
         monkeypatch.setenv("DEFKT_DATA_DIR", str(tmp_path))
         config = parse_config(build_parser().parse_args(["run", *flags]))
         assert {field: getattr(config, field) for field in expected} == expected
+
+    def test_every_run_flag_is_a_key_with_a_case(self):
+        # parse_config drops a dest that is not a config key, so such a flag would do nothing
+        parser = build_parser()
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        actions = [a for a in sub.choices["run"]._actions if a.dest not in ("help", "config")]
+        assert actions
+        assert [a.dest for a in actions if a.dest not in _KEYS] == []
+        assert {a.option_strings[0] for a in actions} == {flags[0] for flags, _ in RUN_FLAGS}
 
 
 class TestCheckpoints:
@@ -257,14 +268,24 @@ class TestCmdRun:
             ({1: 2}, []),
             ({"output_dir": ["a", "b"]}, []),
             ({"data_dir": {"x": 1}}, []),
-            ({"partition": "iid", "xi": 2}, []),
+            ({"partition": "iid", "xi": 2}, []),  # unknown key: xi alone picks the partition
+            ({"rounds": True}, []),  # YAML `on`
+            ({"momentum": False}, []),  # YAML `off`
+            ({"xi": 0}, []),
+            ({}, ["--clients", "ten"]),
+            ({}, ["--rounds", "2.5"]),
+            ({}, ["--lr", "x"]),
+            ({}, ["--seed", "a"]),
+            ({}, ["--strategy", "best"]),
         ],
         ids=[
             "clients-exceed-corpus", "synthetic-dims-0", "synthetic-sigma-negative", "subset-negative",
             "clients-not-a-number", "hidden-not-a-list", "synthetic-classes-fractional",
             "synthetic-not-a-mapping", "momentum-not-a-number", "rounds-fractional", "hidden-width-0",
             "lr-nan", "non-string-key", "output-dir-a-list", "data-dir-a-mapping",
-            "xi-under-iid",
+            "xi-under-iid", "rounds-boolean", "momentum-boolean", "xi-0",
+            "flag-clients-not-a-number", "flag-rounds-fractional", "flag-lr-not-a-number",
+            "flag-seed-not-a-number", "flag-strategy-unknown",
         ],
     )
     def test_bad_input_exits_one_with_message(self, tmp_path, monkeypatch, capsys, overrides, flags):

@@ -206,18 +206,10 @@ class TestPartitionNonIid:
 
 
 class TestPartitionConfig:
-    """The mode dispatch and the settings checks of `partition`."""
+    """The dispatch on classes_per_client and the settings checks of `partition`."""
 
     def test_dispatch_iid(self, surrogate_corpus):
-        assert len(partition(surrogate_corpus, "iid", 5, None, 1)) == 5
-
-    def test_noniid_requires_xi(self, surrogate_corpus):
-        with pytest.raises(ConfigurationError):
-            partition(surrogate_corpus, "noniid", 5, None, 0)
-
-    def test_unknown_mode_rejected(self, surrogate_corpus):
-        with pytest.raises(ConfigurationError):
-            partition(surrogate_corpus, "dirichlet", 5, None, 0)
+        assert len(partition(surrogate_corpus, 5, None, 1)) == 5
 
 
 class TestTrainValSplit:

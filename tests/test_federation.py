@@ -8,7 +8,6 @@ from defkt.errors import ConfigurationError, NumericalError
 from defkt.federation import (
     LOCAL_STREAM,
     ClientState,
-    CommLog,
     FusionStrategy,
     HyperParams,
     RoundPlan,
@@ -26,7 +25,7 @@ from defkt.metrics import evaluate
 from defkt.nn import Batch, ModelSpec, forward, init_params, param_count, sgd_step
 from defkt.seeding import derive_rng
 
-from oracles import backward
+from oracles import RecordingLog, backward
 
 
 SPEC = ModelSpec.mlp(6, (5,), 3)
@@ -354,7 +353,7 @@ class TestRunRound:
         hyper = tiny_hyper()
         plan = RoundPlan(round_index=1, senders=(2,), receivers=(3,))
         before = {k: states[k].params.tobytes() for k in states}
-        comm = CommLog(keep_messages=True)
+        comm = RecordingLog()
         out = run_round(states, plan, FusionStrategy.DEFKT, hyper, SPEC, comm=comm)
         rng = derive_rng(hyper.seed, LOCAL_STREAM, 1, 2)
         expected = local_update(
@@ -390,7 +389,7 @@ class TestMessageLayer:
     def test_per_pair_payload_is_param_count(self, strategy):
         states = make_states(4)
         plan = RoundPlan(round_index=1, senders=(1,), receivers=(2,))
-        comm = CommLog(keep_messages=True)
+        comm = RecordingLog()
         run_round(states, plan, strategy, tiny_hyper(), SPEC, comm=comm)
         assert comm.total_scalars == param_count(SPEC)
         assert sum(m.payload.size for m in comm.messages) == param_count(SPEC)
@@ -398,7 +397,7 @@ class TestMessageLayer:
     def test_combo_exchanges_complementary_segments(self):
         states = make_states(4)
         plan = RoundPlan(round_index=1, senders=(1,), receivers=(2,))
-        comm = CommLog(keep_messages=True)
+        comm = RecordingLog()
         run_round(states, plan, FusionStrategy.COMBO, tiny_hyper(), SPEC, comm=comm)
         kinds = {(m.sender, m.receiver): m.kind for m in comm.messages}
         assert kinds == {(1, 2): "trailing-segment", (2, 1): "leading-segment"}
@@ -410,7 +409,7 @@ class TestMessageLayer:
     def test_full_vector_kind_for_averaging_strategies(self):
         states = make_states(4)
         plan = RoundPlan(round_index=1, senders=(1,), receivers=(2,))
-        comm = CommLog(keep_messages=True)
+        comm = RecordingLog()
         run_round(states, plan, FusionStrategy.FULLAVG, tiny_hyper(), SPEC, comm=comm)
         (message,) = comm.messages
         assert message.kind == "params"

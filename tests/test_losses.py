@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from defkt.errors import ConfigurationError
 from defkt.losses import (
     _one_hot_rows,
     cross_entropy,
@@ -52,6 +53,21 @@ class TestOneHot:
     def test_sums_to_one(self):
         for c in range(1, 8):
             assert _one_hot_rows(np.array([c]), 7).sum() == 1.0
+
+
+class TestLabelRange:
+    """A label outside 1..C is rejected, not wrapped round to another class."""
+
+    @pytest.mark.parametrize("label", [0, 4], ids=["zero", "C-plus-1"])
+    @pytest.mark.parametrize(
+        "loss",
+        [cross_entropy, cross_entropy_grad_logits, lambda p, y: mutual_loss_grad_logits(p, p, y)],
+        ids=["cross_entropy", "cross_entropy_grad_logits", "mutual_loss_grad_logits"],
+    )
+    def test_out_of_range_label_rejected(self, loss, label):
+        probs = np.full((2, 3), 1.0 / 3.0)
+        with pytest.raises(ConfigurationError, match=r"1\.\.3"):
+            loss(probs, np.array([1, label]))
 
 
 class TestCrossEntropy:
