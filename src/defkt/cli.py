@@ -10,8 +10,9 @@ override file values. A flag is the text of a config key's value, so one
 key table converts, defaults and checks both. The environment variable
 DEFKT_DATA_DIR supplies the default dataset root. Exit codes: 0 success,
 1 configuration or input error (a bad value, from a flag or a file, or
-data too small for it), 2 load or numerical error. A malformed command
-line (an unknown flag, a flag without its value) exits 2 from argparse.
+data too small for it) or a standard output closed by its reader, 2 load
+or numerical error. A malformed command line (an unknown flag, a flag
+without its value) exits 2 from argparse.
 """
 
 from __future__ import annotations
@@ -443,10 +444,18 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = parse_config(args)
         if args.command == "run":
-            return cmd_run(config)
-        if args.command == "inspect-partition":
-            return cmd_inspect_partition(config)
-        return cmd_eval(config, args.model_file)
+            status = cmd_run(config)
+        elif args.command == "inspect-partition":
+            status = cmd_inspect_partition(config)
+        else:
+            status = cmd_eval(config, args.model_file)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # The reader closed standard output (`defkt ... | head`). Point it at
+        # devnull so the interpreter's final flush cannot fail a second time.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1

@@ -12,6 +12,10 @@ from .errors import ConfigurationError, LoadError
 from .nn import Batch, ModelSpec, forward
 
 CSV_FIELDS = ("round", "strategy", "seed", "global_acc", "local_acc", "scalars_transmitted")
+# Rows per evaluation forward. The chunk fixes the GEMM row count and so the
+# bits of the logits: the reference MLP's logits on 1,000 rows differ bitwise
+# between one call and two 500-row chunks. Changing it can change accuracies.
+EVAL_CHUNK_ROWS = 2048
 
 
 @dataclass(frozen=True)
@@ -26,13 +30,13 @@ class MetricsRecord:
     scalars_transmitted: int
 
 
-def evaluate(spec: ModelSpec, params: np.ndarray, data: Dataset, chunk_size: int = 2048) -> float:
+def evaluate(spec: ModelSpec, params: np.ndarray, data: Dataset) -> float:
     """Top-1 accuracy of a model on a dataset; argmax ties go to the lowest class."""
     if len(data) < 1:
         raise ConfigurationError("cannot evaluate on an empty dataset")
     correct = 0
-    for start in range(0, len(data), chunk_size):
-        stop = min(start + chunk_size, len(data))
+    for start in range(0, len(data), EVAL_CHUNK_ROWS):
+        stop = min(start + EVAL_CHUNK_ROWS, len(data))
         batch = Batch(data.inputs[start:stop], data.labels[start:stop])
         predictions = forward(spec, params, batch).argmax(axis=1) + 1
         correct += int((predictions == batch.labels).sum())

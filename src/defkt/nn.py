@@ -6,15 +6,19 @@ vector in canonical order: for each layer in sequence, weights
 layout once, as per-layer slices, when it is built; init_params and
 _unpack both read it, so no forward or backward call re-derives it.
 
-forward produces logits; the softmax lives in the losses module.
-backward_from_cache is exact reverse-mode differentiation of
-<logits, grad_logits> with respect to the parameters, from the cache of a
-forward_cached call; it stops at the first layer's parameter gradients and
-never computes the gradient with respect to the input, which no caller
-reads. sgd_step takes the momentum velocity as a plain array and returns
-the new one.
+forward produces logits; the softmax lives in the losses module. It keeps
+no cache: each layer's patch matrix, ReLU mask and pooling indices are
+freed when the layer returns. forward_cached runs the same loop and keeps
+them for backward_from_cache, which is exact reverse-mode differentiation
+of <logits, grad_logits> with respect to the parameters; it stops at the
+first layer's parameter gradients and never computes the gradient with
+respect to the input, which no caller reads. sgd_step takes the momentum
+velocity as a plain array and returns the new one.
 
-All operations are pure: identical inputs give bitwise-identical outputs.
+All operations are pure: no function writes any of its arguments, and
+identical inputs give bitwise-identical outputs. In-place steps (the conv
+bias and ReLU, the conv backward's mask) touch only arrays the same call
+allocated.
 """
 
 from __future__ import annotations
@@ -242,62 +246,95 @@ def _im2col(x: np.ndarray, kernel: int) -> np.ndarray:
     return np.ascontiguousarray(cols)
 
 
-def forward_cached(spec: ModelSpec, params: np.ndarray, batch: Batch) -> tuple[np.ndarray, list]:
-    """Forward pass returning (logits, cache); the cache feeds backward_from_cache."""
+def _maxpool(x: np.ndarray, s: int) -> tuple[np.ndarray, np.ndarray]:
+    """Non-overlapping s x s max pooling of (B, C, H, W); returns (pooled, argmax).
+
+    argmax indexes each window in row-major order and picks the first maximum
+    on ties. The window copy dies on return, so it does not outlive the layer.
+    """
+    n, channels, h, w = x.shape
+    out_h, out_w = h // s, w // s
+    windows = x[:, :, : out_h * s, : out_w * s].reshape(n, channels, out_h, s, out_w, s)
+    flat = windows.transpose(0, 1, 2, 4, 3, 5).reshape(n, channels, out_h, out_w, s * s)
+    argmax = flat.argmax(axis=-1)
+    return np.take_along_axis(flat, argmax[..., None], axis=-1)[..., 0], argmax
+
+
+def _maxpool_backward(dy: np.ndarray, argmax: np.ndarray, in_shape: tuple[int, ...], s: int) -> np.ndarray:
+    """Gradient of _maxpool: each window's dy lands on its argmax position, zero elsewhere."""
+    out_h, out_w = dy.shape[2:]
+    dx = np.zeros(in_shape, dtype=np.float64)
+    for t in range(s * s):
+        di, dj = divmod(t, s)
+        np.copyto(dx[:, :, di : out_h * s : s, dj : out_w * s : s], dy, where=argmax == t)
+    return dx
+
+
+def _layer_forward(
+    layer: Layer, view: tuple[np.ndarray, np.ndarray] | None, x: np.ndarray, keep: bool
+) -> tuple[np.ndarray, tuple | None]:
+    """One layer's output and, when `keep`, its cache entry for backward_from_cache.
+
+    The layer's temporaries (and, without `keep`, its patch matrix and mask)
+    die on return, so none of them stays alive into the next layer.
+    """
+    n = x.shape[0]
+    if isinstance(layer, DenseLayer):
+        pre_flatten = x.shape
+        if x.ndim > 2:
+            x = x.reshape(n, -1)
+        weights, bias = view
+        z = x @ weights + bias
+        mask = None
+        if layer.relu:
+            mask = z > 0.0
+            z = np.where(mask, z, 0.0)
+        return z, (("dense", x, mask, pre_flatten) if keep else None)
+    if isinstance(layer, ConvLayer):
+        weights, bias = view
+        in_shape = x.shape
+        cols = _im2col(x, layer.kernel)
+        z = cols @ weights.reshape(layer.out_channels, -1).T
+        z += bias
+        out_h = in_shape[2] - layer.kernel + 1
+        out_w = in_shape[3] - layer.kernel + 1
+        z = z.transpose(0, 2, 1).reshape(n, layer.out_channels, out_h, out_w)
+        mask = None
+        if layer.relu:
+            mask = z > 0.0
+            np.copyto(z, 0.0, where=~mask)
+        return z, (("conv", cols, mask, in_shape) if keep else None)
+    pooled, argmax = _maxpool(x, layer.size)
+    return pooled, (("pool", argmax, x.shape) if keep else None)
+
+
+def _forward(spec: ModelSpec, params: np.ndarray, batch: Batch, cache: list | None) -> np.ndarray:
+    """Logits for a batch; appends one entry per layer to `cache` unless it is None."""
     params = np.asarray(params, dtype=np.float64)
     if batch.inputs.shape[1] != spec.input_dim:
         raise ConfigurationError(
             f"batch has {batch.inputs.shape[1]} input features, model expects {spec.input_dim}"
         )
     views = _unpack(spec, params)
-    n = len(batch)
     x: np.ndarray = batch.inputs
     if len(spec.input_shape) == 3:
-        x = x.reshape(n, *spec.input_shape)
-    cache: list = []
+        x = x.reshape(len(batch), *spec.input_shape)
     for layer, view in zip(spec.layers, views):
-        if isinstance(layer, DenseLayer):
-            pre_flatten = x.shape
-            if x.ndim > 2:
-                x = x.reshape(n, -1)
-            weights, bias = view
-            z = x @ weights + bias
-            mask = None
-            if layer.relu:
-                mask = z > 0.0
-                z = np.where(mask, z, 0.0)
-            cache.append(("dense", x, mask, pre_flatten))
-            x = z
-        elif isinstance(layer, ConvLayer):
-            weights, bias = view
-            in_shape = x.shape
-            cols = _im2col(x, layer.kernel)
-            w_mat = weights.reshape(layer.out_channels, -1)
-            z = cols @ w_mat.T + bias
-            out_h = in_shape[2] - layer.kernel + 1
-            out_w = in_shape[3] - layer.kernel + 1
-            z = z.transpose(0, 2, 1).reshape(n, layer.out_channels, out_h, out_w)
-            mask = None
-            if layer.relu:
-                mask = z > 0.0
-                z = np.where(mask, z, 0.0)
-            cache.append(("conv", cols, mask, in_shape))
-            x = z
-        else:
-            s = layer.size
-            _, channels, h, w = x.shape
-            out_h, out_w = h // s, w // s
-            windows = x[:, :, : out_h * s, : out_w * s].reshape(n, channels, out_h, s, out_w, s)
-            flat = windows.transpose(0, 1, 2, 4, 3, 5).reshape(n, channels, out_h, out_w, s * s)
-            argmax = flat.argmax(axis=-1)
-            cache.append(("pool", argmax, x.shape))
-            x = np.take_along_axis(flat, argmax[..., None], axis=-1)[..., 0]
-    return x, cache
+        x, entry = _layer_forward(layer, view, x, cache is not None)
+        if cache is not None:
+            cache.append(entry)
+    return x
+
+
+def forward_cached(spec: ModelSpec, params: np.ndarray, batch: Batch) -> tuple[np.ndarray, list]:
+    """Forward pass returning (logits, cache); the cache feeds backward_from_cache."""
+    cache: list = []
+    return _forward(spec, params, batch, cache), cache
 
 
 def forward(spec: ModelSpec, params: np.ndarray, batch: Batch) -> np.ndarray:
-    """Logits (B, num_classes) for a batch; deterministic and side-effect free."""
-    return forward_cached(spec, params, batch)[0]
+    """Logits (B, num_classes) for a batch; keeps no cache and writes no argument."""
+    return _forward(spec, params, batch, None)
 
 
 def backward_from_cache(
@@ -330,7 +367,9 @@ def backward_from_cache(
         elif isinstance(layer, ConvLayer):
             _, cols, mask, in_shape = entry
             weights, _ = views[i]
-            dz = np.where(mask, dx, 0.0) if mask is not None else dx
+            if mask is not None:  # dx was allocated by this pass, never the caller's
+                np.copyto(dx, 0.0, where=~mask)
+            dz = dx
             n, out_ch, out_h, out_w = dz.shape
             dz_flat = dz.reshape(n, out_ch, out_h * out_w)
             dw_mat = np.einsum("bop,bpf->of", dz_flat, cols)
@@ -349,14 +388,7 @@ def backward_from_cache(
                     )
         else:
             _, argmax, in_shape = entry
-            s = layer.size
-            n, channels, out_h, out_w = dx.shape
-            dflat = np.zeros((n, channels, out_h, out_w, s * s), dtype=np.float64)
-            np.put_along_axis(dflat, argmax[..., None], dx[..., None], axis=-1)
-            dwin = dflat.reshape(n, channels, out_h, out_w, s, s).transpose(0, 1, 2, 4, 3, 5)
-            dx_full = np.zeros(in_shape, dtype=np.float64)
-            dx_full[:, :, : out_h * s, : out_w * s] = dwin.reshape(n, channels, out_h * s, out_w * s)
-            dx = dx_full
+            dx = _maxpool_backward(dx, argmax, in_shape, layer.size)
     chunks: list[np.ndarray] = []
     for grad in layer_grads:
         if grad is not None:

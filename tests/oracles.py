@@ -74,6 +74,45 @@ def accuracy_by_loop(logit_rows: np.ndarray, labels: np.ndarray) -> float:
     return correct / labels.shape[0]
 
 
+def maxpool_by_loop(x: np.ndarray, s: int) -> tuple[np.ndarray, np.ndarray]:
+    """Non-overlapping s x s max pooling of (B, C, H, W), one window at a time.
+
+    Each window is scanned in row-major order and keeps its first maximum; a
+    NaN counts as larger than any number, so the first NaN wins. Returns the
+    pooled values and the (row, column) of each pick inside the input.
+    """
+    n, channels, h, w = x.shape
+    out_h, out_w = h // s, w // s
+    pooled = np.zeros((n, channels, out_h, out_w))
+    picks = np.zeros((n, channels, out_h, out_w, 2), dtype=np.int64)
+    for b in range(n):
+        for c in range(channels):
+            for i in range(out_h):
+                for j in range(out_w):
+                    best = (i * s, j * s)
+                    for r in range(i * s, i * s + s):
+                        for q in range(j * s, j * s + s):
+                            v, top = x[b, c, r, q], x[b, c, best[0], best[1]]
+                            if not np.isnan(top) and (np.isnan(v) or v > top):
+                                best = (r, q)
+                    pooled[b, c, i, j] = x[b, c, best[0], best[1]]
+                    picks[b, c, i, j] = best
+    return pooled, picks
+
+
+def maxpool_grad_by_loop(dy: np.ndarray, picks: np.ndarray, in_shape: tuple) -> np.ndarray:
+    """Gradient of max pooling: each window's dy is written at its pick, zeros elsewhere."""
+    dx = np.zeros(in_shape)
+    n, channels, out_h, out_w = dy.shape
+    for b in range(n):
+        for c in range(channels):
+            for i in range(out_h):
+                for j in range(out_w):
+                    r, q = picks[b, c, i, j]
+                    dx[b, c, r, q] = dy[b, c, i, j]
+    return dx
+
+
 def backward(spec, params: np.ndarray, batch, grad_logits: np.ndarray) -> np.ndarray:
     """Gradient of <logits, grad_logits> w.r.t. params: a forward pass, then nn.backward_from_cache."""
     from defkt.nn import backward_from_cache, forward_cached

@@ -2,11 +2,16 @@
 
 import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+import defkt
 from defkt.cli import (
     _IDX_NAMES,
     _KEYS,
@@ -317,6 +322,20 @@ class TestCmdInspectPartition:
         assert len(client_rows) == 4
         assert lines[-1].strip().startswith("total")
         assert "120" in lines[-1]  # 3 classes x 40 per class
+
+    def test_closed_stdout_exits_one_without_traceback(self):
+        # the reader closes the pipe before the first line is written, like `| head -0`
+        src = str(Path(defkt.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "defkt.cli", "inspect-partition", "--clients", "40", "--xi", "2"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        proc.stdout.close()
+        stderr = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 1
+        assert "Traceback" not in stderr, stderr
 
     def test_iid_histograms_near_global_proportions(self):
         # with 10 clients on a large balanced corpus, each shard's class counts

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from defkt.data import ClientData, synth_dataset, train_val_split
+from defkt import metrics
 from defkt.errors import ConfigurationError, LoadError
 from defkt.federation import ClientState
 from defkt.metrics import (
@@ -48,12 +49,13 @@ class TestEvaluate:
             accuracy_by_loop(logits, data.labels)
         )
 
-    def test_chunking_does_not_change_result(self):
+    def test_chunking_does_not_change_result(self, monkeypatch):
         data = synth_dataset(3, 40, 6, seed=3)
         params = init_params(SPEC, 5)
-        assert evaluate(SPEC, params, data, chunk_size=7) == evaluate(
-            SPEC, params, data, chunk_size=1000
-        )
+        monkeypatch.setattr(metrics, "EVAL_CHUNK_ROWS", 7)
+        chunked = evaluate(SPEC, params, data)
+        monkeypatch.setattr(metrics, "EVAL_CHUNK_ROWS", 1000)
+        assert chunked == evaluate(SPEC, params, data)
 
     def test_empty_dataset_unrepresentable(self):
         # the Dataset invariant (N >= 1) blocks empty evaluation inputs upstream

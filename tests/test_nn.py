@@ -12,6 +12,8 @@ from defkt.nn import (
     DenseLayer,
     MaxPoolLayer,
     ModelSpec,
+    _maxpool,
+    _maxpool_backward,
     _unpack,
     backward_from_cache,
     forward,
@@ -26,6 +28,8 @@ from oracles import (
     backward,
     backward_with_input_grad,
     central_difference,
+    maxpool_by_loop,
+    maxpool_grad_by_loop,
     mlp_forward_by_hand,
     relative_error,
     unpack_by_offsets,
@@ -166,6 +170,60 @@ class TestForward:
         np.testing.assert_array_equal(forward(spec, params, batch), forward(spec, params, batch))
 
 
+    @pytest.mark.parametrize("rows", [7, 32, 100])
+    @pytest.mark.parametrize(
+        "spec", [ModelSpec.mlp(784), ModelSpec.cnn_small()], ids=["mlp", "cnn-small"]
+    )
+    def test_bitwise_equals_cached_forward(self, spec, rows):
+        # forward keeps no cache but must run the same float64 operations in the same order
+        rng = np.random.default_rng(rows)
+        params = init_params(spec, 3)
+        batch = Batch(rng.standard_normal((rows, spec.input_dim)), np.ones(rows, dtype=int))
+        logits = forward(spec, params, batch)
+        assert logits.tobytes() == forward_cached(spec, params, batch)[0].tobytes()
+
+
+class TestMaxPool:
+    @staticmethod
+    def assert_matches_loop_oracle(x, s):
+        pooled, argmax = _maxpool(x, s)
+        expected, picks = maxpool_by_loop(x, s)
+        assert pooled.tobytes() == expected.tobytes()
+        dy = np.random.default_rng(5).standard_normal(pooled.shape)
+        dx = _maxpool_backward(dy, argmax, x.shape, s)
+        assert dx.tobytes() == maxpool_grad_by_loop(dy, picks, x.shape).tobytes()
+
+    def test_tied_zeros_pick_first_in_row_major_order(self):
+        # -0.0 == 0.0, so the first element of each window wins and keeps its sign
+        x = np.zeros((2, 3, 4, 4))
+        x[0, 0, 0, 0] = -0.0  # first in its window
+        x[1, 2, 2, 2] = -0.0  # first in its window
+        x[0, 1, 1, 0] = -0.0  # third in its window, behind a +0.0
+        self.assert_matches_loop_oracle(x, 2)
+        pooled, argmax = _maxpool(x, 2)
+        assert np.all(argmax == 0)
+        assert np.signbit(pooled[0, 0, 0, 0]) and np.signbit(pooled[1, 2, 1, 1])
+        assert not np.signbit(pooled[0, 1, 0, 0])
+
+    def test_nan_is_picked_over_larger_values(self):
+        x = np.arange(2 * 1 * 6 * 6, dtype=np.float64).reshape(2, 1, 6, 6)
+        x[0, 0, 1, 0] = np.nan  # second row of the first window: position 2
+        x[1, 0, 4, 5] = np.nan  # two NaNs in one window: the first one, position 1
+        x[1, 0, 5, 4] = np.nan
+        self.assert_matches_loop_oracle(x, 2)
+        _, argmax = _maxpool(x, 2)
+        assert argmax[0, 0, 0, 0] == 2 and argmax[1, 0, 2, 2] == 1
+
+    def test_odd_size_drops_trailing_row_and_column(self):
+        # 11 -> 5 with many ties: small integers drawn from 0..2
+        x = np.random.default_rng(3).integers(0, 3, size=(3, 2, 11, 11)).astype(np.float64)
+        self.assert_matches_loop_oracle(x, 2)
+        pooled, argmax = _maxpool(x, 2)
+        assert pooled.shape == argmax.shape == (3, 2, 5, 5)
+        dx = _maxpool_backward(np.ones(pooled.shape), argmax, x.shape, 2)
+        assert not dx[:, :, 10, :].any() and not dx[:, :, :, 10].any()
+
+
 class TestBackward:
     def test_zero_grad_logits_give_zero_gradient(self):
         spec = ModelSpec.mlp(6, (4,), 3)
@@ -233,6 +291,23 @@ class TestBackward:
             expected, input_grad = backward_with_input_grad(spec, params, cache, g_logits)
             assert input_grad.shape == (rows, *spec.input_shape)
             assert np.array_equal(backward_from_cache(spec, params, cache, g_logits), expected)
+
+
+    @pytest.mark.parametrize(
+        "spec", [ModelSpec.mlp(784), ModelSpec.cnn_small()], ids=["mlp", "cnn-small"]
+    )
+    def test_leaves_grad_logits_and_cache_unchanged(self, spec):
+        # the conv backward masks its dx in place; no array the caller holds may change
+        rng = np.random.default_rng(8)
+        params = init_params(spec, 9)
+        batch = Batch(rng.standard_normal((16, spec.input_dim)), np.ones(16, dtype=int))
+        _, cache = forward_cached(spec, params, batch)
+        g_logits = rng.standard_normal((16, spec.num_classes))
+        before = [a.tobytes() for entry in cache for a in entry if isinstance(a, np.ndarray)]
+        g_before = g_logits.tobytes()
+        backward_from_cache(spec, params, cache, g_logits)
+        assert g_logits.tobytes() == g_before
+        assert [a.tobytes() for entry in cache for a in entry if isinstance(a, np.ndarray)] == before
 
 
 class TestSgdStep:
