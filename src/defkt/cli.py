@@ -75,6 +75,8 @@ def _seeds(value) -> tuple[int, ...]:
     seeds = _ints(value if isinstance(value, (list, tuple)) else [value])
     if not seeds:
         raise ValueError("need at least one seed")
+    if len(set(seeds)) != len(seeds):
+        raise ValueError("each seed may appear only once")
     return seeds
 
 

@@ -74,7 +74,9 @@ class HyperParams:
     def __post_init__(self):
         if self.num_clients < 2:
             raise ConfigurationError("need at least 2 clients")
-        if self.senders_per_round < 0 or 2 * self.senders_per_round > self.num_clients:
+        if self.senders_per_round < 0:
+            raise ConfigurationError(f"senders_per_round must be nonnegative, got {self.senders_per_round}")
+        if 2 * self.senders_per_round > self.num_clients:
             raise ConfigurationError(
                 f"2 * senders_per_round must not exceed num_clients "
                 f"({2 * self.senders_per_round} > {self.num_clients})"
@@ -275,59 +277,49 @@ def run_round(
 ) -> dict[int, ClientState]:
     """Execute one round and return the updated client states.
 
-    Phase 1: every sender runs its local update and stores the fine-tuned
-    model, then transmits (the full vector, or its trailing segment under
-    segment exchange). Phase 2: every receiver applies the fusion
-    strategy; under segment exchange the sender's model is updated too.
-    Non-participating clients are untouched.
+    Each pair in turn: the sender runs its local update and stores the
+    fine-tuned model, transmits it (only its trailing segment under segment
+    exchange, answered by the receiver's leading segment), and the receiver
+    applies the fusion strategy; under segment exchange the sender's model
+    is updated too. Pairs are disjoint and RNG streams are keyed by client,
+    so the pair order changes no result. Other clients are untouched.
     """
     new_states = dict(states)
-    deliveries: list[Message] = []
+    comm = CommLog() if comm is None else comm
     for sender_id, receiver_id in plan.pairs():
         rng = derive_rng(hyper.seed, LOCAL_STREAM, plan.round_index, sender_id)
         try:
-            updated = local_update(
+            sender = local_update(
                 new_states[sender_id], spec, hyper.local_batch_size, hyper.local_passes,
                 hyper.local_lr, hyper.momentum, rng, reduction,
             )
         except NumericalError as exc:
             raise _wrap_numerical(plan.round_index, sender_id, exc) from exc
-        new_states[sender_id] = updated
-        if strategy is FusionStrategy.COMBO:
-            _, trailing = split_segments(updated.params)
-            deliveries.append(Message(sender_id, receiver_id, "trailing-segment", trailing))
-        else:
-            deliveries.append(Message(sender_id, receiver_id, "params", updated.params))
-    for message in deliveries:
-        if comm is not None:
-            comm.record(message)
-        sender_id, receiver_id = message.sender, message.receiver
         receiver = new_states[receiver_id]
-        n_sender = len(new_states[sender_id].data.train)
-        n_receiver = len(receiver.data.train)
-        if strategy is FusionStrategy.DEFKT:
+        n_sender, n_receiver = len(sender.data.train), len(receiver.data.train)
+        if strategy is FusionStrategy.COMBO:
+            _, trailing = split_segments(sender.params)
+            leading, _ = split_segments(receiver.params)
+            comm.record(Message(sender_id, receiver_id, "trailing-segment", trailing))
+            comm.record(Message(receiver_id, sender_id, "leading-segment", leading))
+            sender_params, fused = fuse_combo(sender.params, receiver.params, n_sender, n_receiver)
+            sender = replace(sender, params=sender_params)
+        elif strategy is FusionStrategy.FULLAVG:
+            comm.record(Message(sender_id, receiver_id, "params", sender.params))
+            fused = fuse_fullavg(sender.params, receiver.params, n_sender, n_receiver)
+        else:
+            comm.record(Message(sender_id, receiver_id, "params", sender.params))
             rng = derive_rng(hyper.seed, MKT_STREAM, plan.round_index, receiver_id)
             try:
                 fused = fuse_defkt(
-                    message.payload, receiver.params, receiver.data, spec,
+                    sender.params, receiver.params, receiver.data, spec,
                     hyper.mkt_batch_size, hyper.mkt_passes,
                     hyper.mkt_lr_received, hyper.mkt_lr_local, hyper.momentum, rng, reduction,
                 )
             except NumericalError as exc:
                 raise _wrap_numerical(plan.round_index, receiver_id, exc) from exc
-            new_states[receiver_id] = replace(receiver, params=fused)
-        elif strategy is FusionStrategy.FULLAVG:
-            fused = fuse_fullavg(message.payload, receiver.params, n_sender, n_receiver)
-            new_states[receiver_id] = replace(receiver, params=fused)
-        else:
-            reply = Message(receiver_id, sender_id, "leading-segment", split_segments(receiver.params)[0])
-            if comm is not None:
-                comm.record(reply)
-            sender_params, receiver_params = fuse_combo(
-                new_states[sender_id].params, receiver.params, n_sender, n_receiver
-            )
-            new_states[sender_id] = replace(new_states[sender_id], params=sender_params)
-            new_states[receiver_id] = replace(receiver, params=receiver_params)
+        new_states[sender_id] = sender
+        new_states[receiver_id] = replace(receiver, params=fused)
     return new_states
 
 

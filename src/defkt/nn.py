@@ -6,6 +6,14 @@ vector in canonical order: for each layer in sequence, weights
 layout once, as per-layer slices, when it is built; init_params and
 _unpack both read it, so no forward or backward call re-derives it.
 
+Each layer class owns its math in four methods. out_shape(in_shape) checks
+and returns the per-sample output shape. param_shapes() gives (weight shape,
+bias length, fan_in, fan_out), or None for a layer without parameters.
+forward(view, x, keep) returns the output and, when keep, the cache entry.
+backward(view, entry, dx, need_dx) returns the (weight, bias) gradients, or
+None, and the input gradient, or None when need_dx is false. ModelSpec,
+init_params, forward and backward_from_cache only loop over the layers.
+
 forward produces logits; the softmax lives in the losses module. It keeps
 no cache: each layer's patch matrix, ReLU mask and pooling indices are
 freed when the layer returns. forward_cached runs the same loop and keeps
@@ -18,7 +26,8 @@ velocity as a plain array and returns the new one.
 All operations are pure: no function writes any of its arguments, and
 identical inputs give bitwise-identical outputs. In-place steps (the conv
 bias and ReLU, the conv backward's mask) touch only arrays the same call
-allocated.
+allocated: ConvLayer.backward writes the dx it is handed, which always
+comes from the layer above it in the same pass, never from grad_logits.
 """
 
 from __future__ import annotations
@@ -40,6 +49,37 @@ class DenseLayer:
     n_out: int
     relu: bool = False
 
+    def out_shape(self, in_shape: tuple[int, ...]) -> tuple[int, ...]:
+        if self.n_out < 1:
+            raise ConfigurationError(f"dense layer width must be at least 1, got {self.n_out}")
+        flat = int(np.prod(in_shape))
+        if flat != self.n_in:
+            raise ConfigurationError(
+                f"dense layer expects {self.n_in} inputs but previous layer produces {flat}"
+            )
+        return (self.n_out,)
+
+    def param_shapes(self) -> tuple[tuple[int, ...], int, int, int]:
+        return (self.n_in, self.n_out), self.n_out, self.n_in, self.n_out
+
+    def forward(self, view, x: np.ndarray, keep: bool) -> tuple[np.ndarray, tuple | None]:
+        pre_flatten = x.shape
+        if x.ndim > 2:
+            x = x.reshape(x.shape[0], -1)
+        weights, bias = view
+        z = x @ weights + bias
+        mask = None
+        if self.relu:
+            mask = z > 0.0
+            z = np.where(mask, z, 0.0)
+        return z, ((x, mask, pre_flatten) if keep else None)
+
+    def backward(self, view, entry: tuple, dx: np.ndarray, need_dx: bool) -> tuple[tuple, np.ndarray | None]:
+        x_in, mask, pre_flatten = entry
+        dz = np.where(mask, dx, 0.0) if mask is not None else dx  # dx may be the caller's grad_logits
+        grads = (x_in.T @ dz, dz.sum(axis=0))
+        return grads, ((dz @ view[0].T).reshape(pre_flatten) if need_dx else None)
+
 
 @dataclass(frozen=True)
 class ConvLayer:
@@ -50,6 +90,60 @@ class ConvLayer:
     kernel: int
     relu: bool = False
 
+    def out_shape(self, in_shape: tuple[int, ...]) -> tuple[int, ...]:
+        if self.out_channels < 1 or self.kernel < 1:
+            raise ConfigurationError("convolution channels and kernel must be at least 1")
+        if len(in_shape) != 3:
+            raise ConfigurationError("convolution layer requires (channels, height, width) input")
+        c, h, w = in_shape
+        if c != self.in_channels:
+            raise ConfigurationError(
+                f"convolution expects {self.in_channels} channels but previous layer produces {c}"
+            )
+        if h < self.kernel or w < self.kernel:
+            raise ConfigurationError("convolution kernel larger than its input")
+        return (self.out_channels, h - self.kernel + 1, w - self.kernel + 1)
+
+    def param_shapes(self) -> tuple[tuple[int, ...], int, int, int]:
+        area = self.kernel * self.kernel
+        w_shape = (self.out_channels, self.in_channels, self.kernel, self.kernel)
+        return w_shape, self.out_channels, self.in_channels * area, self.out_channels * area
+
+    def forward(self, view, x: np.ndarray, keep: bool) -> tuple[np.ndarray, tuple | None]:
+        weights, bias = view
+        n, _, h, w = x.shape
+        cols = _im2col(x, self.kernel)
+        z = cols @ weights.reshape(self.out_channels, -1).T
+        z += bias
+        z = z.transpose(0, 2, 1).reshape(n, self.out_channels, h - self.kernel + 1, w - self.kernel + 1)
+        mask = None
+        if self.relu:
+            mask = z > 0.0
+            np.copyto(z, 0.0, where=~mask)
+        return z, ((cols, mask, x.shape) if keep else None)
+
+    def backward(self, view, entry: tuple, dx: np.ndarray, need_dx: bool) -> tuple[tuple, np.ndarray | None]:
+        cols, mask, in_shape = entry
+        weights, _ = view
+        if mask is not None:  # dx was allocated by this pass, never the caller's
+            np.copyto(dx, 0.0, where=~mask)
+        n, out_ch, out_h, out_w = dx.shape
+        dz_flat = dx.reshape(n, out_ch, out_h * out_w)
+        dw_mat = np.einsum("bop,bpf->of", dz_flat, cols)
+        grads = (dw_mat.reshape(weights.shape), dx.sum(axis=(0, 2, 3)))
+        if not need_dx:
+            return grads, None
+        k = self.kernel
+        dcols = np.einsum("bop,of->bpf", dz_flat, weights.reshape(out_ch, -1))
+        dcols = dcols.reshape(n, out_h, out_w, self.in_channels, k, k)
+        dx = np.zeros(in_shape, dtype=np.float64)
+        for di in range(k):
+            for dj in range(k):
+                dx[:, :, di : di + out_h, dj : dj + out_w] += dcols[:, :, :, :, di, dj].transpose(
+                    0, 3, 1, 2
+                )
+        return grads, dx
+
 
 @dataclass(frozen=True)
 class MaxPoolLayer:
@@ -57,44 +151,29 @@ class MaxPoolLayer:
 
     size: int = 2
 
-
-Layer = DenseLayer | ConvLayer | MaxPoolLayer
-
-
-def _layer_out_shape(layer: Layer, in_shape: tuple[int, ...]) -> tuple[int, ...]:
-    """Shape produced by `layer` on a single sample of shape `in_shape`."""
-    if isinstance(layer, DenseLayer):
-        if layer.n_out < 1:
-            raise ConfigurationError(f"dense layer width must be at least 1, got {layer.n_out}")
-        flat = int(np.prod(in_shape))
-        if flat != layer.n_in:
-            raise ConfigurationError(
-                f"dense layer expects {layer.n_in} inputs but previous layer produces {flat}"
-            )
-        return (layer.n_out,)
-    if isinstance(layer, ConvLayer):
-        if layer.out_channels < 1 or layer.kernel < 1:
-            raise ConfigurationError("convolution channels and kernel must be at least 1")
-        if len(in_shape) != 3:
-            raise ConfigurationError("convolution layer requires (channels, height, width) input")
-        c, h, w = in_shape
-        if c != layer.in_channels:
-            raise ConfigurationError(
-                f"convolution expects {layer.in_channels} channels but previous layer produces {c}"
-            )
-        if h < layer.kernel or w < layer.kernel:
-            raise ConfigurationError("convolution kernel larger than its input")
-        return (layer.out_channels, h - layer.kernel + 1, w - layer.kernel + 1)
-    if isinstance(layer, MaxPoolLayer):
-        if layer.size < 1:
-            raise ConfigurationError(f"pooling window must be at least 1, got {layer.size}")
+    def out_shape(self, in_shape: tuple[int, ...]) -> tuple[int, ...]:
+        if self.size < 1:
+            raise ConfigurationError(f"pooling window must be at least 1, got {self.size}")
         if len(in_shape) != 3:
             raise ConfigurationError("pooling layer requires (channels, height, width) input")
         c, h, w = in_shape
-        if h < layer.size or w < layer.size:
+        if h < self.size or w < self.size:
             raise ConfigurationError("pooling window larger than its input")
-        return (c, h // layer.size, w // layer.size)
-    raise ConfigurationError(f"unknown layer type {type(layer).__name__}")
+        return (c, h // self.size, w // self.size)
+
+    def param_shapes(self) -> None:
+        return None
+
+    def forward(self, view, x: np.ndarray, keep: bool) -> tuple[np.ndarray, tuple | None]:
+        pooled, argmax = _maxpool(x, self.size)
+        return pooled, ((argmax, x.shape) if keep else None)
+
+    def backward(self, view, entry: tuple, dx: np.ndarray, need_dx: bool) -> tuple[None, np.ndarray]:
+        argmax, in_shape = entry
+        return None, _maxpool_backward(dx, argmax, in_shape, self.size)
+
+
+Layer = DenseLayer | ConvLayer | MaxPoolLayer
 
 
 @dataclass(frozen=True)
@@ -128,16 +207,12 @@ class ModelSpec:
         layout: list[tuple[slice, tuple[int, ...], slice] | None] = []
         offset = 0
         for layer in self.layers:
-            shape = _layer_out_shape(layer, shape)
-            if isinstance(layer, MaxPoolLayer):
+            shape = layer.out_shape(shape)
+            shapes = layer.param_shapes()
+            if shapes is None:
                 layout.append(None)
                 continue
-            if isinstance(layer, DenseLayer):
-                w_shape: tuple[int, ...] = (layer.n_in, layer.n_out)
-                n_bias = layer.n_out
-            else:
-                w_shape = (layer.out_channels, layer.in_channels, layer.kernel, layer.kernel)
-                n_bias = layer.out_channels
+            w_shape, n_bias, _, _ = shapes
             w_end = offset + math.prod(w_shape)
             layout.append((slice(offset, w_end), w_shape, slice(w_end, w_end + n_bias)))
             offset = w_end + n_bias
@@ -176,7 +251,7 @@ class ModelSpec:
         ]
         shape = input_shape
         for layer in layers:
-            shape = _layer_out_shape(layer, shape)
+            shape = layer.out_shape(shape)
         layers.append(DenseLayer(int(np.prod(shape)), num_classes))
         return cls(input_shape=input_shape, layers=tuple(layers), num_classes=num_classes)
 
@@ -214,16 +289,11 @@ def init_params(spec: ModelSpec, seed: int) -> np.ndarray:
     rng = derive_rng(seed)
     params = np.zeros(spec.param_count, dtype=np.float64)
     for layer, view in zip(spec.layers, _unpack(spec, params)):
-        if isinstance(layer, DenseLayer):
-            fan_in, fan_out = layer.n_in, layer.n_out
-        elif isinstance(layer, ConvLayer):
-            fan_in = layer.in_channels * layer.kernel * layer.kernel
-            fan_out = layer.out_channels * layer.kernel * layer.kernel
-        else:
+        if view is None:
             continue
-        weights, _ = view
+        _, _, fan_in, fan_out = layer.param_shapes()
         limit = math.sqrt(6.0 / (fan_in + fan_out))
-        weights[...] = rng.uniform(-limit, limit, size=weights.shape)
+        view[0][...] = rng.uniform(-limit, limit, size=view[0].shape)
     return params
 
 
@@ -270,57 +340,18 @@ def _maxpool_backward(dy: np.ndarray, argmax: np.ndarray, in_shape: tuple[int, .
     return dx
 
 
-def _layer_forward(
-    layer: Layer, view: tuple[np.ndarray, np.ndarray] | None, x: np.ndarray, keep: bool
-) -> tuple[np.ndarray, tuple | None]:
-    """One layer's output and, when `keep`, its cache entry for backward_from_cache.
-
-    The layer's temporaries (and, without `keep`, its patch matrix and mask)
-    die on return, so none of them stays alive into the next layer.
-    """
-    n = x.shape[0]
-    if isinstance(layer, DenseLayer):
-        pre_flatten = x.shape
-        if x.ndim > 2:
-            x = x.reshape(n, -1)
-        weights, bias = view
-        z = x @ weights + bias
-        mask = None
-        if layer.relu:
-            mask = z > 0.0
-            z = np.where(mask, z, 0.0)
-        return z, (("dense", x, mask, pre_flatten) if keep else None)
-    if isinstance(layer, ConvLayer):
-        weights, bias = view
-        in_shape = x.shape
-        cols = _im2col(x, layer.kernel)
-        z = cols @ weights.reshape(layer.out_channels, -1).T
-        z += bias
-        out_h = in_shape[2] - layer.kernel + 1
-        out_w = in_shape[3] - layer.kernel + 1
-        z = z.transpose(0, 2, 1).reshape(n, layer.out_channels, out_h, out_w)
-        mask = None
-        if layer.relu:
-            mask = z > 0.0
-            np.copyto(z, 0.0, where=~mask)
-        return z, (("conv", cols, mask, in_shape) if keep else None)
-    pooled, argmax = _maxpool(x, layer.size)
-    return pooled, (("pool", argmax, x.shape) if keep else None)
-
-
 def _forward(spec: ModelSpec, params: np.ndarray, batch: Batch, cache: list | None) -> np.ndarray:
     """Logits for a batch; appends one entry per layer to `cache` unless it is None."""
-    params = np.asarray(params, dtype=np.float64)
     if batch.inputs.shape[1] != spec.input_dim:
         raise ConfigurationError(
             f"batch has {batch.inputs.shape[1]} input features, model expects {spec.input_dim}"
         )
-    views = _unpack(spec, params)
+    views = _unpack(spec, np.asarray(params, dtype=np.float64))
     x: np.ndarray = batch.inputs
     if len(spec.input_shape) == 3:
         x = x.reshape(len(batch), *spec.input_shape)
     for layer, view in zip(spec.layers, views):
-        x, entry = _layer_forward(layer, view, x, cache is not None)
+        x, entry = layer.forward(view, x, cache is not None)
         if cache is not None:
             cache.append(entry)
     return x
@@ -346,55 +377,14 @@ def backward_from_cache(
     has parameters; the gradient with respect to the batch inputs is not
     computed.
     """
-    params = np.asarray(params, dtype=np.float64)
-    views = _unpack(spec, params)
+    views = _unpack(spec, np.asarray(params, dtype=np.float64))
     first = spec.first_param_layer
-    layer_grads: list[tuple[np.ndarray, np.ndarray] | None] = [None] * len(spec.layers)
+    chunks: list[np.ndarray] = []
     dx = np.asarray(grad_logits, dtype=np.float64)
     for i in range(len(spec.layers) - 1, first - 1, -1):
-        layer = spec.layers[i]
-        entry = cache[i]
-        if isinstance(layer, DenseLayer):
-            _, x_in, mask, pre_flatten = entry
-            weights, _ = views[i]
-            dz = np.where(mask, dx, 0.0) if mask is not None else dx
-            layer_grads[i] = (x_in.T @ dz, dz.sum(axis=0))
-            if i == first:
-                break
-            dx = dz @ weights.T
-            if len(pre_flatten) > 2:
-                dx = dx.reshape(pre_flatten)
-        elif isinstance(layer, ConvLayer):
-            _, cols, mask, in_shape = entry
-            weights, _ = views[i]
-            if mask is not None:  # dx was allocated by this pass, never the caller's
-                np.copyto(dx, 0.0, where=~mask)
-            dz = dx
-            n, out_ch, out_h, out_w = dz.shape
-            dz_flat = dz.reshape(n, out_ch, out_h * out_w)
-            dw_mat = np.einsum("bop,bpf->of", dz_flat, cols)
-            layer_grads[i] = (dw_mat.reshape(weights.shape), dz.sum(axis=(0, 2, 3)))
-            if i == first:
-                break
-            w_mat = weights.reshape(out_ch, -1)
-            dcols = np.einsum("bop,of->bpf", dz_flat, w_mat)
-            k = layer.kernel
-            dcols = dcols.reshape(n, out_h, out_w, layer.in_channels, k, k)
-            dx = np.zeros(in_shape, dtype=np.float64)
-            for di in range(k):
-                for dj in range(k):
-                    dx[:, :, di : di + out_h, dj : dj + out_w] += dcols[:, :, :, :, di, dj].transpose(
-                        0, 3, 1, 2
-                    )
-        else:
-            _, argmax, in_shape = entry
-            dx = _maxpool_backward(dx, argmax, in_shape, layer.size)
-    chunks: list[np.ndarray] = []
-    for grad in layer_grads:
-        if grad is not None:
-            dw, db = grad
-            chunks.append(dw.ravel())
-            chunks.append(db)
+        grads, dx = spec.layers[i].backward(views[i], cache[i], dx, i > first)
+        if grads is not None:
+            chunks[:0] = [grads[0].ravel(), grads[1]]
     return np.concatenate(chunks)
 
 

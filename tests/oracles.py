@@ -169,7 +169,7 @@ def backward_with_input_grad(spec, params: np.ndarray, cache: list, grad_logits:
         layer = spec.layers[i]
         entry = cache[i]
         if isinstance(layer, DenseLayer):
-            _, x_in, mask, pre_flatten = entry
+            x_in, mask, pre_flatten = entry
             weights, _ = views[i]
             dz = np.where(mask, dx, 0.0) if mask is not None else dx
             layer_grads[i] = (x_in.T @ dz, dz.sum(axis=0))
@@ -177,7 +177,7 @@ def backward_with_input_grad(spec, params: np.ndarray, cache: list, grad_logits:
             if len(pre_flatten) > 2:
                 dx = dx.reshape(pre_flatten)
         elif isinstance(layer, ConvLayer):
-            _, cols, mask, in_shape = entry
+            cols, mask, in_shape = entry
             weights, _ = views[i]
             dz = np.where(mask, dx, 0.0) if mask is not None else dx
             n, out_ch, out_h, out_w = dz.shape
@@ -196,7 +196,7 @@ def backward_with_input_grad(spec, params: np.ndarray, cache: list, grad_logits:
                         0, 3, 1, 2
                     )
         else:
-            _, argmax, in_shape = entry
+            argmax, in_shape = entry
             s = layer.size
             n, channels, out_h, out_w = dx.shape
             dflat = np.zeros((n, channels, out_h, out_w, s * s), dtype=np.float64)

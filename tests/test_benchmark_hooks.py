@@ -6,6 +6,7 @@ would otherwise break only the benchmark, which this suite does not run.
 """
 
 import importlib.util
+import inspect
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -27,8 +28,38 @@ def test_every_traced_function_exists(monkeypatch):
         assert callable(getattr(module, attr, None)), f"defkt.{module_name}.{attr}"
 
 
-def test_names_the_workloads_read_exist():
-    from defkt import cli, nn
+def load_perfbench_module(monkeypatch, name):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    return importlib.import_module(name)
 
-    assert callable(nn.param_count)
-    assert callable(cli.run_experiment)
+
+def test_names_the_workloads_read_exist(monkeypatch):
+    from defkt import cli, federation, metrics, nn
+
+    for module, names in (
+        (cli, ("main", "resolve_config", "load_corpus", "model_spec", "make_shards", "run_experiment")),
+        (federation, ("build_client_states", "run_experiment")),
+        (metrics, ("emit_csv",)),
+        (nn, ("param_count",)),
+    ):
+        for name in names:
+            assert callable(getattr(module, name, None)), f"{module.__name__}.{name}"
+    assert isinstance(federation.FusionStrategy("defkt"), federation.FusionStrategy)
+    assert {"eval_every", "reduction"} <= set(inspect.signature(federation.run_experiment).parameters)
+    for workload in load_perfbench_module(monkeypatch, "workloads").WORKLOADS.values():
+        config = cli.resolve_config(workload.config)
+        assert config.hyper_for(3).seed == 3 and config.senders == config.senders_per_round
+        assert {"eval_every", "reduction", "rounds"} <= set(vars(config))
+
+
+def test_op_counts_the_benchmark_reports(monkeypatch):
+    # the same figures perfbench/tests/test_harness.py expects, which this suite does not collect
+    opcount = load_perfbench_module(monkeypatch, "opcount")
+    from defkt.nn import ModelSpec
+
+    mlp = ModelSpec.mlp(784)
+    assert opcount.forward_flops_per_sample(mlp) == 2 * (784 * 200 + 200 * 200 + 200 * 10)
+    assert opcount.backward_flops_per_sample(mlp) == 2 * opcount.forward_flops_per_sample(mlp)
+    conv1 = 2 * 26 * 26 * 8 * 1 * 9  # 28x28x1 -> 26x26x8, pooled to 13x13
+    conv2 = 2 * 11 * 11 * 16 * 8 * 9  # 13x13x8 -> 11x11x16, pooled to 5x5
+    assert opcount.forward_flops_per_sample(ModelSpec.cnn_small()) == conv1 + conv2 + 2 * 400 * 10

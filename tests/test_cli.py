@@ -282,6 +282,9 @@ class TestCmdRun:
             ({}, ["--lr", "x"]),
             ({}, ["--seed", "a"]),
             ({}, ["--strategy", "best"]),
+            ({}, ["--seed", "1", "--seed", "1"]),
+            ({"seeds": [2, 3, 2]}, []),
+            ({}, ["--senders", "-1"]),
         ],
         ids=[
             "clients-exceed-corpus", "synthetic-dims-0", "synthetic-sigma-negative", "subset-negative",
@@ -290,7 +293,8 @@ class TestCmdRun:
             "lr-nan", "non-string-key", "output-dir-a-list", "data-dir-a-mapping",
             "xi-under-iid", "rounds-boolean", "momentum-boolean", "xi-0",
             "flag-clients-not-a-number", "flag-rounds-fractional", "flag-lr-not-a-number",
-            "flag-seed-not-a-number", "flag-strategy-unknown",
+            "flag-seed-not-a-number", "flag-strategy-unknown", "flag-seed-repeated", "seeds-repeated",
+            "flag-senders-negative",
         ],
     )
     def test_bad_input_exits_one_with_message(self, tmp_path, monkeypatch, capsys, overrides, flags):
@@ -300,6 +304,19 @@ class TestCmdRun:
         out = [] if "output_dir" in overrides else ["--out", str(tmp_path / "runs")]
         assert main(["run", "--config", config, *out, *flags]) == 1
         assert capsys.readouterr().err.startswith("configuration error: ")
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--seed", "1", "--seed", "1"], "config key seeds: "),
+            (["--senders", "-1"], "senders_per_round must be nonnegative, got -1\n"),
+        ],
+        ids=["seed-repeated", "senders-negative"],
+    )
+    def test_bad_input_message_names_the_value(self, tmp_path, capsys, flags, message):
+        config = write_config(tmp_path)
+        assert main(["run", "--config", config, "--out", str(tmp_path / "runs"), *flags]) == 1
+        assert message in capsys.readouterr().err
 
     # "file" is a regular file; "runs" holds a directory where the metadata file goes
     @pytest.mark.parametrize(

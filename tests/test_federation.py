@@ -406,6 +406,20 @@ class TestMessageLayer:
         assert sizes["leading-segment"] == (total + 1) // 2
         assert sizes["trailing-segment"] == total - (total + 1) // 2
 
+    def test_combo_round_records_each_pair_in_turn(self):
+        # Q=2: each pair's segment goes out and its reply comes back before the next pair starts
+        states = make_states(6)
+        plan = RoundPlan(round_index=1, senders=(5, 2), receivers=(1, 4))
+        comm = RecordingLog()
+        hyper = tiny_hyper(num_clients=6, senders_per_round=2)
+        run_round(states, plan, FusionStrategy.COMBO, hyper, SPEC, comm=comm)
+        assert [(m.sender, m.receiver, m.kind) for m in comm.messages] == [
+            (5, 1, "trailing-segment"),
+            (1, 5, "leading-segment"),
+            (2, 4, "trailing-segment"),
+            (4, 2, "leading-segment"),
+        ]
+
     def test_full_vector_kind_for_averaging_strategies(self):
         states = make_states(4)
         plan = RoundPlan(round_index=1, senders=(1,), receivers=(2,))

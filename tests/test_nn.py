@@ -278,7 +278,15 @@ class TestBackward:
         )
 
     @pytest.mark.parametrize(
-        "spec", [ModelSpec.mlp(784), ModelSpec.cnn_small()], ids=["mlp", "cnn-small"]
+        "spec",
+        [
+            ModelSpec.mlp(784),
+            ModelSpec.cnn_small(),
+            ModelSpec.mlp(5, (), 3),  # one layer, both first and last
+            # pooling before the first parameter layer, odd sizes: 13 -> 6 -> 4 -> 2
+            ModelSpec((1, 13, 13), (MaxPoolLayer(2), ConvLayer(1, 2, 3), MaxPoolLayer(2), DenseLayer(8, 3)), 3),
+        ],
+        ids=["mlp", "cnn-small", "single-layer", "pool-first"],
     )
     def test_parameter_gradient_bitwise_equals_full_backward(self, spec):
         # batches of 32, 32 and a smaller last batch of 7, as minibatches yields them
