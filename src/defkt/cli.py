@@ -177,6 +177,9 @@ class RunConfig(HyperParams):
         """Alias of senders_per_round, kept only because perfbench/workloads.py reads it."""
         return self.senders_per_round
 
+    def _setting_name(self, field_name: str) -> str:
+        return next(f"config key {key}" for key, (field, _, _) in _KEYS.items() if field == field_name)
+
     def hyper_for(self, seed: int) -> RunConfig:
         return replace(self, seed=seed)
 
@@ -245,6 +248,8 @@ def resolve_config(file_values: dict | None = None, flags: dict | None = None) -
     ):
         if v[key] not in allowed:
             raise ConfigurationError(f"unknown {key} {v[key]!r}; expected one of {allowed}")
+    if not 0 <= v["lr"] < math.inf:  # else the rates it fills in would name their own keys
+        raise ConfigurationError(f"config key lr: must be nonnegative and finite, got {v['lr']}")
     if v["eval_every"] < 1:
         raise ConfigurationError("eval_every must be at least 1")
     if v["subset"] is not None and v["subset"] < 1:

@@ -72,26 +72,27 @@ class HyperParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.num_clients < 2:
-            raise ConfigurationError("need at least 2 clients")
-        if self.senders_per_round < 0:
-            raise ConfigurationError(f"senders_per_round must be nonnegative, got {self.senders_per_round}")
-        if 2 * self.senders_per_round > self.num_clients:
-            raise ConfigurationError(
-                f"2 * senders_per_round must not exceed num_clients "
-                f"({2 * self.senders_per_round} > {self.num_clients})"
-            )
-        if self.rounds < 0:
-            raise ConfigurationError("rounds must be nonnegative")
-        if self.local_batch_size < 1 or self.mkt_batch_size < 1:
-            raise ConfigurationError("batch sizes must be at least 1")
-        if self.local_passes < 1 or self.mkt_passes < 0:
-            raise ConfigurationError("local_passes must be >= 1 and mkt_passes >= 0")
-        for name in ("local_lr", "mkt_lr_received", "mkt_lr_local"):
-            if not 0 <= getattr(self, name) < np.inf:
-                raise ConfigurationError(f"{name} must be nonnegative and finite")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ConfigurationError("momentum must lie in [0, 1)")
+        def check(ok: bool, field_name: str, rule: str) -> None:
+            if not ok:
+                value = getattr(self, field_name)
+                raise ConfigurationError(f"{self._setting_name(field_name)}: {rule}, got {value}")
+
+        check(self.num_clients >= 2, "num_clients", "need at least 2 clients")
+        check(self.senders_per_round >= 0, "senders_per_round", "must be nonnegative")
+        clients = f"{self._setting_name('num_clients')} ({self.num_clients})"
+        check(2 * self.senders_per_round <= self.num_clients, "senders_per_round",
+              f"twice its value must not exceed {clients}")
+        for field_name, least in (
+            ("rounds", 0), ("local_batch_size", 1), ("mkt_batch_size", 1), ("local_passes", 1), ("mkt_passes", 0),
+        ):
+            check(getattr(self, field_name) >= least, field_name, f"must be at least {least}")
+        for field_name in ("local_lr", "mkt_lr_received", "mkt_lr_local"):
+            check(0 <= getattr(self, field_name) < np.inf, field_name, "must be nonnegative and finite")
+        check(0.0 <= self.momentum < 1.0, "momentum", "must lie in [0, 1)")
+
+    def _setting_name(self, field_name: str) -> str:
+        """How a check's message names a setting: its field here, its config key in RunConfig."""
+        return field_name
 
 
 @dataclass

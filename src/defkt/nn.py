@@ -24,10 +24,11 @@ respect to the input, which no caller reads. sgd_step takes the momentum
 velocity as a plain array and returns the new one.
 
 All operations are pure: no function writes any of its arguments, and
-identical inputs give bitwise-identical outputs. In-place steps (the conv
-bias and ReLU, the conv backward's mask) touch only arrays the same call
-allocated: ConvLayer.backward writes the dx it is handed, which always
+identical inputs give bitwise-identical outputs. In-place steps (the dense
+and conv bias and ReLU, the conv backward's mask) touch only arrays the same
+call allocated: ConvLayer.backward writes the dx it is handed, which always
 comes from the layer above it in the same pass, never from grad_logits.
+DenseLayer.backward masks with np.where, since its dx may be grad_logits.
 """
 
 from __future__ import annotations
@@ -67,11 +68,12 @@ class DenseLayer:
         if x.ndim > 2:
             x = x.reshape(x.shape[0], -1)
         weights, bias = view
-        z = x @ weights + bias
+        z = x @ weights
+        z += bias
         mask = None
         if self.relu:
             mask = z > 0.0
-            z = np.where(mask, z, 0.0)
+            np.copyto(z, 0.0, where=~mask)
         return z, ((x, mask, pre_flatten) if keep else None)
 
     def backward(self, view, entry: tuple, dx: np.ndarray, need_dx: bool) -> tuple[tuple, np.ndarray | None]:

@@ -309,9 +309,23 @@ class TestCmdRun:
         "flags, message",
         [
             (["--seed", "1", "--seed", "1"], "config key seeds: "),
-            (["--senders", "-1"], "senders_per_round must be nonnegative, got -1\n"),
+            (["--senders", "-1"], "config key senders: must be nonnegative, got -1\n"),
+            (["--passes-e", "-1"], "config key passes_e: must be at least 0, got -1\n"),
+            (["--passes-m", "0"], "config key passes_m: must be at least 1, got 0\n"),
+            (["--batch-b1", "0"], "config key batch_b1: must be at least 1, got 0\n"),
+            (["--batch-b2", "0"], "config key batch_b2: must be at least 1, got 0\n"),
+            (["--rounds", "-1"], "config key rounds: must be at least 0, got -1\n"),
+            (["--clients", "1"], "config key clients: need at least 2 clients, got 1\n"),
+            (["--clients", "4", "--senders", "3"],
+             "config key senders: twice its value must not exceed config key clients (4), got 3\n"),
+            (["--momentum", "1"], "config key momentum: must lie in [0, 1), got 1.0\n"),
+            (["--lr", "-1"], "config key lr: must be nonnegative and finite, got -1.0\n"),
         ],
-        ids=["seed-repeated", "senders-negative"],
+        ids=[
+            "seed-repeated", "senders-negative", "passes-e-negative", "passes-m-0", "batch-b1-0",
+            "batch-b2-0", "rounds-negative", "clients-1", "senders-exceed-clients", "momentum-1",
+            "lr-negative",
+        ],
     )
     def test_bad_input_message_names_the_value(self, tmp_path, capsys, flags, message):
         config = write_config(tmp_path)

@@ -1,5 +1,7 @@
 """Metrics tests: evaluation, client aggregates, CSV round trips."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -112,6 +114,58 @@ class TestAggregates:
             )
         }
         assert 0.0 <= local_accuracy(states, SPEC) <= 1.0
+
+
+class TestThreadedEvaluation:
+    """Per-client evaluations on the thread pool give the serial loop's floats."""
+
+    @pytest.fixture
+    def pool_threads(self, monkeypatch):
+        """Sends every evaluation to a two-thread pool; yields the threads that evaluated."""
+        monkeypatch.setattr(metrics, "PARALLEL_EVAL_WORK", 0)
+        monkeypatch.setattr(metrics.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        threads = []
+
+        def recording(*args):
+            threads.append(threading.current_thread())
+            return evaluate(*args)
+
+        monkeypatch.setattr(metrics, "evaluate", recording)
+        before = threading.active_count()
+        yield threads
+        assert threading.active_count() == before  # the pool is joined before the call returns
+
+    def test_global_accuracy_with_partially_shared_models(self, pool_threads):
+        test_data = synth_dataset(3, 20, 6, seed=9)
+        states = {k: client_with(seed, data_seed=k) for k, seed in zip(range(1, 6), (5, 6, 5, 7, 6))}
+        serial = float(np.mean([evaluate(SPEC, states[k].params, test_data) for k in sorted(states)]))
+        assert global_accuracy(states, SPEC, test_data) == serial
+        assert len(pool_threads) == 3  # one evaluation per distinct parameter vector
+        assert threading.main_thread() not in pool_threads
+
+    def test_local_accuracy(self, pool_threads):
+        states = {k: client_with(k, data_seed=10 + k) for k in (1, 2, 3, 4)}
+        serial = float(np.mean([evaluate(SPEC, s.params, s.data.validation) for s in states.values()]))
+        assert local_accuracy(states, SPEC) == serial
+        assert len(pool_threads) == 4
+        assert threading.main_thread() not in pool_threads
+
+    def test_empty_validation_names_lowest_client_before_any_evaluation(self, pool_threads):
+        states = {k: client_with(k, data_seed=k) for k in (1, 2, 3)}
+        for k in (3, 2):  # Dataset refuses zero rows, so empty them after construction
+            states[k].data.validation.inputs = np.empty((0, 6))
+            states[k].data.validation.labels = np.empty(0, dtype=np.int64)
+        with pytest.raises(ConfigurationError, match="client 2 has an empty validation set"):
+            local_accuracy(states, SPEC)
+        assert pool_threads == []
+
+    def test_small_evaluations_stay_on_the_calling_thread(self, monkeypatch):
+        threads = []
+        monkeypatch.setattr(metrics, "evaluate", lambda *a: threads.append(threading.current_thread()) or 0.5)
+        states = {k: client_with(k, data_seed=k) for k in (1, 2, 3)}
+        assert 20 * SPEC.param_count < metrics.PARALLEL_EVAL_WORK
+        global_accuracy(states, SPEC, synth_dataset(3, 20, 6, seed=9))
+        assert threads == [threading.main_thread()] * 3
 
 
 class TestCsv:

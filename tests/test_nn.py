@@ -170,6 +170,22 @@ class TestForward:
         np.testing.assert_array_equal(forward(spec, params, batch), forward(spec, params, batch))
 
 
+    @pytest.mark.parametrize("relu", [True, False], ids=["relu", "linear"])
+    def test_dense_in_place_bias_and_relu_bitwise_equal_np_where(self, relu):
+        # z = x @ W; z += b; copyto(z, 0.0, where=~mask) against np.where(mask, x @ W + b, 0.0)
+        weights = np.array([[1.0, -1.0, 0.0, 2.0], [0.5, 0.0, 0.0, 1.0], [0.0, 1.0, 0.0, -3.0]])
+        bias = np.array([0.0, -0.0, -0.0, 0.25])
+        x = np.array([[-0.0, -0.0, -0.0], [np.nan, 0.0, 1.0], [1.0, -0.0, -1.0], [-1.0, 2.0, 0.5]])
+        pre = x @ weights + bias
+        assert np.isnan(pre[1]).all() and (pre[0, :3] == 0.0).all()
+        expected = np.where(pre > 0.0, pre, 0.0) if relu else pre
+        z, (_, mask, _) = DenseLayer(3, 4, relu=relu).forward((weights, bias), x, keep=True)
+        assert z.tobytes() == expected.tobytes()
+        if relu:
+            assert mask.tobytes() == (pre > 0.0).tobytes()
+        else:
+            assert mask is None
+
     @pytest.mark.parametrize("rows", [7, 32, 100])
     @pytest.mark.parametrize(
         "spec", [ModelSpec.mlp(784), ModelSpec.cnn_small()], ids=["mlp", "cnn-small"]
