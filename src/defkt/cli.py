@@ -33,7 +33,7 @@ import yaml
 from .data import Dataset, label_counts, load_idx, partition, synth_dataset
 from .errors import ConfigurationError, DefktError, LoadError
 from .federation import FusionStrategy, HyperParams, build_client_states, run_experiment
-from .metrics import emit_csv, evaluate
+from .metrics import atomic_open, emit_csv, evaluate
 from .nn import ModelSpec, param_count
 from .seeding import derive_rng, derive_seed
 
@@ -378,11 +378,8 @@ def cmd_run(config: RunConfig) -> int:
             csv_path = out / f"{strategy.value}_{seed}.csv"
             emit_csv(timeline, str(csv_path))
             meta_path = out / f"{strategy.value}_{seed}.meta.json"
-            try:
-                with open(meta_path, "w") as fh:
-                    json.dump(_metadata(hyper, strategy, spec), fh, indent=2, sort_keys=True)
-            except OSError as exc:
-                raise LoadError(f"{meta_path}: {exc}") from exc
+            with atomic_open(meta_path) as fh:
+                json.dump(_metadata(hyper, strategy, spec), fh, indent=2, sort_keys=True)
             final = timeline[-1]
             print(
                 f"{strategy.value} seed={seed}: rounds={final.round} "

@@ -17,13 +17,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
+from typing import Callable
 
 import numpy as np
 
 from .data import ClientData, Dataset, minibatches, train_val_split
 from .errors import ConfigurationError, NumericalError
 from .losses import cross_entropy_grad_logits, mutual_loss_grad_logits, softmax
-from .metrics import MetricsRecord, global_accuracy, local_accuracy
+from .metrics import MetricsRecord, check_record_inputs, evaluation_pool, submit_record
 from .nn import (
     ModelSpec,
     backward_from_cache,
@@ -355,27 +356,34 @@ def run_experiment(
     Metrics are recorded at round 0 (the shared initial model), every
     eval_every rounds, and at the final round. Returns the metrics
     timeline and the final client states.
+
+    Each record's evaluations go to one pool opened for the run (see
+    metrics), and training goes straight on; the record is collected at the
+    next record point or after the final round. The timeline is bitwise that
+    of evaluating each record in place. Input errors a record would raise
+    are raised before round 1; an error in a pooled evaluation is raised
+    when its record is collected, after the pool is joined.
     """
     if eval_every < 1:
         raise ConfigurationError("eval_every must be at least 1")
+    check_record_inputs(spec, clients, test_data)
     states = dict(clients)
     if comm is None:
         comm = CommLog()
+    datasets = [test_data] + [client.data.validation for client in states.values()]
+    with evaluation_pool(spec, datasets) as pool:
 
-    def record(round_index: int) -> MetricsRecord:
-        return MetricsRecord(
-            round=round_index,
-            strategy=strategy.value,
-            seed=hyper.seed,
-            global_acc=global_accuracy(states, spec, test_data),
-            local_acc=local_accuracy(states, spec),
-            scalars_transmitted=comm.total_scalars,
-        )
+        def submit(round_index: int) -> Callable[[], MetricsRecord]:
+            accuracies, scalars = submit_record(pool, spec, states, test_data), comm.total_scalars
+            return lambda: MetricsRecord(round_index, strategy.value, hyper.seed, *accuracies(), scalars)
 
-    timeline = [record(0)]
-    for round_index in range(1, hyper.rounds + 1):
-        plan = select_round(hyper.num_clients, hyper.senders_per_round, round_index, hyper.seed)
-        states = run_round(states, plan, strategy, hyper, spec, comm=comm, reduction=reduction)
-        if round_index % eval_every == 0 or round_index == hyper.rounds:
-            timeline.append(record(round_index))
+        timeline = []
+        pending = submit(0)
+        for round_index in range(1, hyper.rounds + 1):
+            plan = select_round(hyper.num_clients, hyper.senders_per_round, round_index, hyper.seed)
+            states = run_round(states, plan, strategy, hyper, spec, comm=comm, reduction=reduction)
+            if round_index % eval_every == 0 or round_index == hyper.rounds:
+                timeline.append(pending())
+                pending = submit(round_index)
+        timeline.append(pending())
     return timeline, states

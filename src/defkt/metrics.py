@@ -1,37 +1,49 @@
 """Model evaluation, accuracy aggregates over clients, CSV emission.
 
-global_accuracy and local_accuracy evaluate their per-client models on one
-thread per usable CPU when one model's evaluation is large (rows x
-parameters at least PARALLEL_EVAL_WORK), and in a plain loop otherwise. The
-results are bitwise identical either way: each evaluation is one forward,
-single-threaded BLAS work when the run pins one BLAS thread, on arrays no
-other task writes, and the pool returns the accuracies in client order, so
-the mean sums the same list.
+A record's evaluations (each distinct parameter vector on the shared test
+set, every client on its own validation set) are tasks submitted together
+and collected later. evaluation_pool opens a pool of usable CPUs - 1 threads
+when more than one CPU is usable and the smallest evaluation's rows x
+parameters reach PARALLEL_EVAL_WORK; otherwise each task is evaluated as it
+is submitted. The collecting thread evaluates, last first, every task no
+pool thread has started, so at most one thread per CPU computes.
+run_experiment keeps one pool for the run; global_accuracy and
+local_accuracy open one per call.
+
+The accuracies are bitwise those of a plain loop: each evaluation is one
+single-threaded forward (one BLAS thread) on vectors nothing writes (the
+purity contract in nn), and each mean sums the per-client list in client
+order. A task drops its vector once evaluated, and a pending record keeps
+slot indices, not the vectors or their bytes.
 """
 
 from __future__ import annotations
 
 import csv
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .data import Dataset
 from .errors import ConfigurationError, LoadError
-from .nn import Batch, ModelSpec, forward
+from .nn import Batch, ModelSpec, check_features, forward
 
 CSV_FIELDS = ("round", "strategy", "seed", "global_acc", "local_acc", "scalars_transmitted")
 # Rows per evaluation forward. The chunk fixes the GEMM row count and so the
 # bits of the logits: the reference MLP's logits on 1,000 rows differ bitwise
 # between one call and two 500-row chunks. Changing it can change accuracies.
 EVAL_CHUNK_ROWS = 2048
-# Rows x parameters of one model's evaluation (a dense model's multiply-adds)
-# from which the per-client evaluations run on threads. With one BLAS thread
-# on 2 cores, ten threaded evaluations took 1.3x the serial time at 3e6,
-# broke even near 1e7 and took 0.7x at 2.4e7 (a reference-MLP validation
-# set) and 0.5x at 2e8 (its 1,000-row test set). The README quick-start's
-# 32x32 MLP (7e5) and cnn-small on 100 rows (5e5) stay on the plain loop.
+# Rows x parameters of the smallest evaluation (a dense model's multiply-adds)
+# from which evaluations go to a pool. Sized with a pool opened per call: with
+# one BLAS thread on 2 cores, ten threaded evaluations took 1.3x the serial
+# time at 3e6, broke even near 1e7 and took 0.7x at 2.4e7 (a reference-MLP
+# validation set) and 0.5x at 2e8 (its 1,000-row test set). A run opens its
+# pool once, so the break-even for records may be lower (not measured); no
+# workload lies between 2.4e7 and the README quick-start's 32x32 MLP (7e5) or
+# cnn-small on 100 rows (5e5), which stay inline, so the value was kept.
 PARALLEL_EVAL_WORK = 10_000_000
 
 
@@ -60,64 +72,169 @@ def evaluate(spec: ModelSpec, params: np.ndarray, data: Dataset) -> float:
     return correct / len(data)
 
 
-def _evaluate_all(spec: ModelSpec, tasks: list[tuple[np.ndarray, Dataset]]) -> list[float]:
-    """evaluate() of each (params, data) task, in task order.
+@contextmanager
+def evaluation_pool(spec: ModelSpec, datasets: list[Dataset]):
+    """Yield a pool of usable CPUs - 1 threads for evaluations on `datasets`, or None.
 
-    When the smallest task's rows x parameters reach PARALLEL_EVAL_WORK, the
-    tasks run on min(usable CPUs, tasks) threads of a pool that is joined
-    before the call returns; otherwise in a plain loop.
+    None when one CPU is usable or the smallest dataset's rows x parameters
+    fall below PARALLEL_EVAL_WORK. On exit, tasks no thread has started are
+    cancelled and the pool's threads are joined.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    workers = min(cpus, len(tasks))
-    if workers < 2 or min(len(data) for _, data in tasks) * spec.param_count < PARALLEL_EVAL_WORK:
-        return [evaluate(spec, params, data) for params, data in tasks]
+    if cpus < 2 or min(len(data) for data in datasets) * spec.param_count < PARALLEL_EVAL_WORK:
+        yield None
+        return
     from concurrent.futures import ThreadPoolExecutor
 
-    with ThreadPoolExecutor(workers) as pool:
-        return list(pool.map(lambda task: evaluate(spec, *task), tasks))
+    pool = ThreadPoolExecutor(cpus - 1)
+    try:
+        yield pool
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
+class _Task:
+    """One evaluate() call, made once: by a pool thread, or by the collecting thread if none started it.
+
+    Without a pool it is made at once.
+    """
+
+    def __init__(self, pool, spec: ModelSpec, params: np.ndarray, data: Dataset):
+        self._args = (spec, params, data)
+        self._future = None if pool is None else pool.submit(self._run)
+        self._value = self._run() if pool is None else None
+
+    def _run(self) -> float:
+        args, self._args = self._args, None  # keep no vector once evaluated
+        return evaluate(*args)
+
+    def take_over(self) -> None:
+        """Evaluate on this thread if no pool thread has started."""
+        if self._future is not None and self._future.cancel():
+            self._future, self._value = None, self._run()
+
+    def result(self) -> float:
+        """The accuracy; an error the evaluation raised is raised here."""
+        return self._value if self._future is None else self._future.result()
+
+
+def _collect(tasks: list[_Task]) -> list[float]:
+    """The tasks' accuracies in order, taking over, last first, those no pool thread has started."""
+    for task in reversed(tasks):
+        task.take_over()
+    return [task.result() for task in tasks]
+
+
+def _test_tasks(pool, spec: ModelSpec, states: dict, test: Dataset) -> tuple[list[int], list[_Task]]:
+    """One test-set task per distinct parameter vector, and each client's slot among them in client order.
+
+    Clients holding bitwise-identical parameters (common early in a run,
+    when most still carry the shared initialization) share a slot.
+    """
+    slot_of: dict[bytes, int] = {}
+    tasks: list[_Task] = []
+    slots = []
+    for k in sorted(states):
+        key = states[k].params.tobytes()
+        if key not in slot_of:
+            slot_of[key] = len(tasks)
+            tasks.append(_Task(pool, spec, states[k].params, test))
+        slots.append(slot_of[key])
+    return slots, tasks
+
+
+def _validation_tasks(pool, spec: ModelSpec, states: dict) -> list[_Task]:
+    """One task per client on its own validation set, in client order."""
+    return [_Task(pool, spec, states[k].params, states[k].data.validation) for k in sorted(states)]
+
+
+def _check_validation_sets(states: dict) -> None:
+    for k in sorted(states):
+        if len(states[k].data.validation) < 1:
+            raise ConfigurationError(f"client {k} has an empty validation set")
+
+
+def check_record_inputs(spec: ModelSpec, states: dict, test: Dataset) -> None:
+    """Raise the input errors a record would raise: a test set of the wrong width, an empty validation set."""
+    check_features(spec, test.inputs)
+    _check_validation_sets(states)
+
+
+def submit_record(pool, spec: ModelSpec, states: dict, test: Dataset) -> Callable[[], tuple[float, float]]:
+    """Hand a record's evaluations to `pool`; the returned function collects (global_acc, local_acc).
+
+    Without a pool both accuracies are computed before this returns, by
+    global_accuracy and local_accuracy.
+    """
+    if pool is None:
+        accuracies = global_accuracy(states, spec, test), local_accuracy(states, spec)
+        return lambda: accuracies
+    slots, tests = _test_tasks(pool, spec, states, test)
+    validations = _validation_tasks(pool, spec, states)
+
+    def collect() -> tuple[float, float]:
+        results = _collect(tests + validations)
+        return float(np.mean([results[s] for s in slots])), float(np.mean(results[len(tests):]))
+    return collect
 
 
 def global_accuracy(states: dict, spec: ModelSpec, test: Dataset) -> float:
     """Unweighted mean over all clients of their accuracy on the shared test set.
 
-    Clients holding bitwise-identical parameters (common early in a run,
-    when most still carry the shared initialization) are evaluated once.
+    Clients holding bitwise-identical parameters are evaluated once.
     """
-    keys = [states[k].params.tobytes() for k in sorted(states)]
-    distinct = {key: states[k].params for key, k in zip(keys, sorted(states))}  # equal keys, equal bits
-    memo = dict(zip(distinct, _evaluate_all(spec, [(params, test) for params in distinct.values()])))
-    return float(np.mean([memo[key] for key in keys]))
+    with evaluation_pool(spec, [test]) as pool:
+        slots, tasks = _test_tasks(pool, spec, states, test)
+        results = _collect(tasks)
+    return float(np.mean([results[s] for s in slots]))
 
 
 def local_accuracy(states: dict, spec: ModelSpec) -> float:
     """Unweighted mean over clients of each model's accuracy on its own validation set."""
-    for k in sorted(states):
-        if len(states[k].data.validation) < 1:
-            raise ConfigurationError(f"client {k} has an empty validation set")
-    tasks = [(states[k].params, states[k].data.validation) for k in sorted(states)]
-    return float(np.mean(_evaluate_all(spec, tasks)))
+    _check_validation_sets(states)
+    with evaluation_pool(spec, [s.data.validation for s in states.values()]) as pool:
+        return float(np.mean(_collect(_validation_tasks(pool, spec, states))))
+
+
+@contextmanager
+def atomic_open(path):
+    """A text file that takes the place of `path` only once every write to it has succeeded.
+
+    It is written as a temporary file in the same directory and then moved
+    over `path`. On failure the temporary file is removed, `path` keeps what
+    it held, and an OSError is raised as LoadError naming `path`.
+    """
+    directory, name = os.path.split(os.path.abspath(path))
+    temporary = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
+    try:
+        with open(temporary, "w", newline="") as fh:
+            yield fh
+        os.replace(temporary, path)
+    except BaseException as exc:
+        if os.path.exists(temporary):
+            os.unlink(temporary)
+        if isinstance(exc, OSError):
+            raise LoadError(f"{path}: {exc}") from exc
+        raise
 
 
 def emit_csv(timeline: list[MetricsRecord], path: str) -> None:
     """Write the timeline ordered by round; accuracies carry 6 decimal places."""
     rows = sorted(timeline, key=lambda r: r.round)
-    try:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(CSV_FIELDS)
-            for rec in rows:
-                writer.writerow(
-                    [
-                        rec.round,
-                        rec.strategy,
-                        rec.seed,
-                        f"{rec.global_acc:.6f}",
-                        f"{rec.local_acc:.6f}",
-                        rec.scalars_transmitted,
-                    ]
-                )
-    except OSError as exc:
-        raise LoadError(f"{path}: {exc}") from exc
+    with atomic_open(path) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(CSV_FIELDS)
+        for rec in rows:
+            writer.writerow(
+                [
+                    rec.round,
+                    rec.strategy,
+                    rec.seed,
+                    f"{rec.global_acc:.6f}",
+                    f"{rec.local_acc:.6f}",
+                    rec.scalars_transmitted,
+                ]
+            )
 
 
 def read_csv(path: str) -> list[MetricsRecord]:

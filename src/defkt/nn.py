@@ -342,12 +342,15 @@ def _maxpool_backward(dy: np.ndarray, argmax: np.ndarray, in_shape: tuple[int, .
     return dx
 
 
+def check_features(spec: ModelSpec, inputs: np.ndarray) -> None:
+    """Raise unless each row of the (B, d) matrix `inputs` has the model's input_dim features."""
+    if inputs.shape[1] != spec.input_dim:
+        raise ConfigurationError(f"batch has {inputs.shape[1]} input features, model expects {spec.input_dim}")
+
+
 def _forward(spec: ModelSpec, params: np.ndarray, batch: Batch, cache: list | None) -> np.ndarray:
     """Logits for a batch; appends one entry per layer to `cache` unless it is None."""
-    if batch.inputs.shape[1] != spec.input_dim:
-        raise ConfigurationError(
-            f"batch has {batch.inputs.shape[1]} input features, model expects {spec.input_dim}"
-        )
+    check_features(spec, batch.inputs)
     views = _unpack(spec, np.asarray(params, dtype=np.float64))
     x: np.ndarray = batch.inputs
     if len(spec.input_shape) == 3:

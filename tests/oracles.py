@@ -6,6 +6,9 @@ they cannot share a bug with the vectorized implementations they check.
 
 from __future__ import annotations
 
+import threading
+import time
+
 import numpy as np
 
 from defkt.federation import CommLog
@@ -223,3 +226,35 @@ class RecordingLog(CommLog):
     def record(self, message) -> None:
         super().record(message)
         self.messages.append(message)
+
+
+class ComputeProbe:
+    """Wraps functions that compute; keeps the thread of every call, the most calls running at once,
+    and which wrapped functions ran at the same time.
+
+    A wrapped call sleeps `pause` seconds first, so that calls on different
+    threads overlap when the code lets them.
+    """
+
+    def __init__(self, pause: float = 0.0):
+        self.pause = pause
+        self.threads = []
+        self.peak = 0
+        self.together = set()
+        self._running = []
+        self._lock = threading.Lock()
+
+    def wrap(self, fn):
+        def probed(*args, **kwargs):
+            with self._lock:
+                self._running.append(fn.__name__)
+                self.peak = max(self.peak, len(self._running))
+                self.together.add(frozenset(self._running))
+                self.threads.append(threading.current_thread())
+            try:
+                time.sleep(self.pause)
+                return fn(*args, **kwargs)
+            finally:
+                with self._lock:
+                    self._running.remove(fn.__name__)
+        return probed

@@ -332,6 +332,22 @@ class TestCmdRun:
         assert main(["run", "--config", config, "--out", str(tmp_path / "runs"), *flags]) == 1
         assert message in capsys.readouterr().err
 
+    def test_failed_metadata_write_keeps_the_earlier_file(self, tmp_path, monkeypatch, capsys):
+        config = write_config(tmp_path, strategy="defkt", seeds=[1])
+        out = tmp_path / "runs"
+        assert main(["run", "--config", config, "--out", str(out)]) == 0
+        earlier = (out / "defkt_1.meta.json").read_bytes()
+
+        def failing_dump(obj, fh, **kwargs):
+            fh.write("{")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(json, "dump", failing_dump)
+        assert main(["run", "--config", config, "--out", str(out)]) == 2
+        assert "defkt_1.meta.json: disk full" in capsys.readouterr().err
+        assert (out / "defkt_1.meta.json").read_bytes() == earlier
+        assert sorted(p.name for p in out.iterdir()) == ["defkt_1.csv", "defkt_1.meta.json"]
+
     # "file" is a regular file; "runs" holds a directory where the metadata file goes
     @pytest.mark.parametrize(
         "target", ["file", "file/sub", "runs"], ids=["out-is-file", "out-under-file", "meta-path-is-dir"]

@@ -1,8 +1,17 @@
 """Protocol tests: round selection, local updates, the three fusions, full runs."""
 
+import os
+import subprocess
+import sys
+import threading
+import time
+import weakref
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from defkt import federation, metrics
 from defkt.data import ClientData, synth_dataset, train_val_split
 from defkt.errors import ConfigurationError, NumericalError
 from defkt.federation import (
@@ -25,7 +34,7 @@ from defkt.metrics import evaluate
 from defkt.nn import Batch, ModelSpec, forward, init_params, param_count, sgd_step
 from defkt.seeding import derive_rng
 
-from oracles import RecordingLog, backward
+from oracles import ComputeProbe, RecordingLog, backward
 
 
 SPEC = ModelSpec.mlp(6, (5,), 3)
@@ -452,15 +461,16 @@ class TestBuildClientStates:
             build_client_states(SPEC, [data], tiny_hyper())
 
 
-class TestRunExperiment:
-    def experiment_states(self, hyper):
-        data = synth_dataset(3, 40, 6, seed=1)
-        shards = [data.subset(np.arange(i * 30, (i + 1) * 30)) for i in range(hyper.num_clients)]
-        return build_client_states(SPEC, shards, hyper)
+def experiment_states(hyper: HyperParams) -> dict[int, ClientState]:
+    data = synth_dataset(3, 40, 6, seed=1)
+    shards = [data.subset(np.arange(i * 30, (i + 1) * 30)) for i in range(hyper.num_clients)]
+    return build_client_states(SPEC, shards, hyper)
 
+
+class TestRunExperiment:
     def test_zero_rounds_single_shared_evaluation(self):
         hyper = tiny_hyper(rounds=0)
-        states = self.experiment_states(hyper)
+        states = experiment_states(hyper)
         test_data = synth_dataset(3, 20, 6, seed=2)
         timeline, final = run_experiment(SPEC, hyper, FusionStrategy.DEFKT, states, test_data)
         assert len(timeline) == 1
@@ -473,15 +483,15 @@ class TestRunExperiment:
     def test_deterministic_timeline(self, strategy):
         hyper = tiny_hyper(rounds=6)
         test_data = synth_dataset(3, 20, 6, seed=2)
-        a, _ = run_experiment(SPEC, hyper, strategy, self.experiment_states(hyper), test_data, eval_every=2)
-        b, _ = run_experiment(SPEC, hyper, strategy, self.experiment_states(hyper), test_data, eval_every=2)
+        a, _ = run_experiment(SPEC, hyper, strategy, experiment_states(hyper), test_data, eval_every=2)
+        b, _ = run_experiment(SPEC, hyper, strategy, experiment_states(hyper), test_data, eval_every=2)
         assert a == b
 
     def test_evaluation_schedule(self):
         hyper = tiny_hyper(rounds=7)
         test_data = synth_dataset(3, 20, 6, seed=2)
         timeline, _ = run_experiment(
-            SPEC, hyper, FusionStrategy.FULLAVG, self.experiment_states(hyper), test_data, eval_every=3
+            SPEC, hyper, FusionStrategy.FULLAVG, experiment_states(hyper), test_data, eval_every=3
         )
         assert [r.round for r in timeline] == [0, 3, 6, 7]
 
@@ -489,7 +499,7 @@ class TestRunExperiment:
         hyper = tiny_hyper(rounds=4)
         test_data = synth_dataset(3, 20, 6, seed=2)
         timeline, _ = run_experiment(
-            SPEC, hyper, FusionStrategy.COMBO, self.experiment_states(hyper), test_data, eval_every=1
+            SPEC, hyper, FusionStrategy.COMBO, experiment_states(hyper), test_data, eval_every=1
         )
         expected = [t * param_count(SPEC) for t in range(5)]
         assert [r.scalars_transmitted for r in timeline] == expected
@@ -498,7 +508,144 @@ class TestRunExperiment:
         hyper = tiny_hyper(num_clients=4, rounds=60, seed=5)
         test_data = synth_dataset(3, 50, 6, seed=2)
         timeline, _ = run_experiment(
-            SPEC, hyper, FusionStrategy.DEFKT, self.experiment_states(hyper), test_data, eval_every=60
+            SPEC, hyper, FusionStrategy.DEFKT, experiment_states(hyper), test_data, eval_every=60
         )
         assert timeline[-1].global_acc > timeline[0].global_acc
         assert timeline[-1].global_acc > 1.0 / 3.0  # clearly above the random baseline
+
+
+def eventually(condition, timeout: float = 10.0) -> bool:
+    deadline = time.monotonic() + timeout
+    while not condition():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.001)
+    return True
+
+
+class TestOverlappedRecords:
+    """Records evaluated on the run's pool while the next rounds train."""
+
+    TEST_DATA = synth_dataset(3, 20, 6, seed=2)
+
+    @pytest.fixture
+    def cpus(self, monkeypatch):
+        """Sends every record to the evaluation pool of a host with the given CPU count."""
+        def use(count: int) -> None:
+            monkeypatch.setattr(metrics, "PARALLEL_EVAL_WORK", 0)
+            monkeypatch.setattr(metrics.os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+        return use
+
+    def run(self, strategy=FusionStrategy.DEFKT, eval_every=1, rounds=7, **overrides):
+        hyper = tiny_hyper(rounds=rounds, **overrides)
+        return run_experiment(SPEC, hyper, strategy, experiment_states(hyper), self.TEST_DATA, eval_every=eval_every)
+
+    @pytest.mark.parametrize("eval_every", [1, 3])
+    @pytest.mark.parametrize("strategy", list(FusionStrategy))
+    def test_timeline_and_states_equal_the_serial_run(self, cpus, strategy, eval_every):
+        serial, serial_states = self.run(strategy, eval_every)
+        cpus(2)
+        overlapped, states = self.run(strategy, eval_every)
+        assert overlapped == serial
+        assert [r.round for r in overlapped] == ([0, 1, 2, 3, 4, 5, 6, 7] if eval_every == 1 else [0, 3, 6, 7])
+        assert all(states[k].params.tobytes() == serial_states[k].params.tobytes() for k in states)
+
+    def test_at_most_one_computing_thread_per_cpu(self, cpus, monkeypatch):
+        cpus(2)
+        probe = ComputeProbe(pause=0.002)
+        monkeypatch.setattr(metrics, "evaluate", probe.wrap(evaluate))
+        monkeypatch.setattr(federation, "run_round", probe.wrap(run_round))  # the trainer
+        self.run(eval_every=2)
+        assert probe.peak <= 2
+        assert frozenset({"evaluate", "run_round"}) in probe.together  # a record overlapped training
+
+    def test_one_cpu_evaluates_everything_on_the_calling_thread(self, cpus, monkeypatch):
+        serial, _ = self.run()
+        cpus(1)
+        probe = ComputeProbe()
+        monkeypatch.setattr(metrics, "evaluate", probe.wrap(evaluate))
+        before = threading.active_count()
+        assert self.run()[0] == serial
+        assert set(probe.threads) == {threading.main_thread()}
+        assert threading.active_count() == before
+
+    def test_inline_run_imports_no_executor(self):
+        """Below the gate no pool is opened, so a fresh interpreter never imports concurrent.futures."""
+        code = (
+            "import sys, numpy as np\n"
+            "from defkt.data import synth_dataset\n"
+            "from defkt.federation import FusionStrategy, HyperParams, build_client_states, run_experiment\n"
+            "from defkt.nn import ModelSpec\n"
+            "spec = ModelSpec.mlp(6, (5,), 3)\n"
+            "hyper = HyperParams(4, 1, 3, 8, 1, 0.05, 8, 1, 0.05, 0.05, 0.5)\n"
+            "data = synth_dataset(3, 40, 6, seed=1)\n"
+            "shards = [data.subset(np.arange(i * 30, (i + 1) * 30)) for i in range(4)]\n"
+            "states = build_client_states(spec, shards, hyper)\n"
+            "run_experiment(spec, hyper, FusionStrategy.DEFKT, states, synth_dataset(3, 20, 6, seed=2))\n"
+            "print('concurrent.futures' in sys.modules)\n"
+        )
+        src = str(Path(federation.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"
+
+    def test_no_thread_outlives_the_run(self, cpus, monkeypatch):
+        cpus(2)
+        before = threading.active_count()
+        self.run()
+        assert threading.active_count() == before
+
+        class EvaluationFailed(Exception):
+            pass
+
+        def failing(spec, params, data):
+            if threading.current_thread() is not threading.main_thread():
+                raise EvaluationFailed("failed on a pool thread")
+            return evaluate(spec, params, data)
+
+        monkeypatch.setattr(metrics, "evaluate", failing)
+        with pytest.raises(EvaluationFailed, match="failed on a pool thread"):
+            self.run()
+        assert threading.active_count() == before
+
+    def test_a_vector_is_freed_once_evaluated_while_its_record_is_pending(self, cpus, monkeypatch):
+        """Record 3 is collected after round 6; the vectors it holds that round 4 replaces die before round 5."""
+        cpus(2)
+        hyper = tiny_hyper(rounds=7)
+        clients = experiment_states(hyper)
+        initial = {id(c.params) for c in clients.values()}  # kept alive by `clients`
+        replaced = []  # (round, weakref) of each non-initial vector a round replaced
+        checked = []
+
+        def tracking(states, plan, *args, **kwargs):
+            for round_index, ref in replaced:
+                assert eventually(lambda: ref() is None), f"vector replaced in round {round_index} still alive"
+                checked.append(round_index)
+            new_states = run_round(states, plan, *args, **kwargs)
+            replaced.extend(
+                (plan.round_index, weakref.ref(states[k].params))
+                for k in states if new_states[k].params is not states[k].params and id(states[k].params) not in initial
+            )
+            return new_states
+
+        monkeypatch.setattr(federation, "run_round", tracking)
+        run_experiment(SPEC, hyper, FusionStrategy.FULLAVG, clients, self.TEST_DATA, eval_every=3)
+        assert 4 in checked  # a vector of pending record 3, replaced in round 4, was seen dead
+
+    def test_bad_evaluation_input_fails_before_round_one(self, cpus, monkeypatch):
+        cpus(2)
+        probe = ComputeProbe()
+        monkeypatch.setattr(metrics, "evaluate", probe.wrap(evaluate))
+        monkeypatch.setattr(federation, "run_round", probe.wrap(run_round))
+        hyper = tiny_hyper()
+        wide = synth_dataset(3, 20, 7, seed=2)
+        with pytest.raises(ConfigurationError, match="batch has 7 input features, model expects 6"):
+            run_experiment(SPEC, hyper, FusionStrategy.DEFKT, experiment_states(hyper), wide)
+        states = experiment_states(hyper)
+        for k in (4, 2):  # Dataset refuses zero rows, so empty them after construction
+            states[k].data.validation.inputs = np.empty((0, 6))
+            states[k].data.validation.labels = np.empty(0, dtype=np.int64)
+        with pytest.raises(ConfigurationError, match="client 2 has an empty validation set"):
+            run_experiment(SPEC, hyper, FusionStrategy.DEFKT, states, self.TEST_DATA)
+        assert probe.threads == []

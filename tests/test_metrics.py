@@ -19,7 +19,7 @@ from defkt.metrics import (
 )
 from defkt.nn import Batch, ModelSpec, forward, init_params, param_count
 
-from oracles import accuracy_by_loop
+from oracles import ComputeProbe, accuracy_by_loop
 
 
 SPEC = ModelSpec.mlp(6, (5,), 3)
@@ -117,47 +117,47 @@ class TestAggregates:
 
 
 class TestThreadedEvaluation:
-    """Per-client evaluations on the thread pool give the serial loop's floats."""
+    """Evaluations on the pool, with the caller taking over what no pool thread started, give the serial loop's floats."""
 
     @pytest.fixture
-    def pool_threads(self, monkeypatch):
-        """Sends every evaluation to a two-thread pool; yields the threads that evaluated."""
+    def probe(self, monkeypatch):
+        """Sends every evaluation to the pool of a two-CPU host; yields the probe around evaluate."""
         monkeypatch.setattr(metrics, "PARALLEL_EVAL_WORK", 0)
         monkeypatch.setattr(metrics.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        threads = []
-
-        def recording(*args):
-            threads.append(threading.current_thread())
-            return evaluate(*args)
-
-        monkeypatch.setattr(metrics, "evaluate", recording)
+        probe = ComputeProbe(pause=0.002)
+        monkeypatch.setattr(metrics, "evaluate", probe.wrap(evaluate))
         before = threading.active_count()
-        yield threads
+        yield probe
         assert threading.active_count() == before  # the pool is joined before the call returns
 
-    def test_global_accuracy_with_partially_shared_models(self, pool_threads):
+    def assert_one_thread_per_cpu(self, probe):
+        """The one pool thread of a two-CPU host took part, beside the caller and never more."""
+        assert probe.peak <= 2
+        assert len(set(probe.threads) - {threading.main_thread()}) == 1
+
+    def test_global_accuracy_with_partially_shared_models(self, probe):
         test_data = synth_dataset(3, 20, 6, seed=9)
         states = {k: client_with(seed, data_seed=k) for k, seed in zip(range(1, 6), (5, 6, 5, 7, 6))}
         serial = float(np.mean([evaluate(SPEC, states[k].params, test_data) for k in sorted(states)]))
         assert global_accuracy(states, SPEC, test_data) == serial
-        assert len(pool_threads) == 3  # one evaluation per distinct parameter vector
-        assert threading.main_thread() not in pool_threads
+        assert len(probe.threads) == 3  # one evaluation per distinct parameter vector
+        self.assert_one_thread_per_cpu(probe)
 
-    def test_local_accuracy(self, pool_threads):
+    def test_local_accuracy(self, probe):
         states = {k: client_with(k, data_seed=10 + k) for k in (1, 2, 3, 4)}
         serial = float(np.mean([evaluate(SPEC, s.params, s.data.validation) for s in states.values()]))
         assert local_accuracy(states, SPEC) == serial
-        assert len(pool_threads) == 4
-        assert threading.main_thread() not in pool_threads
+        assert len(probe.threads) == 4
+        self.assert_one_thread_per_cpu(probe)
 
-    def test_empty_validation_names_lowest_client_before_any_evaluation(self, pool_threads):
+    def test_empty_validation_names_lowest_client_before_any_evaluation(self, probe):
         states = {k: client_with(k, data_seed=k) for k in (1, 2, 3)}
         for k in (3, 2):  # Dataset refuses zero rows, so empty them after construction
             states[k].data.validation.inputs = np.empty((0, 6))
             states[k].data.validation.labels = np.empty(0, dtype=np.int64)
         with pytest.raises(ConfigurationError, match="client 2 has an empty validation set"):
             local_accuracy(states, SPEC)
-        assert pool_threads == []
+        assert probe.threads == []
 
     def test_small_evaluations_stay_on_the_calling_thread(self, monkeypatch):
         threads = []
@@ -215,6 +215,21 @@ class TestCsv:
         path.write_text("a,b\n1,2\n")
         with pytest.raises(LoadError):
             read_csv(str(path))
+
+    def test_failed_write_keeps_the_earlier_file(self, tmp_path):
+        path = tmp_path / "out.csv"
+        emit_csv(self.records(), str(path))
+        earlier = path.read_bytes()
+
+        class Unwritable(float):
+            def __format__(self, spec):
+                raise OSError("disk full")
+
+        failing = [MetricsRecord(0, "defkt", 1, 0.5, 0.5, 0), MetricsRecord(10, "defkt", 1, Unwritable(0.5), 0.5, 1)]
+        with pytest.raises(LoadError, match="out.csv: disk full"):
+            emit_csv(failing, str(path))  # fails after its first row
+        assert path.read_bytes() == earlier
+        assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
 
     def test_unwritable_path_raises_with_path(self, tmp_path):
         bad = tmp_path / "nope" / "out.csv"
