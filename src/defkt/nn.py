@@ -25,10 +25,18 @@ velocity as a plain array and returns the new one.
 
 All operations are pure: no function writes any of its arguments, and
 identical inputs give bitwise-identical outputs. In-place steps (the dense
-and conv bias and ReLU, the conv backward's mask) touch only arrays the same
-call allocated: ConvLayer.backward writes the dx it is handed, which always
-comes from the layer above it in the same pass, never from grad_logits.
-DenseLayer.backward masks with np.where, since its dx may be grad_logits.
+and conv bias and ReLU, the backward ReLU masks) touch only arrays the same
+pass allocated. A ReLU layer is never last (ModelSpec requires a linear final
+layer), so the dx its backward masks in place always comes from the layer
+above it in the same pass, never from the caller's grad_logits.
+
+The ReLU kernels are branch-free and give the bits of np.where. Forward,
+_relu applies fmax(z, 0), which maps negatives, -inf and NaN to +0.0 and
+keeps positives and +inf, then adds +0.0, which under round-to-nearest turns
+a -0.0 into +0.0 (IEEE leaves fmax's sign on a zero tie open) and changes no
+other value: the result is np.where(z > 0, z, 0.0). Backward, _mask_grad ANDs
+dx's 64-bit patterns with 0 or all ones, so kept elements keep their exact
+bits, inf and NaN included, and the others become +0.0, whose pattern is 0.
 """
 
 from __future__ import annotations
@@ -70,17 +78,16 @@ class DenseLayer:
         weights, bias = view
         z = x @ weights
         z += bias
-        mask = None
         if self.relu:
-            mask = z > 0.0
-            np.copyto(z, 0.0, where=~mask)
-        return z, ((x, mask, pre_flatten) if keep else None)
+            _relu(z)
+        return z, ((x, z > 0.0 if self.relu else None, pre_flatten) if keep else None)
 
     def backward(self, view, entry: tuple, dx: np.ndarray, need_dx: bool) -> tuple[tuple, np.ndarray | None]:
         x_in, mask, pre_flatten = entry
-        dz = np.where(mask, dx, 0.0) if mask is not None else dx  # dx may be the caller's grad_logits
-        grads = (x_in.T @ dz, dz.sum(axis=0))
-        return grads, ((dz @ view[0].T).reshape(pre_flatten) if need_dx else None)
+        if mask is not None:  # a ReLU layer is never last, so dx is this pass's array
+            _mask_grad(dx, mask)
+        grads = (x_in.T @ dx, dx.sum(axis=0))
+        return grads, ((dx @ view[0].T).reshape(pre_flatten) if need_dx else None)
 
 
 @dataclass(frozen=True)
@@ -118,17 +125,15 @@ class ConvLayer:
         z = cols @ weights.reshape(self.out_channels, -1).T
         z += bias
         z = z.transpose(0, 2, 1).reshape(n, self.out_channels, h - self.kernel + 1, w - self.kernel + 1)
-        mask = None
         if self.relu:
-            mask = z > 0.0
-            np.copyto(z, 0.0, where=~mask)
-        return z, ((cols, mask, x.shape) if keep else None)
+            _relu(z)
+        return z, ((cols, z > 0.0 if self.relu else None, x.shape) if keep else None)
 
     def backward(self, view, entry: tuple, dx: np.ndarray, need_dx: bool) -> tuple[tuple, np.ndarray | None]:
         cols, mask, in_shape = entry
         weights, _ = view
-        if mask is not None:  # dx was allocated by this pass, never the caller's
-            np.copyto(dx, 0.0, where=~mask)
+        if mask is not None:  # a ReLU layer is never last, so dx is this pass's array
+            _mask_grad(dx, mask)
         n, out_ch, out_h, out_w = dx.shape
         dz_flat = dx.reshape(n, out_ch, out_h * out_w)
         dw_mat = np.einsum("bop,bpf->of", dz_flat, cols)
@@ -333,13 +338,31 @@ def _maxpool(x: np.ndarray, s: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _maxpool_backward(dy: np.ndarray, argmax: np.ndarray, in_shape: tuple[int, ...], s: int) -> np.ndarray:
-    """Gradient of _maxpool: each window's dy lands on its argmax position, zero elsewhere."""
+    """Gradient of _maxpool: each window's dy lands on its argmax position, zero elsewhere.
+
+    Window position t covers one stride sub-grid of dx; dy is copied into it
+    whole and then masked to the windows whose argmax is t.
+    """
     out_h, out_w = dy.shape[2:]
     dx = np.zeros(in_shape, dtype=np.float64)
     for t in range(s * s):
         di, dj = divmod(t, s)
-        np.copyto(dx[:, :, di : out_h * s : s, dj : out_w * s : s], dy, where=argmax == t)
+        grid = dx[:, :, di : out_h * s : s, dj : out_w * s : s]
+        grid[...] = dy
+        _mask_grad(grid, argmax == t)
     return dx
+
+
+def _relu(z: np.ndarray) -> None:
+    """In place, z becomes bitwise np.where(z > 0, z, 0.0) (see the module docstring)."""
+    np.fmax(z, 0.0, out=z)
+    z += 0.0
+
+
+def _mask_grad(dx: np.ndarray, mask: np.ndarray) -> None:
+    """In place, dx keeps its bits where mask is set and is +0.0 elsewhere (see the module docstring)."""
+    bits = dx.view(np.int64)
+    np.bitwise_and(bits, np.negative(mask.view(np.int8)), out=bits)  # int8 -1 widens to all ones
 
 
 def check_features(spec: ModelSpec, inputs: np.ndarray) -> None:

@@ -35,6 +35,40 @@ from oracles import (
     unpack_by_offsets,
 )
 
+# Every kind of float64 a ReLU or a gradient mask can meet: signed zeros, NaNs
+# of both signs, infinities, subnormals, the smallest normal and plain numbers.
+SPECIALS = np.array(
+    [-0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, 1.5, -2.5]
+)
+
+# A small net that runs conv, pool, a dense ReLU layer and the linear head.
+CONV_POOL_DENSE_RELU = ModelSpec(
+    (1, 10, 10), (ConvLayer(1, 2, 3, relu=True), MaxPoolLayer(2), DenseLayer(32, 6, relu=True), DenseLayer(6, 3)), 3
+)
+
+
+class Preactivation:
+    """Stands in for a weight array: `x @ w` returns a copy of the stored values.
+
+    A real product never gives -0.0 (BLAS sums from +0.0), so this is how a
+    test puts any bits, -0.0 included, into a layer's pre-activation.
+    """
+
+    __array_ufunc__ = None  # ndarray's @ then defers to __rmatmul__
+
+    def __init__(self, values: np.ndarray):
+        self.values = values
+
+    def __rmatmul__(self, x):
+        return self.values.copy()
+
+    def reshape(self, *shape):
+        return self
+
+    @property
+    def T(self):
+        return self
+
 
 class TestParamCount:
     def test_reference_mlp_is_199210(self):
@@ -164,15 +198,19 @@ class TestForward:
             forward(spec, np.zeros(3), batch)
 
     def test_pure(self):
-        spec = ModelSpec.cnn_small((1, 10, 10), 4, channels=(2, 3))
-        params = init_params(spec, 9)
-        batch = Batch(np.random.default_rng(3).random((2, 100)), np.array([1, 2]))
-        np.testing.assert_array_equal(forward(spec, params, batch), forward(spec, params, batch))
-
+        # bias and ReLU run in place, but only on arrays the pass allocated
+        specs = (ModelSpec.mlp(6, (4,), 3), ModelSpec.cnn_small((1, 10, 10), 4, channels=(2, 3)), CONV_POOL_DENSE_RELU)
+        for spec in specs:
+            params = init_params(spec, 9)
+            batch = Batch(np.random.default_rng(3).standard_normal((4, spec.input_dim)), np.array([1, 2, 3, 1]))
+            before = params.tobytes(), batch.inputs.tobytes()
+            logits = forward(spec, params, batch)
+            assert (params.tobytes(), batch.inputs.tobytes()) == before
+            assert logits.tobytes() == forward(spec, params, batch).tobytes()
 
     @pytest.mark.parametrize("relu", [True, False], ids=["relu", "linear"])
     def test_dense_in_place_bias_and_relu_bitwise_equal_np_where(self, relu):
-        # z = x @ W; z += b; copyto(z, 0.0, where=~mask) against np.where(mask, x @ W + b, 0.0)
+        # z = x @ W; z += b; then the in-place ReLU, against np.where(x @ W + b > 0, x @ W + b, 0.0)
         weights = np.array([[1.0, -1.0, 0.0, 2.0], [0.5, 0.0, 0.0, 1.0], [0.0, 1.0, 0.0, -3.0]])
         bias = np.array([0.0, -0.0, -0.0, 0.25])
         x = np.array([[-0.0, -0.0, -0.0], [np.nan, 0.0, 1.0], [1.0, -0.0, -1.0], [-1.0, 2.0, 0.5]])
@@ -185,6 +223,27 @@ class TestForward:
             assert mask.tobytes() == (pre > 0.0).tobytes()
         else:
             assert mask is None
+
+    @pytest.mark.parametrize("keep", [True, False], ids=["keep", "no-cache"])
+    @pytest.mark.parametrize("kind", ["dense", "conv"])
+    def test_relu_of_special_values_bitwise_equals_np_where(self, kind, keep):
+        pre = np.concatenate([SPECIALS, SPECIALS[::-1], -SPECIALS])  # 36 values, each sign of each kind
+        if kind == "dense":
+            layer, x = DenseLayer(3, 4, relu=True), np.ones((9, 3))
+            pre = pre.reshape(9, 4)
+            expected = np.where(pre > 0, pre, 0.0)
+        else:
+            layer, x = ConvLayer(1, 2, 3, relu=True), np.ones((2, 1, 5, 5))
+            pre = pre.reshape(2, 9, 2)  # (batch, output pixels, channels), as the patch GEMM gives it
+            expected = np.where(pre > 0, pre, 0.0).transpose(0, 2, 1).reshape(2, 2, 3, 3)
+        assert (np.signbit(pre) & (pre == 0)).any() and np.isnan(pre).any() and np.isinf(pre).any()
+        bias = np.full(pre.shape[-1], -0.0)  # adding -0.0 leaves every value's bits as they are
+        z, entry = layer.forward((Preactivation(pre), bias), x, keep)
+        assert z.tobytes() == expected.tobytes()
+        if keep:
+            assert entry[1].tobytes() == (expected > 0.0).tobytes()
+        else:
+            assert entry is None
 
     @pytest.mark.parametrize("rows", [7, 32, 100])
     @pytest.mark.parametrize(
@@ -201,11 +260,12 @@ class TestForward:
 
 class TestMaxPool:
     @staticmethod
-    def assert_matches_loop_oracle(x, s):
+    def assert_matches_loop_oracle(x, s, dy=None):
         pooled, argmax = _maxpool(x, s)
         expected, picks = maxpool_by_loop(x, s)
         assert pooled.tobytes() == expected.tobytes()
-        dy = np.random.default_rng(5).standard_normal(pooled.shape)
+        if dy is None:
+            dy = np.random.default_rng(5).standard_normal(pooled.shape)
         dx = _maxpool_backward(dy, argmax, x.shape, s)
         assert dx.tobytes() == maxpool_grad_by_loop(dy, picks, x.shape).tobytes()
 
@@ -238,6 +298,13 @@ class TestMaxPool:
         assert pooled.shape == argmax.shape == (3, 2, 5, 5)
         dx = _maxpool_backward(np.ones(pooled.shape), argmax, x.shape, 2)
         assert not dx[:, :, 10, :].any() and not dx[:, :, :, 10].any()
+
+    @pytest.mark.parametrize("shape, s", [((2, 3, 5, 5), 2), ((2, 3, 6, 7), 3)], ids=["s2", "s3"])
+    def test_backward_routes_special_values_bitwise(self, shape, s):
+        # inf, NaN and -0.0 land on the argmax unchanged; every other position is +0.0
+        x = np.random.default_rng(6).standard_normal(shape)
+        dy = np.concatenate([SPECIALS, -SPECIALS]).reshape(2, 3, 2, 2)
+        self.assert_matches_loop_oracle(x, s, dy)
 
 
 class TestBackward:
@@ -317,11 +384,39 @@ class TestBackward:
             assert np.array_equal(backward_from_cache(spec, params, cache, g_logits), expected)
 
 
+    @pytest.mark.parametrize("need_dx", [True, False], ids=["need-dx", "first-layer"])
+    @pytest.mark.parametrize("kind", ["dense", "conv"])
+    def test_relu_mask_of_special_values_bitwise_equals_np_where(self, kind, need_dx):
+        # each special value of dx sits at one kept and one masked position
+        rng = np.random.default_rng(12)
+        dx = np.concatenate([SPECIALS, SPECIALS[::-1], -SPECIALS])
+        mask = np.arange(dx.size) % 2 == 0
+        if kind == "dense":
+            layer, linear, x = DenseLayer(3, 4, relu=True), DenseLayer(3, 4), rng.standard_normal((9, 3))
+            view = (rng.standard_normal((3, 4)), np.zeros(4))
+            entry = (x, mask.reshape(9, 4), x.shape)
+            dx = dx.reshape(9, 4)
+        else:
+            layer, linear, x = ConvLayer(1, 2, 3, relu=True), ConvLayer(1, 2, 3), rng.standard_normal((2, 1, 5, 5))
+            view = (rng.standard_normal((2, 1, 3, 3)), np.zeros(2))
+            cols, _, in_shape = linear.forward(view, x, keep=True)[1]
+            entry = (cols, mask.reshape(2, 2, 3, 3), in_shape)
+            dx = dx.reshape(2, 2, 3, 3)
+        dz = np.where(entry[1], dx, 0.0)
+        with np.errstate(invalid="ignore"):  # inf - inf in the products is expected
+            grads, dx_in = layer.backward(view, entry, dx, need_dx)
+            # the oracle: np.where's mask, then the same layer without ReLU
+            want_grads, want_dx = linear.backward(view, (entry[0], None, entry[2]), dz, need_dx)
+        assert dx.tobytes() == dz.tobytes()  # masked in place
+        assert [g.tobytes() for g in grads] == [g.tobytes() for g in want_grads]
+        assert (dx_in is None and want_dx is None) or dx_in.tobytes() == want_dx.tobytes()
+
     @pytest.mark.parametrize(
-        "spec", [ModelSpec.mlp(784), ModelSpec.cnn_small()], ids=["mlp", "cnn-small"]
+        "spec", [ModelSpec.mlp(784), ModelSpec.cnn_small(), CONV_POOL_DENSE_RELU],
+        ids=["mlp", "cnn-small", "conv-pool-dense-relu"],
     )
     def test_leaves_grad_logits_and_cache_unchanged(self, spec):
-        # the conv backward masks its dx in place; no array the caller holds may change
+        # ReLU layers mask their dx in place; no array the caller holds may change
         rng = np.random.default_rng(8)
         params = init_params(spec, 9)
         batch = Batch(rng.standard_normal((16, spec.input_dim)), np.ones(16, dtype=int))
