@@ -5,6 +5,9 @@ Subcommands:
   inspect-partition  print per-client sample counts and label histograms
   eval               print a saved model's accuracy on the configured test set
 
+The library entry point is `runs(config)`: it turns a resolved config
+into its runs, and `run` only writes their files and prints.
+
 Configuration comes from an optional YAML/JSON file plus flags; flags
 override file values. A flag is the text of a config key's value, so one
 key table converts, defaults and checks both. The environment variable
@@ -183,11 +186,6 @@ class RunConfig(HyperParams):
     def hyper_for(self, seed: int) -> RunConfig:
         return replace(self, seed=seed)
 
-    def strategies(self) -> list[FusionStrategy]:
-        if self.strategy == "all":
-            return list(FusionStrategy)
-        return [FusionStrategy(self.strategy)]
-
 
 def _load_config_file(path: str) -> dict:
     try:
@@ -250,10 +248,9 @@ def resolve_config(file_values: dict | None = None, flags: dict | None = None) -
             raise ConfigurationError(f"unknown {key} {v[key]!r}; expected one of {allowed}")
     if not 0 <= v["lr"] < math.inf:  # else the rates it fills in would name their own keys
         raise ConfigurationError(f"config key lr: must be nonnegative and finite, got {v['lr']}")
-    if v["eval_every"] < 1:
-        raise ConfigurationError("eval_every must be at least 1")
-    if v["subset"] is not None and v["subset"] < 1:
-        raise ConfigurationError(f"subset must be at least 1, got {v['subset']}")
+    for key in ("eval_every", "subset", "xi"):
+        if v[key] is not None and v[key] < 1:
+            raise ConfigurationError(f"config key {key}: must be at least 1, got {v[key]}")
 
     config = RunConfig(**{field: v[key] for key, (field, _, _) in _KEYS.items() if field})
     if config.dataset != "synthetic":
@@ -284,7 +281,9 @@ def load_corpus(config: RunConfig, seed: int) -> tuple[Dataset, Dataset]:
         test = load_idx(files["test_images"], files["test_labels"], num_classes=10)
     if config.subset is not None:
         if config.subset > len(train):
-            raise ConfigurationError(f"subset {config.subset} exceeds corpus size {len(train)}")
+            raise ConfigurationError(
+                f"config key subset: must not exceed the corpus size {len(train)}, got {config.subset}"
+            )
         rng = derive_rng(seed, "corpus-subset")
         train = train.subset(rng.choice(len(train), size=config.subset, replace=False))
     return train, test
@@ -303,7 +302,9 @@ def make_shards(config: RunConfig, corpus: Dataset, seed: int) -> list[Dataset]:
     """Client shards: IID when xi is unset, else xi label segments per client."""
     xi = config.classes_per_client
     if xi is not None and xi > corpus.num_classes:
-        raise ConfigurationError(f"xi={xi} exceeds the corpus class count {corpus.num_classes}")
+        raise ConfigurationError(
+            f"config key xi: must not exceed the corpus class count {corpus.num_classes}, got {xi}"
+        )
     return partition(corpus, config.num_clients, xi, derive_seed(seed, "partition"))
 
 
@@ -357,6 +358,27 @@ def _metadata(hyper: RunConfig, strategy: FusionStrategy, spec: ModelSpec) -> di
     return meta
 
 
+def runs(config: RunConfig):
+    """Yield (hyper, strategy, spec, timeline) for each run of `config`, in (seed, strategy) order.
+
+    Each seed's corpus, spec and shards are built once and shared by its strategies.
+    `run_experiment` is called through this module's name, so a caller may wrap it.
+    """
+    strategies = list(FusionStrategy) if config.strategy == "all" else [FusionStrategy(config.strategy)]
+    for seed in config.seeds:
+        corpus, test = load_corpus(config, seed)
+        spec = model_spec(config, corpus)
+        shards = make_shards(config, corpus, seed)
+        hyper = config.hyper_for(seed)
+        for strategy in strategies:
+            states = build_client_states(spec, shards, hyper)
+            timeline, _ = run_experiment(
+                spec, hyper, strategy, states, test,
+                eval_every=config.eval_every, reduction=config.reduction,
+            )
+            yield hyper, strategy, spec, timeline
+
+
 def cmd_run(config: RunConfig) -> int:
     """One run per (strategy, seed); emits {strategy}_{seed}.csv plus metadata."""
     out = Path(config.output_dir)
@@ -364,27 +386,16 @@ def cmd_run(config: RunConfig) -> int:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise LoadError(f"{out}: {exc}") from exc
-    for seed in config.seeds:
-        corpus, test = load_corpus(config, seed)
-        spec = model_spec(config, corpus)
-        shards = make_shards(config, corpus, seed)
-        for strategy in config.strategies():
-            hyper = config.hyper_for(seed)
-            states = build_client_states(spec, shards, hyper)
-            timeline, _ = run_experiment(
-                spec, hyper, strategy, states, test,
-                eval_every=config.eval_every, reduction=config.reduction,
-            )
-            csv_path = out / f"{strategy.value}_{seed}.csv"
-            emit_csv(timeline, str(csv_path))
-            meta_path = out / f"{strategy.value}_{seed}.meta.json"
-            with atomic_open(meta_path) as fh:
-                json.dump(_metadata(hyper, strategy, spec), fh, indent=2, sort_keys=True)
-            final = timeline[-1]
-            print(
-                f"{strategy.value} seed={seed}: rounds={final.round} "
-                f"global_acc={final.global_acc:.4f} local_acc={final.local_acc:.4f} -> {csv_path}"
-            )
+    for hyper, strategy, spec, timeline in runs(config):
+        csv_path = out / f"{strategy.value}_{hyper.seed}.csv"
+        emit_csv(timeline, str(csv_path))
+        with atomic_open(out / f"{strategy.value}_{hyper.seed}.meta.json") as fh:
+            json.dump(_metadata(hyper, strategy, spec), fh, indent=2, sort_keys=True)
+        final = timeline[-1]
+        print(
+            f"{strategy.value} seed={hyper.seed}: rounds={final.round} "
+            f"global_acc={final.global_acc:.4f} local_acc={final.local_acc:.4f} -> {csv_path}"
+        )
     return 0
 
 

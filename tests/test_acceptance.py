@@ -14,7 +14,7 @@ import os
 import numpy as np
 import pytest
 
-from defkt.cli import _find_idx_files, load_corpus, make_shards, model_spec, resolve_config
+from defkt.cli import _find_idx_files, resolve_config, runs
 from defkt.data import (
     load_idx,
     partition_iid,
@@ -313,25 +313,18 @@ def test_criterion_7_noniid_ordering_and_stability():
             "passes_e": 1,
             "hidden": [32, 32],
             "eval_every": 10,
+            "seeds": [1, 2, 3],
             "synthetic": {"classes": 4, "per_class": 400, "dims": 20, "sigma": 1.0, "test_per_class": 100},
         }
     )
-    seeds = (1, 2, 3)
+    stats = {}
+    for hyper, strategy, _, timeline in runs(config):
+        window = np.array([r.global_acc for r in timeline[-20:]])
+        stats.setdefault(hyper.seed, {})[strategy] = (float(window.mean()), float(window.std()))
     mean_wins = 0
     stability_wins = 0
     lines = []
-    for seed in seeds:
-        corpus, test = load_corpus(config, seed)
-        spec = model_spec(config, corpus)
-        shards = make_shards(config, corpus, seed)
-        window_stats = {}
-        for strategy in FusionStrategy:
-            states = build_client_states(spec, shards, config.hyper_for(seed))
-            timeline, _ = run_experiment(
-                spec, config.hyper_for(seed), strategy, states, test, eval_every=config.eval_every
-            )
-            window = np.array([r.global_acc for r in timeline[-20:]])
-            window_stats[strategy] = (float(window.mean()), float(window.std()))
+    for seed, window_stats in stats.items():
         mkt_mean, mkt_std = window_stats[FusionStrategy.DEFKT]
         baselines = (FusionStrategy.FULLAVG, FusionStrategy.COMBO)
         if all(mkt_mean >= window_stats[b][0] for b in baselines):
@@ -355,17 +348,10 @@ def test_criterion_7_noniid_ordering_and_stability():
 # 8. Desk-scale learning sanity under homogeneous data
 # ----------------------------------------------------------------------
 
-def run_learning_sanity(config, seed: int, label: str):
-    corpus, test = load_corpus(config, seed)
-    spec = model_spec(config, corpus)
-    shards = make_shards(config, corpus, seed)
+def run_learning_sanity(config, label: str):
     finals = {}
     gaps = {}
-    for strategy in FusionStrategy:
-        states = build_client_states(spec, shards, config.hyper_for(seed))
-        timeline, _ = run_experiment(
-            spec, config.hyper_for(seed), strategy, states, test, eval_every=config.eval_every
-        )
+    for _, strategy, _, timeline in runs(config):
         final = timeline[-1]
         finals[strategy.value] = final.global_acc
         gaps[strategy.value] = abs(final.global_acc - final.local_acc)
@@ -395,7 +381,7 @@ def test_criterion_8_iid_learning_sanity_mnist():
             "eval_every": 50,
         }
     )
-    run_learning_sanity(config, seed=1, label="8 iid-learning-sanity-mnist")
+    run_learning_sanity(config, label="8 iid-learning-sanity-mnist")
 
 
 def test_criterion_8_iid_learning_sanity_surrogate():
@@ -418,7 +404,7 @@ def test_criterion_8_iid_learning_sanity_surrogate():
             "synthetic": {"classes": 10, "per_class": 600, "dims": 784, "sigma": 0.10, "test_per_class": 100},
         }
     )
-    run_learning_sanity(config, seed=1, label="8 iid-learning-sanity-surrogate")
+    run_learning_sanity(config, label="8 iid-learning-sanity-surrogate")
 
 
 # ----------------------------------------------------------------------

@@ -1,12 +1,15 @@
 """The package names the benchmark harness (perfbench/) reaches into still exist.
 
 perfbench/tracer.py rebinds every function in its TARGETS table and
-perfbench/workloads.py reads a few more names; a rename in the package
-would otherwise break only the benchmark, which this suite does not run.
+perfbench/workloads.py reads a few more names, and wraps
+cli.run_experiment to time `defkt run`; a rename in the package or a change
+to that call would otherwise break only the benchmark, which this suite
+does not run.
 """
 
 import importlib.util
 import inspect
+import json
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -50,6 +53,27 @@ def test_names_the_workloads_read_exist(monkeypatch):
         config = cli.resolve_config(workload.config)
         assert config.hyper_for(3).seed == 3 and config.senders == config.senders_per_round
         assert {"eval_every", "reduction", "rounds"} <= set(vars(config))
+
+
+def test_run_calls_run_experiment_through_the_cli_name(tmp_path, monkeypatch):
+    # run_cli times hetero-sweep and captures final states by replacing cli.run_experiment
+    from defkt import cli
+
+    tiny = load_perfbench_module(monkeypatch, "workloads").WORKLOADS["tiny-cli"]
+    (tmp_path / "config.json").write_text(json.dumps(tiny.config))
+    calls = []
+    run_experiment = cli.run_experiment
+
+    def record(*args, **kwargs):
+        calls.append((args[1].seed, args[2].value, len(args), "eval_every" in kwargs))
+        return run_experiment(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_experiment", record)
+    argv = ["run", "--config", str(tmp_path / "config.json"), "--out", str(tmp_path), *tiny.flags]
+    assert cli.main([*argv, "--seed", "1", "--seed", "2"]) == 0
+    expected = [(seed, strategy, 5, True) for seed in (1, 2) for strategy in ("defkt", "fullavg", "combo")]
+    assert calls == expected
+    assert sorted(p.name for p in tmp_path.glob("*.csv")) == sorted(f"{s}_{seed}.csv" for seed, s, *_ in expected)
 
 
 def test_op_counts_the_benchmark_reports(monkeypatch):

@@ -23,6 +23,7 @@ from defkt.cli import (
     model_spec,
     parse_config,
     resolve_config,
+    runs,
     save_model,
 )
 from defkt.errors import ConfigurationError, LoadError
@@ -95,6 +96,10 @@ class TestResolveConfig:
     def test_xi_implies_noniid(self):
         config = resolve_config({"xi": 4})
         assert config.classes_per_client == 4
+
+    def test_xi_below_one_rejected_before_any_data_is_loaded(self):
+        with pytest.raises(ConfigurationError, match="config key xi: must be at least 1, got 0"):
+            resolve_config({"xi": 0})
 
     def test_noniid_without_xi_rejected(self):
         # xi alone selects the partition, so `partition` is an unknown key
@@ -306,29 +311,34 @@ class TestCmdRun:
         assert capsys.readouterr().err.startswith("configuration error: ")
 
     @pytest.mark.parametrize(
-        "flags, message",
+        "overrides, flags, message",
         [
-            (["--seed", "1", "--seed", "1"], "config key seeds: "),
-            (["--senders", "-1"], "config key senders: must be nonnegative, got -1\n"),
-            (["--passes-e", "-1"], "config key passes_e: must be at least 0, got -1\n"),
-            (["--passes-m", "0"], "config key passes_m: must be at least 1, got 0\n"),
-            (["--batch-b1", "0"], "config key batch_b1: must be at least 1, got 0\n"),
-            (["--batch-b2", "0"], "config key batch_b2: must be at least 1, got 0\n"),
-            (["--rounds", "-1"], "config key rounds: must be at least 0, got -1\n"),
-            (["--clients", "1"], "config key clients: need at least 2 clients, got 1\n"),
-            (["--clients", "4", "--senders", "3"],
+            ({}, ["--seed", "1", "--seed", "1"], "config key seeds: "),
+            ({}, ["--senders", "-1"], "config key senders: must be nonnegative, got -1\n"),
+            ({}, ["--passes-e", "-1"], "config key passes_e: must be at least 0, got -1\n"),
+            ({}, ["--passes-m", "0"], "config key passes_m: must be at least 1, got 0\n"),
+            ({}, ["--batch-b1", "0"], "config key batch_b1: must be at least 1, got 0\n"),
+            ({}, ["--batch-b2", "0"], "config key batch_b2: must be at least 1, got 0\n"),
+            ({}, ["--rounds", "-1"], "config key rounds: must be at least 0, got -1\n"),
+            ({}, ["--clients", "1"], "config key clients: need at least 2 clients, got 1\n"),
+            ({}, ["--clients", "4", "--senders", "3"],
              "config key senders: twice its value must not exceed config key clients (4), got 3\n"),
-            (["--momentum", "1"], "config key momentum: must lie in [0, 1), got 1.0\n"),
-            (["--lr", "-1"], "config key lr: must be nonnegative and finite, got -1.0\n"),
+            ({}, ["--momentum", "1"], "config key momentum: must lie in [0, 1), got 1.0\n"),
+            ({}, ["--lr", "-1"], "config key lr: must be nonnegative and finite, got -1.0\n"),
+            ({}, ["--eval-every", "0"], "config key eval_every: must be at least 1, got 0\n"),
+            ({"subset": 0}, [], "config key subset: must be at least 1, got 0\n"),
+            ({"subset": 121}, [], "config key subset: must not exceed the corpus size 120, got 121\n"),
+            ({}, ["--xi", "0"], "config key xi: must be at least 1, got 0\n"),
+            ({}, ["--xi", "9"], "config key xi: must not exceed the corpus class count 3, got 9\n"),
         ],
         ids=[
             "seed-repeated", "senders-negative", "passes-e-negative", "passes-m-0", "batch-b1-0",
             "batch-b2-0", "rounds-negative", "clients-1", "senders-exceed-clients", "momentum-1",
-            "lr-negative",
+            "lr-negative", "eval-every-0", "subset-0", "subset-exceeds-corpus", "xi-0", "xi-exceeds-classes",
         ],
     )
-    def test_bad_input_message_names_the_value(self, tmp_path, capsys, flags, message):
-        config = write_config(tmp_path)
+    def test_bad_input_message_names_the_value(self, tmp_path, capsys, overrides, flags, message):
+        config = write_config(tmp_path, overrides)
         assert main(["run", "--config", config, "--out", str(tmp_path / "runs"), *flags]) == 1
         assert message in capsys.readouterr().err
 
@@ -484,3 +494,6 @@ class TestSharedStartAcrossStrategies:
         sa = build_client_states(spec, shards_a, config.hyper_for(6))
         sb = build_client_states(spec, shards_b, config.hyper_for(6))
         np.testing.assert_array_equal(sa[1].params, sb[1].params)
+        starts = [timeline[0] for *_, timeline in runs(config)]
+        assert [r.strategy for r in starts] == ["defkt", "fullavg", "combo"]
+        assert len({(r.round, r.global_acc, r.local_acc, r.scalars_transmitted) for r in starts}) == 1
