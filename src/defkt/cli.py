@@ -37,7 +37,7 @@ from .data import Dataset, label_counts, load_idx, partition, synth_dataset
 from .errors import ConfigurationError, DefktError, LoadError
 from .federation import FusionStrategy, HyperParams, build_client_states, run_experiment
 from .metrics import atomic_open, emit_csv, evaluate
-from .nn import ModelSpec, param_count
+from .nn import ModelSpec, param_count, segment_cut
 from .seeding import derive_rng, derive_seed
 
 DATASETS = ("mnist", "fashion-mnist", "synthetic")
@@ -251,6 +251,14 @@ def resolve_config(file_values: dict | None = None, flags: dict | None = None) -
     for key in ("eval_every", "subset", "xi"):
         if v[key] is not None and v[key] < 1:
             raise ConfigurationError(f"config key {key}: must be at least 1, got {v[key]}")
+    if min(v["hidden"], default=1) < 1:
+        raise ConfigurationError(f"config key hidden: every width must be at least 1, got {list(v['hidden'])}")
+    synthetic = v["synthetic"]
+    for key, least in (("classes", 2), ("per_class", 1), ("dims", 1), ("test_per_class", 1)):
+        if synthetic[key] < least:
+            raise ConfigurationError(f"synthetic key {key}: must be at least {least}, got {synthetic[key]}")
+    if not 0 <= synthetic["sigma"] < math.inf:
+        raise ConfigurationError(f"synthetic key sigma: must be nonnegative and finite, got {synthetic['sigma']}")
 
     config = RunConfig(**{field: v[key] for key, (field, _, _) in _KEYS.items() if field})
     if config.dataset != "synthetic":
@@ -354,7 +362,7 @@ def load_model(path: str, spec: ModelSpec) -> np.ndarray:
 def _metadata(hyper: RunConfig, strategy: FusionStrategy, spec: ModelSpec) -> dict:
     total = param_count(spec)
     meta = asdict(hyper)
-    meta.update(strategy=strategy.value, param_count=total, segment_split_index=(total + 1) // 2)
+    meta.update(strategy=strategy.value, param_count=total, segment_split_index=segment_cut(total))
     return meta
 
 

@@ -24,7 +24,7 @@ import numpy as np
 from .data import ClientData, Dataset, minibatches, train_val_split
 from .errors import ConfigurationError, NumericalError
 from .losses import cross_entropy_grad_logits, mutual_loss_grad_logits, softmax
-from .metrics import MetricsRecord, check_record_inputs, evaluation_pool, submit_record
+from .metrics import MetricsRecord, evaluation_pool, submit_record
 from .nn import (
     ModelSpec,
     backward_from_cache,
@@ -366,12 +366,10 @@ def run_experiment(
     """
     if eval_every < 1:
         raise ConfigurationError("eval_every must be at least 1")
-    check_record_inputs(spec, clients, test_data)
     states = dict(clients)
     if comm is None:
         comm = CommLog()
-    datasets = [test_data] + [client.data.validation for client in states.values()]
-    with evaluation_pool(spec, datasets) as pool:
+    with evaluation_pool(spec, states, test_data) as pool:
 
         def submit(round_index: int) -> Callable[[], MetricsRecord]:
             accuracies, scalars = submit_record(pool, spec, states, test_data), comm.total_scalars

@@ -1,14 +1,14 @@
 """Model evaluation, accuracy aggregates over clients, CSV emission.
 
 A record's evaluations (each distinct parameter vector on the shared test
-set, every client on its own validation set) are tasks submitted together
-and collected later. evaluation_pool opens a pool of usable CPUs - 1 threads
-when more than one CPU is usable and the smallest evaluation's rows x
-parameters reach PARALLEL_EVAL_WORK; otherwise each task is evaluated as it
-is submitted. The collecting thread evaluates, last first, every task no
-pool thread has started, so at most one thread per CPU computes.
-run_experiment keeps one pool for the run; global_accuracy and
-local_accuracy open one per call.
+set, every client on its own validation set) are tasks that submit_record
+submits together and collects later. A run's one pool comes from
+evaluation_pool: usable CPUs - 1 threads when more than one CPU is usable
+and the smallest evaluation's rows x parameters reach PARALLEL_EVAL_WORK;
+otherwise each task is evaluated as it is submitted. The collecting thread
+evaluates, last first, every task no pool thread has started, so at most
+one thread per CPU computes. global_accuracy and local_accuracy are the
+serial reference and evaluate on the calling thread.
 
 The accuracies are bitwise those of a plain loop: each evaluation is one
 single-threaded forward (one BLAS thread) on vectors nothing writes (the
@@ -37,13 +37,14 @@ CSV_FIELDS = ("round", "strategy", "seed", "global_acc", "local_acc", "scalars_t
 # between one call and two 500-row chunks. Changing it can change accuracies.
 EVAL_CHUNK_ROWS = 2048
 # Rows x parameters of the smallest evaluation (a dense model's multiply-adds)
-# from which evaluations go to a pool. Sized with a pool opened per call: with
-# one BLAS thread on 2 cores, ten threaded evaluations took 1.3x the serial
-# time at 3e6, broke even near 1e7 and took 0.7x at 2.4e7 (a reference-MLP
-# validation set) and 0.5x at 2e8 (its 1,000-row test set). A run opens its
-# pool once, so the break-even for records may be lower (not measured); no
-# workload lies between 2.4e7 and the README quick-start's 32x32 MLP (7e5) or
-# cnn-small on 100 rows (5e5), which stay inline, so the value was kept.
+# from which a run's records go to its pool. Sized when each call opened its
+# own pool: with one BLAS thread on 2 cores, ten threaded evaluations took
+# 1.3x the serial time at 3e6, broke even near 1e7 and took 0.7x at 2.4e7 (a
+# reference-MLP validation set) and 0.5x at 2e8 (its 1,000-row test set).
+# Pools are now opened once per run, so the break-even may be lower (not
+# measured); no workload lies between 2.4e7 and hetero-sweep's 32x32 MLP
+# (7e5) or cnn-small on 100 rows (5e5), which stay inline, nor does the
+# README quick-start (1.4e6 per validation set), so the value was kept.
 PARALLEL_EVAL_WORK = 10_000_000
 
 
@@ -73,15 +74,20 @@ def evaluate(spec: ModelSpec, params: np.ndarray, data: Dataset) -> float:
 
 
 @contextmanager
-def evaluation_pool(spec: ModelSpec, datasets: list[Dataset]):
-    """Yield a pool of usable CPUs - 1 threads for evaluations on `datasets`, or None.
+def evaluation_pool(spec: ModelSpec, states: dict, test: Dataset):
+    """Yield a pool of usable CPUs - 1 threads for the records of `states` on `test`, or None.
 
-    None when one CPU is usable or the smallest dataset's rows x parameters
-    fall below PARALLEL_EVAL_WORK. On exit, tasks no thread has started are
-    cancelled and the pool's threads are joined.
+    A record's input errors (a test set of the wrong width, an empty
+    validation set) are raised first. None when one CPU is usable or the
+    smallest evaluation's rows x parameters fall below PARALLEL_EVAL_WORK.
+    On exit, tasks no thread has started are cancelled and the pool's
+    threads are joined.
     """
+    check_features(spec, test.inputs)
+    _check_validation_sets(states)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    if cpus < 2 or min(len(data) for data in datasets) * spec.param_count < PARALLEL_EVAL_WORK:
+    smallest = min(len(test), *(len(s.data.validation) for s in states.values()))
+    if cpus < 2 or smallest * spec.param_count < PARALLEL_EVAL_WORK:
         yield None
         return
     from concurrent.futures import ThreadPoolExecutor
@@ -118,13 +124,6 @@ class _Task:
         return self._value if self._future is None else self._future.result()
 
 
-def _collect(tasks: list[_Task]) -> list[float]:
-    """The tasks' accuracies in order, taking over, last first, those no pool thread has started."""
-    for task in reversed(tasks):
-        task.take_over()
-    return [task.result() for task in tasks]
-
-
 def _test_tasks(pool, spec: ModelSpec, states: dict, test: Dataset) -> tuple[list[int], list[_Task]]:
     """One test-set task per distinct parameter vector, and each client's slot among them in client order.
 
@@ -143,57 +142,42 @@ def _test_tasks(pool, spec: ModelSpec, states: dict, test: Dataset) -> tuple[lis
     return slots, tasks
 
 
-def _validation_tasks(pool, spec: ModelSpec, states: dict) -> list[_Task]:
-    """One task per client on its own validation set, in client order."""
-    return [_Task(pool, spec, states[k].params, states[k].data.validation) for k in sorted(states)]
-
-
 def _check_validation_sets(states: dict) -> None:
     for k in sorted(states):
         if len(states[k].data.validation) < 1:
             raise ConfigurationError(f"client {k} has an empty validation set")
 
 
-def check_record_inputs(spec: ModelSpec, states: dict, test: Dataset) -> None:
-    """Raise the input errors a record would raise: a test set of the wrong width, an empty validation set."""
-    check_features(spec, test.inputs)
-    _check_validation_sets(states)
-
-
 def submit_record(pool, spec: ModelSpec, states: dict, test: Dataset) -> Callable[[], tuple[float, float]]:
     """Hand a record's evaluations to `pool`; the returned function collects (global_acc, local_acc).
 
-    Without a pool both accuracies are computed before this returns, by
-    global_accuracy and local_accuracy.
+    Without a pool each evaluation is made as it is submitted.
     """
-    if pool is None:
-        accuracies = global_accuracy(states, spec, test), local_accuracy(states, spec)
-        return lambda: accuracies
-    slots, tests = _test_tasks(pool, spec, states, test)
-    validations = _validation_tasks(pool, spec, states)
+    slots, tasks = _test_tasks(pool, spec, states, test)
+    tests = len(tasks)
+    tasks += [_Task(pool, spec, states[k].params, states[k].data.validation) for k in sorted(states)]
 
     def collect() -> tuple[float, float]:
-        results = _collect(tests + validations)
-        return float(np.mean([results[s] for s in slots])), float(np.mean(results[len(tests):]))
+        for task in reversed(tasks):
+            task.take_over()
+        results = [task.result() for task in tasks]
+        return float(np.mean([results[s] for s in slots])), float(np.mean(results[tests:]))
     return collect
 
 
 def global_accuracy(states: dict, spec: ModelSpec, test: Dataset) -> float:
     """Unweighted mean over all clients of their accuracy on the shared test set.
 
-    Clients holding bitwise-identical parameters are evaluated once.
+    Clients holding bitwise-identical parameters are evaluated once, on the calling thread.
     """
-    with evaluation_pool(spec, [test]) as pool:
-        slots, tasks = _test_tasks(pool, spec, states, test)
-        results = _collect(tasks)
-    return float(np.mean([results[s] for s in slots]))
+    slots, tasks = _test_tasks(None, spec, states, test)
+    return float(np.mean([tasks[s].result() for s in slots]))
 
 
 def local_accuracy(states: dict, spec: ModelSpec) -> float:
-    """Unweighted mean over clients of each model's accuracy on its own validation set."""
+    """Unweighted mean over clients of each model's accuracy on its own validation set, on the calling thread."""
     _check_validation_sets(states)
-    with evaluation_pool(spec, [s.data.validation for s in states.values()]) as pool:
-        return float(np.mean(_collect(_validation_tasks(pool, spec, states))))
+    return float(np.mean([evaluate(spec, states[k].params, states[k].data.validation) for k in sorted(states)]))
 
 
 @contextmanager

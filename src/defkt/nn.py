@@ -435,10 +435,15 @@ def sgd_step(
     return new_params, velocity
 
 
+def segment_cut(total: int) -> int:
+    """Where split_segments cuts a vector of `total` entries: ceil(total/2), the leading segment's length."""
+    return (total + 1) // 2
+
+
 def split_segments(params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Split a flat vector at ceil(P/2) into (leading, trailing) segments."""
+    """Split a flat vector at segment_cut into (leading, trailing) segments."""
     total = params.shape[0]
     if total < 2:
         raise ConfigurationError("cannot split a vector with fewer than 2 entries")
-    cut = (total + 1) // 2
+    cut = segment_cut(total)
     return params[:cut].copy(), params[cut:].copy()

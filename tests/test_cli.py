@@ -330,11 +330,19 @@ class TestCmdRun:
             ({"subset": 121}, [], "config key subset: must not exceed the corpus size 120, got 121\n"),
             ({}, ["--xi", "0"], "config key xi: must be at least 1, got 0\n"),
             ({}, ["--xi", "9"], "config key xi: must not exceed the corpus class count 3, got 9\n"),
+            ({"hidden": [6, 0]}, [], "config key hidden: every width must be at least 1, got [6, 0]\n"),
+            ({"synthetic": dict(TINY["synthetic"], classes=1)}, [],
+             "synthetic key classes: must be at least 2, got 1\n"),
+            ({"synthetic": dict(TINY["synthetic"], test_per_class=0)}, [],
+             "synthetic key test_per_class: must be at least 1, got 0\n"),
+            ({"synthetic": dict(TINY["synthetic"], sigma=float("inf"))}, [],
+             "synthetic key sigma: must be nonnegative and finite, got inf\n"),
         ],
         ids=[
             "seed-repeated", "senders-negative", "passes-e-negative", "passes-m-0", "batch-b1-0",
             "batch-b2-0", "rounds-negative", "clients-1", "senders-exceed-clients", "momentum-1",
             "lr-negative", "eval-every-0", "subset-0", "subset-exceeds-corpus", "xi-0", "xi-exceeds-classes",
+            "hidden-width-0", "synthetic-classes-1", "synthetic-test-per-class-0", "synthetic-sigma-inf",
         ],
     )
     def test_bad_input_message_names_the_value(self, tmp_path, capsys, overrides, flags, message):

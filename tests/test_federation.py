@@ -30,7 +30,7 @@ from defkt.federation import (
     select_round,
 )
 from defkt.losses import cross_entropy, cross_entropy_grad_logits, mutual_loss_grad_logits, softmax
-from defkt.metrics import evaluate
+from defkt.metrics import evaluate, global_accuracy, local_accuracy
 from defkt.nn import Batch, ModelSpec, forward, init_params, param_count, sgd_step
 from defkt.seeding import derive_rng
 
@@ -568,6 +568,25 @@ class TestOverlappedRecords:
         assert self.run()[0] == serial
         assert set(probe.threads) == {threading.main_thread()}
         assert threading.active_count() == before
+
+    def test_no_thread_starts_when_a_validation_set_is_below_the_gate(self, cpus, monkeypatch):
+        """The test set alone reaching the gate opens no pool: a run has one pool or none."""
+        serial, _ = self.run()
+        cpus(2)
+        monkeypatch.setattr(metrics, "PARALLEL_EVAL_WORK", len(self.TEST_DATA) * SPEC.param_count)
+        assert max(len(s.data.validation) for s in experiment_states(tiny_hyper()).values()) < len(self.TEST_DATA)
+        started, start = [], threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread) or start(thread))
+        assert self.run()[0] == serial
+        assert started == []
+
+    def test_serial_reference_evaluates_on_the_calling_thread(self, cpus, monkeypatch):
+        cpus(2)
+        probe = ComputeProbe(pause=0.002)
+        monkeypatch.setattr(metrics, "evaluate", probe.wrap(evaluate))
+        states = {k: tiny_client(k, seed=k) for k in (1, 2, 3, 4)}
+        global_accuracy(states, SPEC, self.TEST_DATA), local_accuracy(states, SPEC)
+        assert probe.threads == [threading.main_thread()] * 8
 
     def test_inline_run_imports_no_executor(self):
         """Below the gate no pool is opened, so a fresh interpreter never imports concurrent.futures."""

@@ -117,37 +117,44 @@ class TestAggregates:
 
 
 class TestThreadedEvaluation:
-    """Evaluations on the pool, with the caller taking over what no pool thread started, give the serial loop's floats."""
+    """A record on the run's pool, the caller taking over what no pool thread started, gives the serial loop's floats."""
 
     @pytest.fixture
     def probe(self, monkeypatch):
-        """Sends every evaluation to the pool of a two-CPU host; yields the probe around evaluate."""
+        """Opens the evaluation pool of a two-CPU host for any record; yields the probe around evaluate."""
         monkeypatch.setattr(metrics, "PARALLEL_EVAL_WORK", 0)
         monkeypatch.setattr(metrics.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         probe = ComputeProbe(pause=0.002)
         monkeypatch.setattr(metrics, "evaluate", probe.wrap(evaluate))
         before = threading.active_count()
         yield probe
-        assert threading.active_count() == before  # the pool is joined before the call returns
+        assert threading.active_count() == before  # the pool is joined when it is left
 
     def assert_one_thread_per_cpu(self, probe):
         """The one pool thread of a two-CPU host took part, beside the caller and never more."""
         assert probe.peak <= 2
         assert len(set(probe.threads) - {threading.main_thread()}) == 1
 
+    def pooled_record(self, states, test_data):
+        with metrics.evaluation_pool(SPEC, states, test_data) as pool:
+            return metrics.submit_record(pool, SPEC, states, test_data)()
+
     def test_global_accuracy_with_partially_shared_models(self, probe):
         test_data = synth_dataset(3, 20, 6, seed=9)
         states = {k: client_with(seed, data_seed=k) for k, seed in zip(range(1, 6), (5, 6, 5, 7, 6))}
         serial = float(np.mean([evaluate(SPEC, states[k].params, test_data) for k in sorted(states)]))
-        assert global_accuracy(states, SPEC, test_data) == serial
-        assert len(probe.threads) == 3  # one evaluation per distinct parameter vector
+        global_acc, _ = self.pooled_record(states, test_data)
+        assert global_acc == serial
+        assert len(probe.threads) == 3 + 5  # a test evaluation per distinct vector, a validation per client
         self.assert_one_thread_per_cpu(probe)
 
     def test_local_accuracy(self, probe):
+        test_data = synth_dataset(3, 20, 6, seed=9)
         states = {k: client_with(k, data_seed=10 + k) for k in (1, 2, 3, 4)}
         serial = float(np.mean([evaluate(SPEC, s.params, s.data.validation) for s in states.values()]))
-        assert local_accuracy(states, SPEC) == serial
-        assert len(probe.threads) == 4
+        _, local_acc = self.pooled_record(states, test_data)
+        assert local_acc == serial
+        assert len(probe.threads) == 4 + 4
         self.assert_one_thread_per_cpu(probe)
 
     def test_empty_validation_names_lowest_client_before_any_evaluation(self, probe):
@@ -160,12 +167,17 @@ class TestThreadedEvaluation:
         assert probe.threads == []
 
     def test_small_evaluations_stay_on_the_calling_thread(self, monkeypatch):
+        """No pool when a validation set falls below the gate, even if the test set reaches it."""
         threads = []
         monkeypatch.setattr(metrics, "evaluate", lambda *a: threads.append(threading.current_thread()) or 0.5)
+        monkeypatch.setattr(metrics.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         states = {k: client_with(k, data_seed=k) for k in (1, 2, 3)}
-        assert 20 * SPEC.param_count < metrics.PARALLEL_EVAL_WORK
-        global_accuracy(states, SPEC, synth_dataset(3, 20, 6, seed=9))
-        assert threads == [threading.main_thread()] * 3
+        test_data = synth_dataset(3, 20, 6, seed=9)
+        monkeypatch.setattr(metrics, "PARALLEL_EVAL_WORK", len(test_data) * SPEC.param_count)
+        with metrics.evaluation_pool(SPEC, states, test_data) as pool:
+            assert pool is None
+            metrics.submit_record(pool, SPEC, states, test_data)()
+        assert threads == [threading.main_thread()] * 6
 
 
 class TestCsv:
