@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .data import Dataset, label_counts, load_idx, partition, synth_dataset
+from .data import Dataset, DatasetView, Rows, label_counts, load_idx, partition, synth_dataset
 from .errors import ConfigurationError, DefktError, LoadError
 from .federation import FusionStrategy, HyperParams, build_client_states, run_experiment
 from .metrics import atomic_open, emit_csv, evaluate
@@ -272,8 +272,8 @@ def parse_config(args: argparse.Namespace) -> RunConfig:
     return resolve_config(file_values, {k: v for k, v in vars(args).items() if k in _KEYS})
 
 
-def load_corpus(config: RunConfig, seed: int) -> tuple[Dataset, Dataset]:
-    """Training corpus and global test set for one run seed."""
+def load_corpus(config: RunConfig, seed: int) -> tuple[Rows, Dataset]:
+    """Training corpus (a view when `subset` is set) and global test set for one run seed."""
     if config.dataset == "synthetic":
         s = config.synthetic
         base = seed if s["seed"] is None else s["seed"]
@@ -297,8 +297,8 @@ def load_corpus(config: RunConfig, seed: int) -> tuple[Dataset, Dataset]:
     return train, test
 
 
-def model_spec(config: RunConfig, corpus: Dataset) -> ModelSpec:
-    input_dim = corpus.inputs.shape[1]
+def model_spec(config: RunConfig, corpus: Rows) -> ModelSpec:
+    input_dim = corpus.batch(slice(0, 1)).inputs.shape[1]
     if config.model == "mlp":
         return ModelSpec.mlp(input_dim, hidden=config.hidden, num_classes=corpus.num_classes)
     if input_dim != 784:
@@ -306,7 +306,7 @@ def model_spec(config: RunConfig, corpus: Dataset) -> ModelSpec:
     return ModelSpec.cnn_small((1, 28, 28), num_classes=corpus.num_classes)
 
 
-def make_shards(config: RunConfig, corpus: Dataset, seed: int) -> list[Dataset]:
+def make_shards(config: RunConfig, corpus: Rows, seed: int) -> list[DatasetView]:
     """Client shards: IID when xi is unset, else xi label segments per client."""
     xi = config.classes_per_client
     if xi is not None and xi > corpus.num_classes:

@@ -4,6 +4,15 @@ Datasets hold (N, d) float64 inputs and (N,) int64 labels in 1..C.
 IDX image files are scaled to [0, 1] by dividing by 255 and their raw
 0-based labels are shifted up by one. All partitioners are conservative:
 the multiset union of the client shards equals the source dataset.
+
+A subset is a DatasetView: the source Dataset and an index array, with no
+row copied. Client shards, their train/validation splits and a config's
+corpus subset are views of the one corpus, so a run holds its rows once.
+Both types answer len(), labels and batch(positions); a Dataset's batch of
+a slice is a slice of its arrays, a view's batch gathers its rows once.
+Batches can therefore share memory with the corpus: the purity contract in
+nn covers the corpus arrays too, and nothing writes a batch or a corpus in
+place.
 """
 
 from __future__ import annotations
@@ -44,19 +53,55 @@ class Dataset:
     def __len__(self) -> int:
         return self.inputs.shape[0]
 
-    def subset(self, indices: np.ndarray) -> "Dataset":
-        return Dataset(self.inputs[indices], self.labels[indices], self.num_classes)
+    def subset(self, indices: np.ndarray) -> "DatasetView":
+        """Rows `indices`, in that order, as a view that copies no row."""
+        return DatasetView(self, np.arange(len(self))[indices])
+
+    def batch(self, positions) -> Batch:
+        return Batch(self.inputs[positions], self.labels[positions])
+
+
+@dataclass
+class DatasetView:
+    """Rows `index` of `source`, in that order; nonempty."""
+
+    source: Dataset
+    index: np.ndarray
+
+    def __post_init__(self):
+        if len(self.index) < 1:
+            raise ConfigurationError("a dataset subset must keep at least one sample")
+
+    @property
+    def num_classes(self) -> int:
+        return self.source.num_classes
+
+    @property
+    def labels(self) -> np.ndarray:
+        return self.source.labels[self.index]
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    def subset(self, indices: np.ndarray) -> "DatasetView":
+        return DatasetView(self.source, self.index[indices])
+
+    def batch(self, positions) -> Batch:
+        return self.source.batch(self.index[positions])
+
+
+Rows = Dataset | DatasetView
 
 
 @dataclass
 class ClientData:
     """One client's private data after the 80/20 split."""
 
-    train: Dataset
-    validation: Dataset
+    train: Rows
+    validation: Rows
 
 
-def label_counts(data: Dataset) -> dict[int, int]:
+def label_counts(data: Rows) -> dict[int, int]:
     """Histogram of labels as {label: count}."""
     values, counts = np.unique(data.labels, return_counts=True)
     return {int(v): int(c) for v, c in zip(values, counts)}
@@ -102,7 +147,8 @@ def load_idx(images_path: str, labels_path: str, num_classes: int | None = None)
         raise LoadError(
             f"{labels_path}: label count {label_count} does not match image count {count} in {images_path}"
         )
-    inputs = pixels.reshape(count, rows * cols).astype(np.float64) / 255.0
+    inputs = pixels.reshape(count, rows * cols).astype(np.float64)
+    inputs /= 255.0
     labels = raw_labels.astype(np.int64) + 1
     if num_classes is None:
         num_classes = int(labels.max())
@@ -136,7 +182,7 @@ def synth_dataset(
     return Dataset(inputs, labels, num_classes)
 
 
-def partition_iid(data: Dataset, num_clients: int, seed: int) -> list[Dataset]:
+def partition_iid(data: Rows, num_clients: int, seed: int) -> list[DatasetView]:
     """Shuffle the corpus and deal it into num_clients near-equal shards."""
     if num_clients > len(data):
         raise ConfigurationError(f"cannot split {len(data)} samples among {num_clients} clients")
@@ -145,7 +191,7 @@ def partition_iid(data: Dataset, num_clients: int, seed: int) -> list[Dataset]:
     return [data.subset(part) for part in np.array_split(order, num_clients)]
 
 
-def partition_noniid(data: Dataset, num_clients: int, classes_per_client: int, seed: int) -> list[Dataset]:
+def partition_noniid(data: Rows, num_clients: int, classes_per_client: int, seed: int) -> list[DatasetView]:
     """Label-sorted segment assignment: each client receives `classes_per_client` segments.
 
     Indices are stably sorted by label, cut into num_clients * classes_per_client
@@ -172,8 +218,8 @@ def partition_noniid(data: Dataset, num_clients: int, classes_per_client: int, s
 
 
 def partition(
-    data: Dataset, num_clients: int, classes_per_client: int | None, seed: int
-) -> list[Dataset]:
+    data: Rows, num_clients: int, classes_per_client: int | None, seed: int
+) -> list[DatasetView]:
     """Divide a corpus among clients: IID when classes_per_client is None, else non-IID."""
     if num_clients < 2:
         raise ConfigurationError("partitioning needs at least 2 clients")
@@ -184,7 +230,7 @@ def partition(
     return partition_noniid(data, num_clients, classes_per_client, seed)
 
 
-def train_val_split(data: Dataset, fraction: float = 0.8, seed: int = 0) -> ClientData:
+def train_val_split(data: Rows, fraction: float = 0.8, seed: int = 0) -> ClientData:
     """Seeded shuffle, first floor(fraction*N) samples to train, rest to validation."""
     if len(data) < 5:
         raise ConfigurationError(f"need at least 5 samples to split, got {len(data)}")
@@ -197,7 +243,7 @@ def train_val_split(data: Dataset, fraction: float = 0.8, seed: int = 0) -> Clie
     )
 
 
-def minibatches(data: Dataset, batch_size: int, rng: np.random.Generator) -> Iterator[Batch]:
+def minibatches(data: Rows, batch_size: int, rng: np.random.Generator) -> Iterator[Batch]:
     """One pass over the dataset in freshly shuffled batches of `batch_size`.
 
     Yields ceil(N / batch_size) batches, the last possibly smaller; every
@@ -207,5 +253,4 @@ def minibatches(data: Dataset, batch_size: int, rng: np.random.Generator) -> Ite
         raise ConfigurationError("batch_size must be at least 1")
     order = rng.permutation(len(data))
     for start in range(0, len(data), batch_size):
-        idx = order[start : start + batch_size]
-        yield Batch(data.inputs[idx], data.labels[idx])
+        yield data.batch(order[start : start + batch_size])

@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .data import ClientData, Dataset, minibatches, train_val_split
+from .data import ClientData, Dataset, Rows, minibatches, train_val_split
 from .errors import ConfigurationError, NumericalError
 from .losses import cross_entropy_grad_logits, mutual_loss_grad_logits, softmax
 from .metrics import MetricsRecord, evaluation_pool, submit_record
@@ -326,9 +326,9 @@ def run_round(
 
 
 def build_client_states(
-    spec: ModelSpec, shards: list[Dataset], hyper: HyperParams
+    spec: ModelSpec, shards: list[Rows], hyper: HyperParams
 ) -> dict[int, ClientState]:
-    """Split each shard 80/20 and initialize every client with one shared model."""
+    """Split each shard 80/20 and give every client the one initial vector (nothing writes it)."""
     if len(shards) != hyper.num_clients:
         raise ConfigurationError(
             f"got {len(shards)} shards for {hyper.num_clients} clients"
@@ -337,7 +337,7 @@ def build_client_states(
     states: dict[int, ClientState] = {}
     for k, shard in enumerate(shards, start=1):
         split = train_val_split(shard, 0.8, derive_seed(hyper.seed, SPLIT_STREAM, k))
-        states[k] = ClientState(client_id=k, params=shared.copy(), data=split)
+        states[k] = ClientState(client_id=k, params=shared, data=split)
     return states
 
 

@@ -27,9 +27,9 @@ from typing import Callable
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, Rows
 from .errors import ConfigurationError, LoadError
-from .nn import Batch, ModelSpec, check_features, forward
+from .nn import ModelSpec, check_features, forward
 
 CSV_FIELDS = ("round", "strategy", "seed", "global_acc", "local_acc", "scalars_transmitted")
 # Rows per evaluation forward. The chunk fixes the GEMM row count and so the
@@ -60,14 +60,14 @@ class MetricsRecord:
     scalars_transmitted: int
 
 
-def evaluate(spec: ModelSpec, params: np.ndarray, data: Dataset) -> float:
+def evaluate(spec: ModelSpec, params: np.ndarray, data: Rows) -> float:
     """Top-1 accuracy of a model on a dataset; argmax ties go to the lowest class."""
     if len(data) < 1:
         raise ConfigurationError("cannot evaluate on an empty dataset")
     correct = 0
     for start in range(0, len(data), EVAL_CHUNK_ROWS):
         stop = min(start + EVAL_CHUNK_ROWS, len(data))
-        batch = Batch(data.inputs[start:stop], data.labels[start:stop])
+        batch = data.batch(slice(start, stop))
         predictions = forward(spec, params, batch).argmax(axis=1) + 1
         correct += int((predictions == batch.labels).sum())
     return correct / len(data)
@@ -105,7 +105,7 @@ class _Task:
     Without a pool it is made at once.
     """
 
-    def __init__(self, pool, spec: ModelSpec, params: np.ndarray, data: Dataset):
+    def __init__(self, pool, spec: ModelSpec, params: np.ndarray, data: Rows):
         self._args = (spec, params, data)
         self._future = None if pool is None else pool.submit(self._run)
         self._value = self._run() if pool is None else None

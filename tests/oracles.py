@@ -11,6 +11,7 @@ import time
 
 import numpy as np
 
+from defkt.data import Dataset
 from defkt.federation import CommLog
 
 
@@ -57,11 +58,15 @@ def label_histogram(labels: np.ndarray, num_classes: int) -> np.ndarray:
 
 def row_multiset(dataset) -> list[bytes]:
     """Sorted byte encoding of every (input row, label) pair; small datasets only."""
-    rows = [
-        dataset.inputs[i].tobytes() + int(dataset.labels[i]).to_bytes(8, "little")
-        for i in range(len(dataset))
-    ]
-    return sorted(rows)
+    rows = dataset.batch(slice(None))
+    return sorted(
+        rows.inputs[i].tobytes() + int(rows.labels[i]).to_bytes(8, "little") for i in range(len(rows))
+    )
+
+
+def copying_subset(dataset: Dataset, indices) -> Dataset:
+    """The subset that views replaced: rows `indices` copied into a Dataset of their own."""
+    return Dataset(dataset.inputs[indices], dataset.labels[indices], dataset.num_classes)
 
 
 def accuracy_by_loop(logit_rows: np.ndarray, labels: np.ndarray) -> float:

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,7 @@ from defkt.cli import (
     runs,
     save_model,
 )
+from defkt.data import DatasetView
 from defkt.errors import ConfigurationError, LoadError
 from defkt.federation import build_client_states
 from defkt.metrics import read_csv
@@ -497,7 +499,7 @@ class TestSharedStartAcrossStrategies:
         shards_a = make_shards(config, corpus_a, seed=6)
         shards_b = make_shards(config, corpus_b, seed=6)
         for x, y in zip(shards_a, shards_b):
-            np.testing.assert_array_equal(x.inputs, y.inputs)
+            np.testing.assert_array_equal(x.batch(slice(None)).inputs, y.batch(slice(None)).inputs)
         spec = model_spec(config, corpus_a)
         sa = build_client_states(spec, shards_a, config.hyper_for(6))
         sb = build_client_states(spec, shards_b, config.hyper_for(6))
@@ -505,3 +507,31 @@ class TestSharedStartAcrossStrategies:
         starts = [timeline[0] for *_, timeline in runs(config)]
         assert [r.strategy for r in starts] == ["defkt", "fullavg", "combo"]
         assert len({(r.round, r.global_acc, r.local_acc, r.scalars_transmitted) for r in starts}) == 1
+
+
+class TestRunMemory:
+    def test_shards_and_clients_copy_no_rows(self):
+        """Shards, splits and initial models of a reference-size run allocate under 10% of the corpus."""
+        config = resolve_config({
+            "dataset": "synthetic", "clients": 10, "hidden": [200, 200],
+            "synthetic": {"classes": 10, "per_class": 600, "dims": 784, "sigma": 0.1, "test_per_class": 1},
+        })
+        corpus, _ = load_corpus(config, seed=1)
+        spec = model_spec(config, corpus)
+        tracemalloc.start()
+        try:
+            shards = make_shards(config, corpus, seed=1)
+            states = build_client_states(spec, shards, config.hyper_for(1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(states) == 10
+        assert len({id(s.params) for s in states.values()}) == 1  # one shared initial vector
+        assert peak < 0.1 * corpus.inputs.nbytes
+
+    def test_corpus_subset_is_a_view(self):
+        config = resolve_config(dict(TINY, subset=50))
+        corpus, _ = load_corpus(config, seed=3)
+        assert isinstance(corpus, DatasetView) and len(corpus) == 50
+        assert model_spec(config, corpus).input_dim == 5
+        assert all(shard.source is corpus.source for shard in make_shards(config, corpus, seed=3))

@@ -6,7 +6,10 @@ import struct
 import numpy as np
 import pytest
 
+from defkt import metrics
 from defkt.data import (
+    Dataset,
+    DatasetView,
     class_means,
     label_counts,
     load_idx,
@@ -18,9 +21,11 @@ from defkt.data import (
     train_val_split,
 )
 from defkt.errors import ConfigurationError, LoadError
+from defkt.metrics import evaluate
+from defkt.nn import ModelSpec, init_params
 from defkt.seeding import derive_rng
 
-from oracles import label_histogram, row_multiset
+from oracles import copying_subset, label_histogram, row_multiset
 
 
 def idx_image_bytes(images: np.ndarray) -> bytes:
@@ -148,7 +153,7 @@ class TestPartitionIid:
         data = synth_dataset(3, 10, 4, seed=5)
         (shard,) = partition_iid(data, 1, seed=3)
         assert row_multiset(shard) == row_multiset(data)
-        assert not np.array_equal(shard.inputs, data.inputs)  # actually shuffled
+        assert not np.array_equal(shard.batch(slice(None)).inputs, data.inputs)  # actually shuffled
 
     def test_conservation_by_histogram(self, surrogate_corpus):
         shards = partition_iid(surrogate_corpus, 7, seed=4)
@@ -234,6 +239,48 @@ class TestTrainValSplit:
         data = synth_dataset(2, 2, 3, seed=0)
         with pytest.raises(ConfigurationError):
             train_val_split(data, seed=0)
+
+
+class TestViews:
+    """Shards and splits are views of the corpus that batch and evaluate like the copies they replaced."""
+
+    @staticmethod
+    def client_splits(corpus, select, xi):
+        shards = partition(corpus if select is None else corpus.subset(select), 4, xi, seed=7)
+        return [train_val_split(shard, 0.8, seed=k) for k, shard in enumerate(shards)]
+
+    @pytest.mark.parametrize("xi", [None, 2], ids=["iid", "noniid"])
+    @pytest.mark.parametrize("corpus_subset", [False, True], ids=["corpus", "corpus-subset"])
+    def test_batches_and_accuracies_are_those_of_copies(self, monkeypatch, xi, corpus_subset):
+        corpus = synth_dataset(4, 30, 6, seed=2)
+        spec = ModelSpec.mlp(6, hidden=[5], num_classes=4)
+        params = init_params(spec, 3)
+        select = derive_rng(4).permutation(len(corpus))[:100] if corpus_subset else None
+        views = self.client_splits(corpus, select, xi)
+        monkeypatch.setattr(Dataset, "subset", copying_subset)
+        copies = self.client_splits(corpus, select, xi)
+        monkeypatch.setattr(metrics, "EVAL_CHUNK_ROWS", 7)  # several chunks per evaluation
+        for view, copy in zip(views, copies, strict=True):
+            for part in ("train", "validation"):
+                v, c = getattr(view, part), getattr(copy, part)
+                assert isinstance(v, DatasetView) and isinstance(c, Dataset)
+                np.testing.assert_array_equal(v.labels, c.labels)
+                got = list(minibatches(v, 8, derive_rng(5)))
+                want = list(minibatches(c, 8, derive_rng(5)))
+                assert [b.inputs.tobytes() for b in got] == [b.inputs.tobytes() for b in want]
+                assert [b.labels.tobytes() for b in got] == [b.labels.tobytes() for b in want]
+                assert evaluate(spec, params, v) == evaluate(spec, params, c)
+
+    def test_views_share_the_corpus_rows(self):
+        corpus = synth_dataset(3, 10, 4, seed=1)
+        split = train_val_split(partition(corpus, 2, None, seed=0)[1], seed=2)
+        assert split.train.source is corpus and split.validation.source is corpus
+        # a view's subset composes indices: its rows are the corpus rows it names
+        nested = split.train.subset(np.array([3, 0]))
+        np.testing.assert_array_equal(nested.index, split.train.index[[3, 0]])
+        np.testing.assert_array_equal(nested.batch(slice(None)).inputs, corpus.inputs[nested.index])
+        # a Dataset's batch of a slice copies nothing
+        assert np.shares_memory(corpus.batch(slice(2, 5)).inputs, corpus.inputs)
 
 
 class TestMinibatches:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from defkt import federation, metrics
-from defkt.data import ClientData, synth_dataset, train_val_split
+from defkt.data import ClientData, Dataset, synth_dataset, train_val_split
 from defkt.errors import ConfigurationError, NumericalError
 from defkt.federation import (
     LOCAL_STREAM,
@@ -140,7 +140,7 @@ class TestLocalUpdate:
         client = tiny_client(1, seed=20)
         n = len(client.data.train)
         out = local_update(client, SPEC, n, 1, 0.1, 0.0, derive_rng(1))
-        batch = Batch(client.data.train.inputs, client.data.train.labels)
+        batch = client.data.train.batch(slice(None))
         probs = softmax(forward(SPEC, client.params, batch))
         grad = backward(SPEC, client.params, batch, cross_entropy_grad_logits(probs, batch.labels))
         expected, _ = sgd_step(client.params, grad, np.zeros(grad.size), 0.1, 0.0)
@@ -149,7 +149,7 @@ class TestLocalUpdate:
     def test_training_reduces_loss_on_easy_problem(self):
         client = tiny_client(1, seed=30, per_class=34)  # ~100 samples
         out = local_update(client, SPEC, 16, 10, 0.05, 0.5, derive_rng(2))
-        batch = Batch(client.data.train.inputs, client.data.train.labels)
+        batch = client.data.train.batch(slice(None))
         before = cross_entropy(softmax(forward(SPEC, client.params, batch)), batch.labels)
         after = cross_entropy(softmax(forward(SPEC, out.params, batch)), batch.labels)
         assert after < before
@@ -265,9 +265,7 @@ class TestFuseDefkt:
     def test_single_sample_single_pass_matches_hand_composition(self):
         inputs = np.random.default_rng(7).random((1, 6))
         labels = np.array([2])
-        train = synth_dataset(3, 1, 6, seed=0).subset(np.array([0]))
-        train.inputs[:] = inputs
-        train.labels[:] = labels
+        train = Dataset(inputs, labels, 3)
         data = ClientData(train=train, validation=train)
         received = init_params(SPEC, 4)
         local = init_params(SPEC, 5)
@@ -662,9 +660,8 @@ class TestOverlappedRecords:
         with pytest.raises(ConfigurationError, match="batch has 7 input features, model expects 6"):
             run_experiment(SPEC, hyper, FusionStrategy.DEFKT, experiment_states(hyper), wide)
         states = experiment_states(hyper)
-        for k in (4, 2):  # Dataset refuses zero rows, so empty them after construction
-            states[k].data.validation.inputs = np.empty((0, 6))
-            states[k].data.validation.labels = np.empty(0, dtype=np.int64)
+        for k in (4, 2):  # a subset refuses zero rows, so empty them after construction
+            states[k].data.validation.index = np.empty(0, dtype=np.intp)
         with pytest.raises(ConfigurationError, match="client 2 has an empty validation set"):
             run_experiment(SPEC, hyper, FusionStrategy.DEFKT, states, self.TEST_DATA)
         assert probe.threads == []

@@ -60,10 +60,12 @@ class TestEvaluate:
         assert chunked == evaluate(SPEC, params, data)
 
     def test_empty_dataset_unrepresentable(self):
-        # the Dataset invariant (N >= 1) blocks empty evaluation inputs upstream
+        # the Dataset and subset invariant (N >= 1) blocks empty evaluation inputs upstream
         data = synth_dataset(3, 5, 6, seed=1)
         with pytest.raises(ConfigurationError):
             data.subset(np.array([], dtype=int))
+        with pytest.raises(ConfigurationError):
+            data.subset(np.arange(6)).subset(np.array([], dtype=int))
 
 
 def client_with(params_seed: int, data_seed: int) -> ClientState:
@@ -159,9 +161,8 @@ class TestThreadedEvaluation:
 
     def test_empty_validation_names_lowest_client_before_any_evaluation(self, probe):
         states = {k: client_with(k, data_seed=k) for k in (1, 2, 3)}
-        for k in (3, 2):  # Dataset refuses zero rows, so empty them after construction
-            states[k].data.validation.inputs = np.empty((0, 6))
-            states[k].data.validation.labels = np.empty(0, dtype=np.int64)
+        for k in (3, 2):  # a subset refuses zero rows, so empty them after construction
+            states[k].data.validation.index = np.empty(0, dtype=np.intp)
         with pytest.raises(ConfigurationError, match="client 2 has an empty validation set"):
             local_accuracy(states, SPEC)
         assert probe.threads == []
