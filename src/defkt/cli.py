@@ -253,6 +253,10 @@ def resolve_config(file_values: dict | None = None, flags: dict | None = None) -
             raise ConfigurationError(f"config key {key}: must be at least 1, got {v[key]}")
     if min(v["hidden"], default=1) < 1:
         raise ConfigurationError(f"config key hidden: every width must be at least 1, got {list(v['hidden'])}")
+    for key, seeds in (("config key seeds", v["seeds"]), ("synthetic key seed", [v["synthetic"]["seed"]])):
+        bad = [seed for seed in seeds if seed is not None and not 0 <= seed < 2**64]
+        if bad:  # derive_seed reduces keys mod 2**64, so such a seed would alias one inside the range
+            raise ConfigurationError(f"{key}: must lie in [0, 2**64), got {bad[0]}")
     synthetic = v["synthetic"]
     for key, least in (("classes", 2), ("per_class", 1), ("dims", 1), ("test_per_class", 1)):
         if synthetic[key] < least:

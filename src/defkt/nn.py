@@ -37,6 +37,21 @@ a -0.0 into +0.0 (IEEE leaves fmax's sign on a zero tie open) and changes no
 other value: the result is np.where(z > 0, z, 0.0). Backward, _mask_grad ANDs
 dx's 64-bit patterns with 0 or all ones, so kept elements keep their exact
 bits, inf and NaN included, and the others become +0.0, whose pattern is 0.
+
+The pooling kernels are branch-free in the same way. _maxpool scans each
+window's positions from last to first, keeps the winner's bits and its int8
+window index through XOR/AND blends, and so picks the first maximum and the
+first NaN (details in its docstring); MaxPoolLayer caps the window at 11 so
+that s*s - 1 fits in int8. _maxpool_backward writes dy's bits, ANDed with the
+same kind of mask, straight into each window position's sub-grid of dx.
+
+The conv gradients rely on the order in which numpy's einsum (optimize off)
+sums, and tests/oracles.py pins both orders with loops. Both sums start at
++0.0 and round every product on its own (no fused multiply-add). The weight
+gradient, "bop,bpf->of", sums over (b, p) in row-major order. The input
+gradient, "bop,fo->bfp" against the transposed weight matrix, sums over the
+output channels in order; its (b, C, k, k, h', w') result is then scattered
+into dx one kernel offset (di, dj) at a time, in row-major order.
 """
 
 from __future__ import annotations
@@ -141,14 +156,12 @@ class ConvLayer:
         if not need_dx:
             return grads, None
         k = self.kernel
-        dcols = np.einsum("bop,of->bpf", dz_flat, weights.reshape(out_ch, -1))
-        dcols = dcols.reshape(n, out_h, out_w, self.in_channels, k, k)
+        w_t = np.ascontiguousarray(weights.reshape(out_ch, -1).T)
+        dcols = np.einsum("bop,fo->bfp", dz_flat, w_t).reshape(n, self.in_channels, k, k, out_h, out_w)
         dx = np.zeros(in_shape, dtype=np.float64)
         for di in range(k):
             for dj in range(k):
-                dx[:, :, di : di + out_h, dj : dj + out_w] += dcols[:, :, :, :, di, dj].transpose(
-                    0, 3, 1, 2
-                )
+                dx[:, :, di : di + out_h, dj : dj + out_w] += dcols[:, :, di, dj]
         return grads, dx
 
 
@@ -161,6 +174,8 @@ class MaxPoolLayer:
     def out_shape(self, in_shape: tuple[int, ...]) -> tuple[int, ...]:
         if self.size < 1:
             raise ConfigurationError(f"pooling window must be at least 1, got {self.size}")
+        if self.size > 11:  # s * s - 1 must fit the int8 window index
+            raise ConfigurationError(f"pooling window must be at most 11, got {self.size}")
         if len(in_shape) != 3:
             raise ConfigurationError("pooling layer requires (channels, height, width) input")
         c, h, w = in_shape
@@ -326,30 +341,47 @@ def _im2col(x: np.ndarray, kernel: int) -> np.ndarray:
 def _maxpool(x: np.ndarray, s: int) -> tuple[np.ndarray, np.ndarray]:
     """Non-overlapping s x s max pooling of (B, C, H, W); returns (pooled, argmax).
 
-    argmax indexes each window in row-major order and picks the first maximum
-    on ties. The window copy dies on return, so it does not outlive the layer.
+    argmax is an int8 array that indexes each window in row-major order; it
+    picks the first maximum on ties, and the first NaN over any number. One
+    transposing copy lays the windows out as s*s contiguous planes, one per
+    window position, and the planes are scanned from the last to the first:
+    position t takes over where its value g satisfies g >= best or g is NaN,
+    so an earlier position wins every tie (-0.0 against +0.0 included) and no
+    number displaces a NaN. The takeover blends the value's 64-bit pattern and
+    the index with XOR and AND against the all-ones mask, so values keep their
+    exact bits. The plane copy dies on return, so it does not outlive the layer.
     """
     n, channels, h, w = x.shape
     out_h, out_w = h // s, w // s
     windows = x[:, :, : out_h * s, : out_w * s].reshape(n, channels, out_h, s, out_w, s)
-    flat = windows.transpose(0, 1, 2, 4, 3, 5).reshape(n, channels, out_h, out_w, s * s)
-    argmax = flat.argmax(axis=-1)
-    return np.take_along_axis(flat, argmax[..., None], axis=-1)[..., 0], argmax
+    planes = np.ascontiguousarray(windows.transpose(3, 5, 0, 1, 2, 4)).reshape(s * s, n, channels, out_h, out_w)
+    bits = planes.view(np.int64)
+    best = bits[-1].copy()
+    pooled = best.view(np.float64)
+    argmax = np.full(best.shape, s * s - 1, dtype=np.int8)
+    for t in range(s * s - 2, -1, -1):
+        g = planes[t]
+        take = np.negative(((g >= pooled) | np.isnan(g)).view(np.int8))  # int8 -1 widens to all ones
+        best ^= (best ^ bits[t]) & take
+        argmax ^= (argmax ^ t) & take
+    return pooled, argmax
 
 
 def _maxpool_backward(dy: np.ndarray, argmax: np.ndarray, in_shape: tuple[int, ...], s: int) -> np.ndarray:
     """Gradient of _maxpool: each window's dy lands on its argmax position, zero elsewhere.
 
-    Window position t covers one stride sub-grid of dx; dy is copied into it
-    whole and then masked to the windows whose argmax is t.
+    Window position t covers one stride sub-grid of dx. dy's 64-bit patterns,
+    ANDed with all ones where argmax is t and with 0 elsewhere, are written
+    straight into that sub-grid, so a routed value keeps its bits and every
+    other position is +0.0.
     """
     out_h, out_w = dy.shape[2:]
     dx = np.zeros(in_shape, dtype=np.float64)
+    bits, dy_bits = dx.view(np.int64), dy.view(np.int64)
     for t in range(s * s):
         di, dj = divmod(t, s)
-        grid = dx[:, :, di : out_h * s : s, dj : out_w * s : s]
-        grid[...] = dy
-        _mask_grad(grid, argmax == t)
+        grid = bits[:, :, di : out_h * s : s, dj : out_w * s : s]
+        np.bitwise_and(dy_bits, np.negative((argmax == t).view(np.int8)), out=grid)
     return dx
 
 

@@ -121,6 +121,43 @@ def maxpool_grad_by_loop(dy: np.ndarray, picks: np.ndarray, in_shape: tuple) -> 
     return dx
 
 
+def conv_input_grad_by_loop(dz: np.ndarray, weights: np.ndarray, in_shape: tuple) -> np.ndarray:
+    """Input gradient of a valid stride-1 convolution, in the engine's summation order.
+
+    For each kernel offset (di, dj) in row-major order, every patch entry's
+    gradient is summed over the output channels one at a time, starting at
+    +0.0, each product rounded on its own; the sums are then added into dx,
+    which starts at +0.0. The loops over the reduction and the scatter are
+    explicit; the arithmetic of one step runs over all (b, c, i, j) at once.
+    """
+    n, out_ch, out_h, out_w = dz.shape
+    k = weights.shape[2]
+    dx = np.zeros(in_shape)
+    for di in range(k):
+        for dj in range(k):
+            total = np.zeros((n, weights.shape[1], out_h, out_w))
+            for o in range(out_ch):
+                total += dz[:, o, None] * weights[o, :, di, dj][None, :, None, None]
+            dx[:, :, di : di + out_h, dj : dj + out_w] += total
+    return dx
+
+
+def conv_weight_grad_by_loop(dz: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """(out_ch, C*k*k) weight gradient of a valid convolution from its (B, H'*W', C*k*k) patch matrix.
+
+    Each entry sums dz * cols over (b, p), the batch row and the output pixel,
+    in row-major order from +0.0, each product rounded on its own. The loop
+    over (b, p) is explicit; one step updates every (o, f) at once.
+    """
+    n, out_ch = dz.shape[:2]
+    dz = dz.reshape(n, out_ch, -1)
+    dw = np.zeros((out_ch, cols.shape[2]))
+    for b in range(n):
+        for p in range(cols.shape[1]):
+            dw += dz[b, :, p, None] * cols[b, p][None, :]
+    return dw
+
+
 def backward(spec, params: np.ndarray, batch, grad_logits: np.ndarray) -> np.ndarray:
     """Gradient of <logits, grad_logits> w.r.t. params: a forward pass, then nn.backward_from_cache."""
     from defkt.nn import backward_from_cache, forward_cached

@@ -117,6 +117,10 @@ class TestResolveConfig:
         with pytest.raises(ConfigurationError):
             resolve_config({"seeds": []})
 
+    def test_seeds_at_the_ends_of_the_range_accepted(self):
+        config = resolve_config({"seeds": [0, 2**64 - 1], "synthetic": {"seed": 2**64 - 1}})
+        assert config.seeds == (0, 2**64 - 1) and config.synthetic["seed"] == 2**64 - 1
+
     def test_missing_idx_files_rejected(self, tmp_path, monkeypatch):
         monkeypatch.setenv("DEFKT_DATA_DIR", str(tmp_path))
         with pytest.raises(ConfigurationError, match="train-images"):
@@ -339,12 +343,19 @@ class TestCmdRun:
              "synthetic key test_per_class: must be at least 1, got 0\n"),
             ({"synthetic": dict(TINY["synthetic"], sigma=float("inf"))}, [],
              "synthetic key sigma: must be nonnegative and finite, got inf\n"),
+            # derive_seed reduces keys mod 2**64: -1 would alias 2**64 - 1, and 2**64 would alias 0
+            ({}, ["--seed", "-1"], "config key seeds: must lie in [0, 2**64), got -1\n"),
+            ({}, ["--seed", "1", "--seed", str(2**64)],
+             "config key seeds: must lie in [0, 2**64), got 18446744073709551616\n"),
+            ({"synthetic": dict(TINY["synthetic"], seed=-1)}, [],
+             "synthetic key seed: must lie in [0, 2**64), got -1\n"),
         ],
         ids=[
             "seed-repeated", "senders-negative", "passes-e-negative", "passes-m-0", "batch-b1-0",
             "batch-b2-0", "rounds-negative", "clients-1", "senders-exceed-clients", "momentum-1",
             "lr-negative", "eval-every-0", "subset-0", "subset-exceeds-corpus", "xi-0", "xi-exceeds-classes",
             "hidden-width-0", "synthetic-classes-1", "synthetic-test-per-class-0", "synthetic-sigma-inf",
+            "seed-negative", "seed-2-to-the-64", "synthetic-seed-negative",
         ],
     )
     def test_bad_input_message_names_the_value(self, tmp_path, capsys, overrides, flags, message):

@@ -28,6 +28,8 @@ from oracles import (
     backward,
     backward_with_input_grad,
     central_difference,
+    conv_input_grad_by_loop,
+    conv_weight_grad_by_loop,
     maxpool_by_loop,
     maxpool_grad_by_loop,
     mlp_forward_by_hand,
@@ -299,12 +301,70 @@ class TestMaxPool:
         dx = _maxpool_backward(np.ones(pooled.shape), argmax, x.shape, 2)
         assert not dx[:, :, 10, :].any() and not dx[:, :, :, 10].any()
 
+    def test_all_nan_and_all_minus_inf_windows(self):
+        x = np.random.default_rng(9).standard_normal((2, 2, 4, 6))
+        x[0, 0, :2, :2] = np.nan  # all NaN: position 0
+        x[0, 1, 2:, 4:] = -np.nan  # all NaN of the other sign: position 0 keeps its bits
+        x[1, 0, :2, 2:4] = -np.inf  # all -inf: position 0
+        x[1, 1, 2:, :2] = [[-np.inf, np.nan], [-np.inf, np.nan]]  # the first NaN, position 1
+        self.assert_matches_loop_oracle(x, 2)
+        pooled, argmax = _maxpool(x, 2)
+        assert argmax[0, 0, 0, 0] == argmax[0, 1, 1, 2] == argmax[1, 0, 0, 1] == 0
+        assert argmax[1, 1, 1, 0] == 1
+        assert np.signbit(pooled[0, 1, 1, 2]) and pooled[1, 0, 0, 1] == -np.inf
+
+    @pytest.mark.parametrize(
+        "shape, s",
+        [((1, 2, 7, 8), 3), ((1, 1, 6, 6), 2), ((100, 2, 6, 5), 2), ((2, 1, 11, 12), 11)],
+        ids=["s3-cropped", "batch-1", "batch-100", "s11-largest-index"],
+    )
+    def test_tied_values_bitwise_with_int8_index(self, shape, s):
+        # values from a small set of specials and integers, so windows tie often
+        rng = np.random.default_rng(shape[0] + s)
+        values = np.array([-0.0, 0.0, 1.0, 2.0, np.inf, -np.inf, np.nan])
+        x = rng.choice(values, size=shape, p=[0.2, 0.2, 0.2, 0.2, 0.08, 0.08, 0.04])
+        self.assert_matches_loop_oracle(x, s)
+        pooled, argmax = _maxpool(x, s)
+        assert argmax.dtype == np.int8 and argmax.shape == pooled.shape
+        assert 0 <= argmax.min() and argmax.max() < s * s
+
+    def test_window_above_11_rejected_by_name(self):
+        # the window index is int8: s * s - 1 must not exceed 127
+        ModelSpec((1, 11, 11), (MaxPoolLayer(11), DenseLayer(1, 2)), 2)
+        with pytest.raises(ConfigurationError, match="pooling window must be at most 11, got 12"):
+            ModelSpec((1, 12, 12), (MaxPoolLayer(12), DenseLayer(1, 2)), 2)
+
     @pytest.mark.parametrize("shape, s", [((2, 3, 5, 5), 2), ((2, 3, 6, 7), 3)], ids=["s2", "s3"])
     def test_backward_routes_special_values_bitwise(self, shape, s):
         # inf, NaN and -0.0 land on the argmax unchanged; every other position is +0.0
         x = np.random.default_rng(6).standard_normal(shape)
         dy = np.concatenate([SPECIALS, -SPECIALS]).reshape(2, 3, 2, 2)
         self.assert_matches_loop_oracle(x, s, dy)
+
+
+class TestConvGradients:
+    @pytest.mark.parametrize(
+        "in_ch, k, rows, h, w",
+        [(1, 2, 2, 5, 7), (1, 3, 3, 8, 6), (3, 2, 2, 6, 9), (3, 3, 1, 7, 5), (8, 3, 40, 13, 13)],
+        ids=["c1-k2", "c1-k3", "c3-k2", "c3-k3-one-row", "cnn-small-conv2"],
+    )
+    def test_gradients_bitwise_equal_loop_oracles(self, in_ch, k, rows, h, w):
+        rng = np.random.default_rng(in_ch * 100 + k * 10 + rows)
+        out_ch = 16 if in_ch == 8 else 4
+        layer = ConvLayer(in_ch, out_ch, k)
+        weights = rng.standard_normal((out_ch, in_ch, k, k))
+        weights[0, 0] = -0.0
+        x = rng.standard_normal((rows, in_ch, h, w))
+        _, entry = layer.forward((weights, np.zeros(out_ch)), x, keep=True)
+        dz = rng.standard_normal((rows, out_ch, h - k + 1, w - k + 1))
+        dz[:, 0] = -0.0  # every product of channel 0 is a zero: its weight gradient sums to +0.0
+        dz[0, :, 0, :] = -0.0
+        dz_before = dz.copy()
+        (dw, _), dx = layer.backward((weights, np.zeros(out_ch)), entry, dz, need_dx=True)
+        assert dz.tobytes() == dz_before.tobytes()
+        assert dx.tobytes() == conv_input_grad_by_loop(dz, weights, x.shape).tobytes()
+        assert dw.tobytes() == conv_weight_grad_by_loop(dz, entry[0]).reshape(weights.shape).tobytes()
+        assert not np.signbit(dw[0]).any()
 
 
 class TestBackward:
