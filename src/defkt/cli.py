@@ -31,7 +31,6 @@ from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from .data import Dataset, DatasetView, Rows, label_counts, load_idx, partition, synth_dataset
 from .errors import ConfigurationError, DefktError, LoadError
@@ -193,9 +192,14 @@ def _load_config_file(path: str) -> dict:
             text = fh.read()
     except OSError as exc:
         raise ConfigurationError(f"cannot read config file {path}: {exc}") from exc
+    if path.endswith(".json"):
+        parse, parse_error = json.loads, json.JSONDecodeError
+    else:
+        import yaml  # only YAML configs pay for its import
+        parse, parse_error = yaml.safe_load, yaml.YAMLError
     try:
-        values = json.loads(text) if path.endswith(".json") else yaml.safe_load(text)
-    except (json.JSONDecodeError, yaml.YAMLError) as exc:
+        values = parse(text)
+    except parse_error as exc:
         raise ConfigurationError(f"cannot parse config file {path}: {exc}") from exc
     if values is None:
         return {}

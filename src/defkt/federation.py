@@ -237,11 +237,19 @@ def fuse_defkt(
     return w_received
 
 
+def _weighted_average(a: np.ndarray, b: np.ndarray, n_a: int, n_b: int, out: np.ndarray) -> np.ndarray:
+    """Write (n_a * a + n_b * b) / (n_a + n_b) into `out`, by the same IEEE operations in the same order."""
+    np.multiply(a, n_a, out=out)
+    out += n_b * b
+    out /= n_a + n_b
+    return out
+
+
 def fuse_fullavg(received: np.ndarray, local: np.ndarray, n_sender: int, n_receiver: int) -> np.ndarray:
     """Sample-count-weighted average of two full parameter vectors."""
     if received.shape != local.shape:
         raise ConfigurationError("cannot average parameter vectors of different lengths")
-    return (n_sender * received + n_receiver * local) / (n_sender + n_receiver)
+    return _weighted_average(received, local, n_sender, n_receiver, np.empty(received.shape))
 
 
 def fuse_combo(
@@ -252,16 +260,20 @@ def fuse_combo(
     Both vectors are split at the midpoint. The sender keeps its trailing
     segment and stores the weighted average of the leading segments; the
     receiver keeps its leading segment and stores the weighted average of
-    the trailing segments. Returns (new_sender_params, new_receiver_params).
+    the trailing segments. Returns (new_sender_params, new_receiver_params),
+    two fresh vectors; neither input is written.
     """
     if sender_params.shape != receiver_params.shape:
         raise ConfigurationError("cannot fuse parameter vectors of different lengths")
     lead_s, trail_s = split_segments(sender_params)
     lead_r, trail_r = split_segments(receiver_params)
-    total = n_sender + n_receiver
-    avg_lead = (n_sender * lead_s + n_receiver * lead_r) / total
-    avg_trail = (n_sender * trail_s + n_receiver * trail_r) / total
-    return np.concatenate([avg_lead, trail_s]), np.concatenate([lead_r, avg_trail])
+    cut = lead_s.size
+    new_sender, new_receiver = np.empty(sender_params.shape), np.empty(sender_params.shape)
+    _weighted_average(lead_s, lead_r, n_sender, n_receiver, new_sender[:cut])
+    new_sender[cut:] = trail_s
+    new_receiver[:cut] = lead_r
+    _weighted_average(trail_s, trail_r, n_sender, n_receiver, new_receiver[cut:])
+    return new_sender, new_receiver
 
 
 def _wrap_numerical(round_index: int, client_id: int, exc: NumericalError) -> NumericalError:

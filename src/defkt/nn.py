@@ -10,9 +10,10 @@ Each layer class owns its math in four methods. out_shape(in_shape) checks
 and returns the per-sample output shape. param_shapes() gives (weight shape,
 bias length, fan_in, fan_out), or None for a layer without parameters.
 forward(view, x, keep) returns the output and, when keep, the cache entry.
-backward(view, entry, dx, need_dx) returns the (weight, bias) gradients, or
-None, and the input gradient, or None when need_dx is false. ModelSpec,
-init_params, forward and backward_from_cache only loop over the layers.
+backward(view, grads, entry, dx, need_dx) writes the (weight, bias) gradients
+into the two views `grads` (None for pooling) and returns the input gradient,
+or None when need_dx is false. ModelSpec, init_params, forward and
+backward_from_cache only loop over the layers.
 
 forward produces logits; the softmax lives in the losses module. It keeps
 no cache: each layer's patch matrix, ReLU mask and pooling indices are
@@ -20,15 +21,19 @@ freed when the layer returns. forward_cached runs the same loop and keeps
 them for backward_from_cache, which is exact reverse-mode differentiation
 of <logits, grad_logits> with respect to the parameters; it stops at the
 first layer's parameter gradients and never computes the gradient with
-respect to the input, which no caller reads. sgd_step takes the momentum
-velocity as a plain array and returns the new one.
+respect to the input, which no caller reads. Each layer writes its gradients
+into its _unpack views of one fresh vector; the layout tiles the vector, so
+each entry is written once and nothing is copied. sgd_step takes the
+momentum velocity as a plain array and returns the new one.
 
 All operations are pure: no function writes any of its arguments, and
 identical inputs give bitwise-identical outputs. In-place steps (the dense
-and conv bias and ReLU, the backward ReLU masks) touch only arrays the same
-pass allocated. A ReLU layer is never last (ModelSpec requires a linear final
-layer), so the dx its backward masks in place always comes from the layer
-above it in the same pass, never from the caller's grad_logits.
+and conv bias and ReLU, the backward ReLU masks, the gradient views) touch
+only arrays the same pass allocated. So split_segments can return views:
+nothing writes a parameter vector. A ReLU layer is never last (ModelSpec
+requires a linear final layer), so the dx its backward masks in place always
+comes from the layer above it in the same pass, never from the caller's
+grad_logits.
 
 The ReLU kernels are branch-free and give the bits of np.where. Forward,
 _relu applies fmax(z, 0), which maps negatives, -inf and NaN to +0.0 and
@@ -97,12 +102,13 @@ class DenseLayer:
             _relu(z)
         return z, ((x, z > 0.0 if self.relu else None, pre_flatten) if keep else None)
 
-    def backward(self, view, entry: tuple, dx: np.ndarray, need_dx: bool) -> tuple[tuple, np.ndarray | None]:
+    def backward(self, view, grads, entry: tuple, dx: np.ndarray, need_dx: bool) -> np.ndarray | None:
         x_in, mask, pre_flatten = entry
         if mask is not None:  # a ReLU layer is never last, so dx is this pass's array
             _mask_grad(dx, mask)
-        grads = (x_in.T @ dx, dx.sum(axis=0))
-        return grads, ((dx @ view[0].T).reshape(pre_flatten) if need_dx else None)
+        np.matmul(x_in.T, dx, out=grads[0])
+        dx.sum(axis=0, out=grads[1])
+        return (dx @ view[0].T).reshape(pre_flatten) if need_dx else None
 
 
 @dataclass(frozen=True)
@@ -144,17 +150,17 @@ class ConvLayer:
             _relu(z)
         return z, ((cols, z > 0.0 if self.relu else None, x.shape) if keep else None)
 
-    def backward(self, view, entry: tuple, dx: np.ndarray, need_dx: bool) -> tuple[tuple, np.ndarray | None]:
+    def backward(self, view, grads, entry: tuple, dx: np.ndarray, need_dx: bool) -> np.ndarray | None:
         cols, mask, in_shape = entry
         weights, _ = view
         if mask is not None:  # a ReLU layer is never last, so dx is this pass's array
             _mask_grad(dx, mask)
         n, out_ch, out_h, out_w = dx.shape
         dz_flat = dx.reshape(n, out_ch, out_h * out_w)
-        dw_mat = np.einsum("bop,bpf->of", dz_flat, cols)
-        grads = (dw_mat.reshape(weights.shape), dx.sum(axis=(0, 2, 3)))
+        np.einsum("bop,bpf->of", dz_flat, cols, out=grads[0].reshape(out_ch, -1))
+        dx.sum(axis=(0, 2, 3), out=grads[1])
         if not need_dx:
-            return grads, None
+            return None
         k = self.kernel
         w_t = np.ascontiguousarray(weights.reshape(out_ch, -1).T)
         dcols = np.einsum("bop,fo->bfp", dz_flat, w_t).reshape(n, self.in_channels, k, k, out_h, out_w)
@@ -162,7 +168,7 @@ class ConvLayer:
         for di in range(k):
             for dj in range(k):
                 dx[:, :, di : di + out_h, dj : dj + out_w] += dcols[:, :, di, dj]
-        return grads, dx
+        return dx
 
 
 @dataclass(frozen=True)
@@ -190,9 +196,9 @@ class MaxPoolLayer:
         pooled, argmax = _maxpool(x, self.size)
         return pooled, ((argmax, x.shape) if keep else None)
 
-    def backward(self, view, entry: tuple, dx: np.ndarray, need_dx: bool) -> tuple[None, np.ndarray]:
+    def backward(self, view, grads, entry: tuple, dx: np.ndarray, need_dx: bool) -> np.ndarray:
         argmax, in_shape = entry
-        return None, _maxpool_backward(dx, argmax, in_shape, self.size)
+        return _maxpool_backward(dx, argmax, in_shape, self.size)
 
 
 Layer = DenseLayer | ConvLayer | MaxPoolLayer
@@ -438,14 +444,13 @@ def backward_from_cache(
     computed.
     """
     views = _unpack(spec, np.asarray(params, dtype=np.float64))
+    grad = np.empty(spec.param_count)
+    grad_views = _unpack(spec, grad)
     first = spec.first_param_layer
-    chunks: list[np.ndarray] = []
     dx = np.asarray(grad_logits, dtype=np.float64)
     for i in range(len(spec.layers) - 1, first - 1, -1):
-        grads, dx = spec.layers[i].backward(views[i], cache[i], dx, i > first)
-        if grads is not None:
-            chunks[:0] = [grads[0].ravel(), grads[1]]
-    return np.concatenate(chunks)
+        dx = spec.layers[i].backward(views[i], grad_views[i], cache[i], dx, i > first)
+    return grad
 
 
 def sgd_step(
@@ -473,9 +478,9 @@ def segment_cut(total: int) -> int:
 
 
 def split_segments(params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Split a flat vector at segment_cut into (leading, trailing) segments."""
+    """Split a flat vector at segment_cut into (leading, trailing) segments, as views of it."""
     total = params.shape[0]
     if total < 2:
         raise ConfigurationError("cannot split a vector with fewer than 2 entries")
     cut = segment_cut(total)
-    return params[:cut].copy(), params[cut:].copy()
+    return params[:cut], params[cut:]

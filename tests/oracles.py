@@ -166,6 +166,42 @@ def backward(spec, params: np.ndarray, batch, grad_logits: np.ndarray) -> np.nda
     return backward_from_cache(spec, params, cache, grad_logits)
 
 
+def backward_by_concatenation(spec, params: np.ndarray, cache: list, grad_logits: np.ndarray) -> np.ndarray:
+    """The parameter gradient assembled as the engine once assembled it: each layer's gradients in arrays
+    of their own, joined in canonical order by np.concatenate.
+
+    Each array starts as NaN, so an entry the layer leaves unwritten shows.
+    """
+    from defkt.nn import _unpack
+
+    views = _unpack(spec, params)
+    first = spec.first_param_layer
+    chunks = []
+    dx = np.asarray(grad_logits, dtype=np.float64)
+    for i in range(len(spec.layers) - 1, first - 1, -1):
+        grads = None if views[i] is None else tuple(np.full(v.shape, np.nan) for v in views[i])
+        dx = spec.layers[i].backward(views[i], grads, cache[i], dx, i > first)
+        if grads is not None:
+            chunks[:0] = [grads[0].ravel(), grads[1]]
+    return np.concatenate(chunks)
+
+
+def fullavg_by_formula(received: np.ndarray, local: np.ndarray, n_sender: int, n_receiver: int) -> np.ndarray:
+    """The weighted average as one expression, with its temporaries."""
+    return (n_sender * received + n_receiver * local) / (n_sender + n_receiver)
+
+
+def combo_by_formula(sender: np.ndarray, receiver: np.ndarray, n_sender: int, n_receiver: int):
+    """Segment exchange from copied halves: average the exchanged halves, then concatenate."""
+    cut = (sender.size + 1) // 2
+    lead_s, trail_s = sender[:cut].copy(), sender[cut:].copy()
+    lead_r, trail_r = receiver[:cut].copy(), receiver[cut:].copy()
+    total = n_sender + n_receiver
+    avg_lead = (n_sender * lead_s + n_receiver * lead_r) / total
+    avg_trail = (n_sender * trail_s + n_receiver * trail_r) / total
+    return np.concatenate([avg_lead, trail_s]), np.concatenate([lead_r, avg_trail])
+
+
 def unpack_by_offsets(spec, params: np.ndarray) -> list:
     """Views of (weights, bias) per layer, found by walking the offsets one layer at a time.
 

@@ -546,3 +546,20 @@ class TestRunMemory:
         assert isinstance(corpus, DatasetView) and len(corpus) == 50
         assert model_spec(config, corpus).input_dim == 5
         assert all(shard.source is corpus.source for shard in make_shards(config, corpus, seed=3))
+
+
+class TestImportCost:
+    def test_cli_and_json_configs_never_import_yaml(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(TINY))
+        src = str(Path(defkt.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        script = (
+            "import sys, defkt.cli\n"
+            "print('yaml' in sys.modules)\n"
+            f"defkt.cli._load_config_file({str(path)!r})\n"
+            "print('yaml' in sys.modules)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "False"]

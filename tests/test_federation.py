@@ -34,10 +34,25 @@ from defkt.metrics import evaluate, global_accuracy, local_accuracy
 from defkt.nn import Batch, ModelSpec, forward, init_params, param_count, sgd_step
 from defkt.seeding import derive_rng
 
-from oracles import ComputeProbe, RecordingLog, backward
+from oracles import ComputeProbe, RecordingLog, backward, combo_by_formula, fullavg_by_formula
 
 
 SPEC = ModelSpec.mlp(6, (5,), 3)
+
+
+def fusion_inputs(seed: int):
+    """Two vectors of odd length holding signed zeros and infinities, and two sample counts."""
+    rng = np.random.default_rng(seed)
+    size = int(rng.integers(2, 300)) | 1
+    a, b = rng.standard_normal(size), rng.standard_normal(size)
+    a[::5], b[1::5] = -0.0, 0.0
+    a[2::9], b[2::13], b[3::11] = np.inf, -np.inf, -0.0
+    return a, b, int(rng.integers(1, 1000)), int(rng.integers(1, 1000))
+
+
+def assert_fresh_and_inputs_unwritten(outputs, inputs, before):
+    assert [x.tobytes() for x in inputs] == before
+    assert not any(np.shares_memory(out, x) for out in outputs for x in inputs)
 
 
 def tiny_client(client_id: int, seed: int, per_class: int = 12) -> ClientState:
@@ -207,6 +222,15 @@ class TestFuseFullavg:
         with pytest.raises(ConfigurationError):
             fuse_fullavg(np.zeros(3), np.zeros(4), 1, 1)
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_bitwise_equals_formula_and_writes_no_input(self, seed):
+        a, b, na, nb = fusion_inputs(seed)
+        before = [a.tobytes(), b.tobytes()]
+        with np.errstate(invalid="ignore"):  # inf - inf is NaN on both sides
+            out, want = fuse_fullavg(a, b, na, nb), fullavg_by_formula(a, b, na, nb)
+        assert out.tobytes() == want.tobytes()
+        assert_fresh_and_inputs_unwritten([out], [a, b], before)
+
 
 class TestFuseCombo:
     def test_idempotent_on_identical_vectors(self):
@@ -230,6 +254,16 @@ class TestFuseCombo:
         avg = (1 * w + 2 * (w + 1.0)) / 3
         assert np.array_equal(s, [*avg[:4], *w[4:]])
         assert np.array_equal(r, [*(w + 1.0)[:4], *avg[4:]])
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_bitwise_equals_formula_and_writes_no_input(self, seed):
+        a, b, na, nb = fusion_inputs(seed)
+        before = [a.tobytes(), b.tobytes()]
+        with np.errstate(invalid="ignore"):  # inf - inf is NaN on both sides
+            got, want = fuse_combo(a, b, na, nb), combo_by_formula(a, b, na, nb)
+        assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+        assert_fresh_and_inputs_unwritten(got, [a, b], before)
+        assert not np.shares_memory(*got)
 
 
 class TestFuseDefkt:
@@ -412,6 +446,16 @@ class TestMessageLayer:
         sizes = {m.kind: m.payload.size for m in comm.messages}
         assert sizes["leading-segment"] == (total + 1) // 2
         assert sizes["trailing-segment"] == total - (total + 1) // 2
+
+    def test_combo_payloads_are_views_of_the_sent_vectors(self):
+        # nothing writes a parameter vector, so a segment goes out without a copy
+        states = make_states(4)
+        plan = RoundPlan(round_index=1, senders=(1,), receivers=(2,))
+        comm = RecordingLog()
+        run_round(states, plan, FusionStrategy.COMBO, tiny_hyper(), SPEC, comm=comm)
+        trailing, leading = (m.payload for m in comm.messages)
+        assert np.shares_memory(leading, states[2].params)
+        assert trailing.base is not None and trailing.base.size == param_count(SPEC)
 
     def test_combo_round_records_each_pair_in_turn(self):
         # Q=2: each pair's segment goes out and its reply comes back before the next pair starts

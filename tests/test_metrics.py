@@ -181,6 +181,72 @@ class TestThreadedEvaluation:
         assert threads == [threading.main_thread()] * 6
 
 
+class TestRecordKeys:
+    """Test-set slots: bitwise-identical vectors share one, any other pair of vectors does not."""
+
+    SPEC = ModelSpec.mlp(20, (8,), 3)  # 195 parameters: the key samples every 4th
+
+    def slots(self, vectors):
+        data = train_val_split(synth_dataset(3, 12, 20, seed=1), seed=2)
+        states = {k: ClientState(k, v, data) for k, v in enumerate(vectors, start=1)}
+        slots, tasks = metrics._test_tasks(None, self.SPEC, states, synth_dataset(3, 5, 20, seed=3))
+        return slots
+
+    def test_copies_share_a_slot_in_first_seen_order(self):
+        a, b = init_params(self.SPEC, 1), init_params(self.SPEC, 2)
+        assert self.slots([a, b, a.copy(), b, a]) == [0, 1, 0, 1, 0]
+
+    def test_vectors_equal_on_the_key_sample_but_not_elsewhere_get_separate_slots(self):
+        a = init_params(self.SPEC, 1)
+        step = -(-self.SPEC.param_count // metrics.KEY_SAMPLES)
+        assert step > 1
+        b, c = a.copy(), a.copy()
+        b[1] += 1.0
+        c[-1] = np.nextafter(c[-1], np.inf)
+        assert b[::step].tobytes() == a[::step].tobytes() == c[::step].tobytes()
+        assert self.slots([a, b, c, b.copy()]) == [0, 1, 2, 1]
+
+    @pytest.mark.parametrize("sampled", [True, False], ids=["on-the-sample", "off-the-sample"])
+    def test_vectors_differing_only_in_a_zeros_sign_get_separate_slots(self, sampled):
+        a = init_params(self.SPEC, 1)
+        zero = self.SPEC.param_count - 1 if not sampled else 0
+        a[zero] = 0.0
+        b = a.copy()
+        b[zero] = -0.0
+        assert np.array_equal(a, b)  # equal as numbers
+        step = -(-self.SPEC.param_count // metrics.KEY_SAMPLES)
+        assert (zero % step == 0) == sampled
+        assert self.slots([a, b, a.copy(), b.copy()]) == [0, 1, 0, 1]
+
+    def test_bitwise_identical_nans_share_a_slot(self):
+        a = init_params(self.SPEC, 1)
+        a[3] = np.nan
+        assert self.slots([a, a.copy()]) == [0, 0]
+
+    def test_a_record_copies_no_vector(self):
+        """Submitting a record of ten distinct reference-MLP vectors allocates less than one vector."""
+        import tracemalloc
+        from concurrent.futures import Future
+
+        class HeldPool:  # takes tasks and starts none, so only the submission is measured
+            def submit(self, fn):
+                return Future()
+
+        spec = ModelSpec.mlp(784)
+        data = train_val_split(synth_dataset(3, 4, 784, seed=1), seed=2)
+        rng = np.random.default_rng(5)
+        states = {k: ClientState(k, rng.standard_normal(spec.param_count), data) for k in range(1, 11)}
+        test_data = synth_dataset(3, 2, 784, seed=3)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            metrics.submit_record(HeldPool(), spec, states, test_data)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < spec.param_count * 8
+
+
 class TestCsv:
     def records(self):
         return [

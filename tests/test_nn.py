@@ -26,6 +26,7 @@ from defkt.nn import (
 
 from oracles import (
     backward,
+    backward_by_concatenation,
     backward_with_input_grad,
     central_difference,
     conv_input_grad_by_loop,
@@ -47,6 +48,8 @@ SPECIALS = np.array(
 CONV_POOL_DENSE_RELU = ModelSpec(
     (1, 10, 10), (ConvLayer(1, 2, 3, relu=True), MaxPoolLayer(2), DenseLayer(32, 6, relu=True), DenseLayer(6, 3)), 3
 )
+# pooling before the first parameter layer, odd sizes: 13 -> 6 -> 4 -> 2
+POOL_FIRST = ModelSpec((1, 13, 13), (MaxPoolLayer(2), ConvLayer(1, 2, 3), MaxPoolLayer(2), DenseLayer(8, 3)), 3)
 
 
 class Preactivation:
@@ -360,7 +363,8 @@ class TestConvGradients:
         dz[:, 0] = -0.0  # every product of channel 0 is a zero: its weight gradient sums to +0.0
         dz[0, :, 0, :] = -0.0
         dz_before = dz.copy()
-        (dw, _), dx = layer.backward((weights, np.zeros(out_ch)), entry, dz, need_dx=True)
+        dw = np.full_like(weights, np.nan)  # a gradient entry left unwritten stays NaN
+        dx = layer.backward((weights, np.zeros(out_ch)), (dw, np.full(out_ch, np.nan)), entry, dz, need_dx=True)
         assert dz.tobytes() == dz_before.tobytes()
         assert dx.tobytes() == conv_input_grad_by_loop(dz, weights, x.shape).tobytes()
         assert dw.tobytes() == conv_weight_grad_by_loop(dz, entry[0]).reshape(weights.shape).tobytes()
@@ -426,8 +430,7 @@ class TestBackward:
             ModelSpec.mlp(784),
             ModelSpec.cnn_small(),
             ModelSpec.mlp(5, (), 3),  # one layer, both first and last
-            # pooling before the first parameter layer, odd sizes: 13 -> 6 -> 4 -> 2
-            ModelSpec((1, 13, 13), (MaxPoolLayer(2), ConvLayer(1, 2, 3), MaxPoolLayer(2), DenseLayer(8, 3)), 3),
+            POOL_FIRST,
         ],
         ids=["mlp", "cnn-small", "single-layer", "pool-first"],
     )
@@ -443,6 +446,22 @@ class TestBackward:
             assert input_grad.shape == (rows, *spec.input_shape)
             assert np.array_equal(backward_from_cache(spec, params, cache, g_logits), expected)
 
+
+    @pytest.mark.parametrize(
+        "spec", [ModelSpec.mlp(784), ModelSpec.cnn_small(), POOL_FIRST, CONV_POOL_DENSE_RELU],
+        ids=["mlp", "cnn-small", "pool-first", "conv-pool-dense-relu"],
+    )
+    def test_gradient_views_bitwise_equal_concatenated_layer_gradients(self, spec):
+        # each layer writes into its views of one fresh vector: every entry once, no array shared
+        rng = np.random.default_rng(23)
+        params = init_params(spec, 24)
+        batch = Batch(rng.standard_normal((20, spec.input_dim)), rng.integers(1, spec.num_classes + 1, 20))
+        g_logits = rng.standard_normal((20, spec.num_classes))
+        _, cache = forward_cached(spec, params, batch)
+        grad = backward_from_cache(spec, params, cache, g_logits)
+        assert grad.tobytes() == backward_by_concatenation(spec, params, cache, g_logits).tobytes()
+        held = [params, batch.inputs, g_logits, *(a for entry in cache for a in entry if isinstance(a, np.ndarray))]
+        assert not any(np.shares_memory(grad, a) for a in held)
 
     @pytest.mark.parametrize("need_dx", [True, False], ids=["need-dx", "first-layer"])
     @pytest.mark.parametrize("kind", ["dense", "conv"])
@@ -464,9 +483,12 @@ class TestBackward:
             dx = dx.reshape(2, 2, 3, 3)
         dz = np.where(entry[1], dx, 0.0)
         with np.errstate(invalid="ignore"):  # inf - inf in the products is expected
-            grads, dx_in = layer.backward(view, entry, dx, need_dx)
+            # distinct fills, so that a gradient entry either side leaves unwritten shows
+            grads = tuple(np.full_like(v, 7.0) for v in view)
+            dx_in = layer.backward(view, grads, entry, dx, need_dx)
             # the oracle: np.where's mask, then the same layer without ReLU
-            want_grads, want_dx = linear.backward(view, (entry[0], None, entry[2]), dz, need_dx)
+            want_grads = tuple(np.full_like(v, np.nan) for v in view)
+            want_dx = linear.backward(view, want_grads, (entry[0], None, entry[2]), dz, need_dx)
         assert dx.tobytes() == dz.tobytes()  # masked in place
         assert [g.tobytes() for g in grads] == [g.tobytes() for g in want_grads]
         assert (dx_in is None and want_dx is None) or dx_in.tobytes() == want_dx.tobytes()
@@ -544,6 +566,14 @@ class TestSegments:
     def test_too_short_raises(self):
         with pytest.raises(ConfigurationError):
             split_segments(np.array([1.0]))
+
+    @pytest.mark.parametrize("size", [2, 7, 199_210])
+    def test_segments_are_views_of_the_input(self, size):
+        vec = np.arange(float(size))
+        lead, trail = split_segments(vec)
+        assert lead.base is vec and trail.base is vec
+        assert lead.ctypes.data == vec.ctypes.data
+        assert trail.ctypes.data == vec.ctypes.data + lead.nbytes
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(min_value=2, max_value=400), st.integers(min_value=0, max_value=2**32 - 1))
