@@ -396,22 +396,27 @@ def runs(config: RunConfig):
 
 
 def cmd_run(config: RunConfig) -> int:
-    """One run per (strategy, seed); emits {strategy}_{seed}.csv plus metadata."""
+    """One run per (strategy, seed); emits {strategy}_{seed}.csv plus metadata.
+
+    numpy's floating-point warnings are off: training checks every gradient,
+    so a diverging run ends with its one NumericalError line. No bits change.
+    """
     out = Path(config.output_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise LoadError(f"{out}: {exc}") from exc
-    for hyper, strategy, spec, timeline in runs(config):
-        csv_path = out / f"{strategy.value}_{hyper.seed}.csv"
-        emit_csv(timeline, str(csv_path))
-        with atomic_open(out / f"{strategy.value}_{hyper.seed}.meta.json") as fh:
-            json.dump(_metadata(hyper, strategy, spec), fh, indent=2, sort_keys=True)
-        final = timeline[-1]
-        print(
-            f"{strategy.value} seed={hyper.seed}: rounds={final.round} "
-            f"global_acc={final.global_acc:.4f} local_acc={final.local_acc:.4f} -> {csv_path}"
-        )
+    with np.errstate(all="ignore"):
+        for hyper, strategy, spec, timeline in runs(config):
+            csv_path = out / f"{strategy.value}_{hyper.seed}.csv"
+            emit_csv(timeline, str(csv_path))
+            with atomic_open(out / f"{strategy.value}_{hyper.seed}.meta.json") as fh:
+                json.dump(_metadata(hyper, strategy, spec), fh, indent=2, sort_keys=True)
+            final = timeline[-1]
+            print(
+                f"{strategy.value} seed={hyper.seed}: rounds={final.round} "
+                f"global_acc={final.global_acc:.4f} local_acc={final.local_acc:.4f} -> {csv_path}"
+            )
     return 0
 
 

@@ -17,14 +17,18 @@ backward_from_cache only loop over the layers.
 
 forward produces logits; the softmax lives in the losses module. It keeps
 no cache: each layer's patch matrix, ReLU mask and pooling indices are
-freed when the layer returns. forward_cached runs the same loop and keeps
-them for backward_from_cache, which is exact reverse-mode differentiation
-of <logits, grad_logits> with respect to the parameters; it stops at the
-first layer's parameter gradients and never computes the gradient with
-respect to the input, which no caller reads. Each layer writes its gradients
-into its _unpack views of one fresh vector; the layout tiles the vector, so
-each entry is written once and nothing is copied. sgd_step takes the
-momentum velocity as a plain array and returns the new one.
+freed when the layer returns. forward_cached runs the same loop and keeps,
+per layer, its input and ReLU mask (dense and conv) or its pooling indices.
+A conv layer's patch matrix is not kept: its backward gathers it again from
+the cached input, which is a view of the batch for the first layer and the
+pooled activation for a later one. The cache feeds backward_from_cache,
+which is exact reverse-mode differentiation of <logits, grad_logits> with
+respect to the parameters; it stops at the first layer's parameter
+gradients and never computes the gradient with respect to the input, which
+no caller reads. Each layer writes its gradients into its _unpack views of
+one fresh vector; the layout tiles the vector, so each entry is written
+once and nothing is copied. sgd_step takes the momentum velocity as a plain
+array and returns the new one.
 
 All operations are pure: no function writes any of its arguments, and
 identical inputs give bitwise-identical outputs. In-place steps (the dense
@@ -50,17 +54,25 @@ first NaN (details in its docstring); MaxPoolLayer caps the window at 11 so
 that s*s - 1 fits in int8. _maxpool_backward writes dy's bits, ANDed with the
 same kind of mask, straight into each window position's sub-grid of dx.
 
+_im2col is one gather, so each patch entry is a bit copy of an input entry.
+The conv bias is added as one tiled row of length H'*W'*C_out: the same
+elementwise sums as a broadcast of the C_out biases, so the same bits.
+
 The conv gradients rely on the order in which numpy's einsum (optimize off)
 sums, and tests/oracles.py pins both orders with loops. Both sums start at
 +0.0 and round every product on its own (no fused multiply-add). The weight
-gradient, "bop,bpf->of", sums over (b, p) in row-major order. The input
-gradient, "bop,fo->bfp" against the transposed weight matrix, sums over the
-output channels in order; its (b, C, k, k, h', w') result is then scattered
-into dx one kernel offset (di, dj) at a time, in row-major order.
+gradient, "bpo,bpf->of" against a contiguous (B, H'*W', C_out) transpose of
+dz and the patch matrix, sums over (b, p) in row-major order. The transpose
+changes only the operand layout, not that order, so the bits are the ones
+the loop oracle gives for "bop,bpf->of" on dz itself. The input gradient,
+"bop,fo->bfp" against the transposed weight matrix, sums over the output
+channels in order; its (b, C, k, k, h', w') result is then scattered into
+dx one kernel offset (di, dj) at a time, in row-major order.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -142,29 +154,31 @@ class ConvLayer:
     def forward(self, view, x: np.ndarray, keep: bool) -> tuple[np.ndarray, tuple | None]:
         weights, bias = view
         n, _, h, w = x.shape
-        cols = _im2col(x, self.kernel)
-        z = cols @ weights.reshape(self.out_channels, -1).T
-        z += bias
-        z = z.transpose(0, 2, 1).reshape(n, self.out_channels, h - self.kernel + 1, w - self.kernel + 1)
+        out_h, out_w = h - self.kernel + 1, w - self.kernel + 1
+        z = _im2col(x, self.kernel) @ weights.reshape(self.out_channels, -1).T
+        rows = z.reshape(n, -1)
+        rows += np.tile(bias, out_h * out_w)
+        z = z.transpose(0, 2, 1).reshape(n, self.out_channels, out_h, out_w)
         if self.relu:
             _relu(z)
-        return z, ((cols, z > 0.0 if self.relu else None, x.shape) if keep else None)
+        return z, ((x, z > 0.0 if self.relu else None) if keep else None)
 
     def backward(self, view, grads, entry: tuple, dx: np.ndarray, need_dx: bool) -> np.ndarray | None:
-        cols, mask, in_shape = entry
+        x, mask = entry
         weights, _ = view
         if mask is not None:  # a ReLU layer is never last, so dx is this pass's array
             _mask_grad(dx, mask)
         n, out_ch, out_h, out_w = dx.shape
         dz_flat = dx.reshape(n, out_ch, out_h * out_w)
-        np.einsum("bop,bpf->of", dz_flat, cols, out=grads[0].reshape(out_ch, -1))
+        dz_rows = np.ascontiguousarray(dz_flat.transpose(0, 2, 1))
+        np.einsum("bpo,bpf->of", dz_rows, _im2col(x, self.kernel), out=grads[0].reshape(out_ch, -1))
         dx.sum(axis=(0, 2, 3), out=grads[1])
         if not need_dx:
             return None
         k = self.kernel
         w_t = np.ascontiguousarray(weights.reshape(out_ch, -1).T)
         dcols = np.einsum("bop,fo->bfp", dz_flat, w_t).reshape(n, self.in_channels, k, k, out_h, out_w)
-        dx = np.zeros(in_shape, dtype=np.float64)
+        dx = np.zeros(x.shape, dtype=np.float64)
         for di in range(k):
             for dj in range(k):
                 dx[:, :, di : di + out_h, dj : dj + out_w] += dcols[:, :, di, dj]
@@ -337,11 +351,29 @@ def _unpack(spec: ModelSpec, params: np.ndarray) -> list[tuple[np.ndarray, np.nd
 
 
 def _im2col(x: np.ndarray, kernel: int) -> np.ndarray:
-    """(B, C, H, W) -> (B, H'*W', C*k*k) patch matrix for a valid convolution."""
-    windows = np.lib.stride_tricks.sliding_window_view(x, (kernel, kernel), axis=(2, 3))
-    batch, channels, out_h, out_w, _, _ = windows.shape
-    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(batch, out_h * out_w, channels * kernel * kernel)
-    return np.ascontiguousarray(cols)
+    """(B, C, H, W) -> (B, H'*W', C*k*k) patch matrix for a valid convolution.
+
+    Row p = i*W' + j holds the window at output pixel (i, j), and column
+    f = c*k*k + di*k + dj holds x[:, c, i + di, j + dj]. The matrix is one
+    gather of each input row through _patch_index, so every entry is a bit
+    copy of an input entry: NaN payloads, infinities and -0.0 included.
+    """
+    n, channels, h, w = x.shape
+    return np.take(x.reshape(n, -1), _patch_index(channels, h, w, kernel), axis=1)
+
+
+@functools.cache
+def _patch_index(channels: int, h: int, w: int, kernel: int) -> np.ndarray:
+    """Read-only (H'*W', C*k*k) index of _im2col's layout into one flattened (C, H, W) input row.
+
+    It does not depend on the batch size, so it is derived once per input shape.
+    """
+    out_h, out_w = h - kernel + 1, w - kernel + 1
+    pixel = (np.arange(out_h)[:, None] * w + np.arange(out_w)).reshape(-1, 1)
+    offset = np.arange(channels)[:, None, None] * (h * w) + np.arange(kernel)[:, None] * w + np.arange(kernel)
+    index = pixel + offset.reshape(1, -1)
+    index.flags.writeable = False
+    return index
 
 
 def _maxpool(x: np.ndarray, s: int) -> tuple[np.ndarray, np.ndarray]:

@@ -142,6 +142,17 @@ def conv_input_grad_by_loop(dz: np.ndarray, weights: np.ndarray, in_shape: tuple
     return dx
 
 
+def im2col_by_windows(x: np.ndarray, kernel: int) -> np.ndarray:
+    """(B, C, H, W) -> (B, H'*W', C*k*k) patch matrix, copied out of numpy's sliding-window view.
+
+    This is how the engine built its patch matrix before the gather.
+    """
+    windows = np.lib.stride_tricks.sliding_window_view(x, (kernel, kernel), axis=(2, 3))
+    batch, channels, out_h, out_w, _, _ = windows.shape
+    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(batch, out_h * out_w, channels * kernel * kernel)
+    return np.ascontiguousarray(cols)
+
+
 def conv_weight_grad_by_loop(dz: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """(out_ch, C*k*k) weight gradient of a valid convolution from its (B, H'*W', C*k*k) patch matrix.
 
@@ -258,7 +269,9 @@ def backward_with_input_grad(spec, params: np.ndarray, cache: list, grad_logits:
             if len(pre_flatten) > 2:
                 dx = dx.reshape(pre_flatten)
         elif isinstance(layer, ConvLayer):
-            cols, mask, in_shape = entry
+            x_in, mask = entry
+            in_shape = x_in.shape
+            cols = im2col_by_windows(x_in, layer.kernel)
             weights, _ = views[i]
             dz = np.where(mask, dx, 0.0) if mask is not None else dx
             n, out_ch, out_h, out_w = dz.shape

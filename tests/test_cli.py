@@ -363,6 +363,19 @@ class TestCmdRun:
         assert main(["run", "--config", config, "--out", str(tmp_path / "runs"), *flags]) == 1
         assert message in capsys.readouterr().err
 
+    def test_numerical_failure_prints_only_its_error(self, tmp_path):
+        # a subprocess, so that numpy's RuntimeWarnings would reach stderr as a user sees them
+        config = write_config(tmp_path, strategy="defkt", seeds=[1])
+        src = str(Path(defkt.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "defkt.cli", "run", "--config", config, "--out", str(tmp_path / "runs"),
+             "--lr", "1e300"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == "error: round 1, client 4: non-finite gradient\n"
+
     def test_failed_metadata_write_keeps_the_earlier_file(self, tmp_path, monkeypatch, capsys):
         config = write_config(tmp_path, strategy="defkt", seeds=[1])
         out = tmp_path / "runs"

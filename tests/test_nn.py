@@ -1,5 +1,7 @@
 """Engine tests: parameter layout, forward/backward exactness, SGD, segments."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,8 +14,10 @@ from defkt.nn import (
     DenseLayer,
     MaxPoolLayer,
     ModelSpec,
+    _im2col,
     _maxpool,
     _maxpool_backward,
+    _patch_index,
     _unpack,
     backward_from_cache,
     forward,
@@ -31,6 +35,7 @@ from oracles import (
     central_difference,
     conv_input_grad_by_loop,
     conv_weight_grad_by_loop,
+    im2col_by_windows,
     maxpool_by_loop,
     maxpool_grad_by_loop,
     mlp_forward_by_hand,
@@ -367,8 +372,82 @@ class TestConvGradients:
         dx = layer.backward((weights, np.zeros(out_ch)), (dw, np.full(out_ch, np.nan)), entry, dz, need_dx=True)
         assert dz.tobytes() == dz_before.tobytes()
         assert dx.tobytes() == conv_input_grad_by_loop(dz, weights, x.shape).tobytes()
-        assert dw.tobytes() == conv_weight_grad_by_loop(dz, entry[0]).reshape(weights.shape).tobytes()
+        cols = im2col_by_windows(x, k)
+        assert dw.tobytes() == conv_weight_grad_by_loop(dz, cols).reshape(weights.shape).tobytes()
         assert not np.signbit(dw[0]).any()
+
+
+# Bit patterns that an arithmetic copy could change: NaNs with payloads (quiet
+# and signalling, both signs), the infinities and -0.0.
+PLANTED_BITS = np.array(
+    [0x7FF0000000000001, 0x7FF8000000000123, -0x000FFFFFFFFFFFFF, -0x0007FFFFFFFFFFFF, 0x7FF0000000000000,
+     -0x0010000000000000, -0x8000000000000000],
+    dtype=np.int64,
+)
+
+# What forward_cached kept alive for cnn-small at 40 rows while each conv
+# entry held its (B, H'*W', C*k*k) patch matrix (tracemalloc, numpy 2.4).
+PATCH_CACHE_BYTES = 5_231_962
+
+
+class TestIm2col:
+    @pytest.mark.parametrize("rows", [1, 40, 100])
+    @pytest.mark.parametrize(
+        "channels, k, h, w", [(1, 1, 5, 7), (3, 2, 9, 6), (8, 3, 13, 11), (1, 3, 28, 27), (3, 1, 4, 9), (8, 2, 6, 5)],
+        ids=["c1-k1", "c3-k2", "c8-k3", "c1-k3", "c3-k1", "c8-k2"],
+    )
+    def test_gather_bitwise_equals_window_copy(self, channels, k, h, w, rows):
+        rng = np.random.default_rng(channels * 100 + k * 10 + rows)
+        x = rng.standard_normal((rows, channels, h, w))
+        spots = rng.choice(x.size, size=min(x.size, 4 * PLANTED_BITS.size), replace=False)
+        x.reshape(-1).view(np.int64)[spots] = np.resize(PLANTED_BITS, spots.size)
+        before = x.tobytes()
+        cols = _im2col(x, k)
+        assert x.tobytes() == before
+        want = im2col_by_windows(x, k)
+        assert cols.shape == want.shape == (rows, (h - k + 1) * (w - k + 1), channels * k * k)
+        assert cols.tobytes() == want.tobytes()
+        assert not np.shares_memory(cols, x)
+
+    def test_one_index_serves_every_batch_size(self):
+        shape = (3, 17, 10)  # a shape no other test uses, so its index is derived here
+        misses = _patch_index.cache_info().misses
+        for rows in (1, 40, 100):
+            x = np.random.default_rng(rows).standard_normal((rows, *shape))
+            assert _im2col(x, 3).tobytes() == im2col_by_windows(x, 3).tobytes()
+        assert _patch_index.cache_info().misses == misses + 1
+        index = _patch_index(*shape, 3)
+        assert index.shape == (15 * 8, 3 * 3 * 3) and not index.flags.writeable
+
+
+class TestConvCache:
+    def test_entry_holds_the_layer_input(self):
+        spec = ModelSpec.cnn_small()
+        rng = np.random.default_rng(5)
+        batch = Batch(rng.random((40, spec.input_dim)), rng.integers(1, 11, 40))
+        _, cache = forward_cached(spec, init_params(spec, 6), batch)
+        assert np.shares_memory(cache[0][0], batch.inputs)
+        assert cache[0][0].shape == (40, 1, 28, 28)
+        assert cache[2][0].shape == (40, 8, 13, 13)  # the first pooling layer's output
+        patch_shapes = {(40, 26 * 26, 1 * 9), (40, 11 * 11, 8 * 9)}
+        held = [a for entry in cache for a in entry if isinstance(a, np.ndarray)]
+        assert not any(a.shape in patch_shapes for a in held)
+
+    def test_cached_bytes_below_a_third_of_the_patch_cache(self):
+        spec = ModelSpec.cnn_small()
+        params = init_params(spec, 1)
+        rng = np.random.default_rng(40)
+        batch = Batch(rng.random((40, spec.input_dim)), rng.integers(1, 11, 40))
+        forward_cached(spec, params, batch)  # the patch index is derived before the count
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            logits, cache = forward_cached(spec, params, batch)
+            kept = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert logits.shape == (40, 10) and len(cache) == len(spec.layers)
+        assert kept < PATCH_CACHE_BYTES / 3
 
 
 class TestBackward:
@@ -478,8 +557,7 @@ class TestBackward:
         else:
             layer, linear, x = ConvLayer(1, 2, 3, relu=True), ConvLayer(1, 2, 3), rng.standard_normal((2, 1, 5, 5))
             view = (rng.standard_normal((2, 1, 3, 3)), np.zeros(2))
-            cols, _, in_shape = linear.forward(view, x, keep=True)[1]
-            entry = (cols, mask.reshape(2, 2, 3, 3), in_shape)
+            entry = (x, mask.reshape(2, 2, 3, 3))
             dx = dx.reshape(2, 2, 3, 3)
         dz = np.where(entry[1], dx, 0.0)
         with np.errstate(invalid="ignore"):  # inf - inf in the products is expected
@@ -488,7 +566,7 @@ class TestBackward:
             dx_in = layer.backward(view, grads, entry, dx, need_dx)
             # the oracle: np.where's mask, then the same layer without ReLU
             want_grads = tuple(np.full_like(v, np.nan) for v in view)
-            want_dx = linear.backward(view, want_grads, (entry[0], None, entry[2]), dz, need_dx)
+            want_dx = linear.backward(view, want_grads, (entry[0], None, *entry[2:]), dz, need_dx)
         assert dx.tobytes() == dz.tobytes()  # masked in place
         assert [g.tobytes() for g in grads] == [g.tobytes() for g in want_grads]
         assert (dx_in is None and want_dx is None) or dx_in.tobytes() == want_dx.tobytes()
