@@ -10,12 +10,14 @@ into its runs, and `run` only writes their files and prints.
 
 Configuration comes from an optional YAML/JSON file plus flags; flags
 override file values. A flag is the text of a config key's value, so one
-key table converts, defaults and checks both. The environment variable
-DEFKT_DATA_DIR supplies the default dataset root. Exit codes: 0 success,
-1 configuration or input error (a bad value, from a flag or a file, or
-data too small for it) or a standard output closed by its reader, 2 load
-or numerical error. A malformed command line (an unknown flag, a flag
-without its value) exits 2 from argparse.
+key table converts, defaults and checks both; a protocol setting's rule
+is in `HyperParams.RULES`, and every rejection reads `config key K: <rule>,
+got V`. The environment variable DEFKT_DATA_DIR supplies the default
+dataset root. Exit codes: 0 success, 1 configuration or input error (a
+bad value, from a flag or a file, or data too small for it) or a standard
+output closed by its reader, 2 load or numerical error. A malformed
+command line (an unknown flag, a flag without its value) exits 2 from
+argparse.
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Dataset, DatasetView, Rows, label_counts, load_idx, partition, synth_dataset
-from .errors import ConfigurationError, DefktError, LoadError
+from .data import SPLIT_MIN_ROWS, Dataset, DatasetView, Rows, label_counts, load_idx, partition, synth_dataset
+from .errors import NONNEGATIVE_FINITE, SEED, ConfigurationError, DefktError, LoadError, Rule, at_least, check, one_of
 from .federation import FusionStrategy, HyperParams, build_client_states, run_experiment
 from .metrics import atomic_open, emit_csv, evaluate
 from .nn import ModelSpec, param_count, segment_cut
@@ -75,10 +77,8 @@ def _ints(value) -> tuple[int, ...]:
 
 def _seeds(value) -> tuple[int, ...]:
     seeds = _ints(value if isinstance(value, (list, tuple)) else [value])
-    if not seeds:
-        raise ValueError("need at least one seed")
-    if len(set(seeds)) != len(seeds):
-        raise ValueError("each seed may appear only once")
+    if not seeds or len(set(seeds)) != len(seeds):
+        raise ValueError("need at least one seed, and each seed only once")
     return seeds
 
 
@@ -89,13 +89,13 @@ def _synthetic(value) -> dict:
 
 
 def _convert(table: dict, values: dict, section: str) -> dict:
-    """Resolve every key of `table`, whose entries end in (converter, default); null means the default."""
+    """Resolve and check each key of `table`, whose entries end in (converter, rule, default); null is the default."""
     unknown = set(values) - set(table)
     if unknown:
         raise ConfigurationError(f"unknown {section} keys: {', '.join(sorted(map(str, unknown)))}")
     resolved = {}
     for key, entry in table.items():
-        convert, default = entry[-2:]
+        convert, rule, default = entry[-3:]
         value = values.get(key)
         if value is None:
             value = default
@@ -103,47 +103,50 @@ def _convert(table: dict, values: dict, section: str) -> dict:
             resolved[key] = None if value is None else convert(value)
         except (TypeError, ValueError) as exc:
             raise ConfigurationError(f"{section} key {key}: cannot use {value!r} ({exc})") from exc
+        if rule and resolved[key] is not None:
+            check(f"{section} key {key}", resolved[key], rule)
     return resolved
 
 
-# Synthetic corpus sub-keys: key -> (converter, default).
+# Synthetic corpus sub-keys: key -> (converter, rule, default).
 _SYNTH_KEYS = {
-    "classes": (_int, 4),
-    "per_class": (_int, 400),
-    "dims": (_int, 20),
-    "sigma": (_float, 1.0),
-    "test_per_class": (_int, 100),
-    "seed": (_int, None),  # fixes the corpus across run seeds; derived from the run seed when unset
+    "classes": (_int, at_least(2), 4),
+    "per_class": (_int, at_least(1), 400),
+    "dims": (_int, at_least(1), 20),
+    "sigma": (_float, NONNEGATIVE_FINITE, 1.0),
+    "test_per_class": (_int, at_least(1), 100),
+    "seed": (_int, SEED, None),  # fixes the corpus across run seeds; derived from the run seed when unset
 }
 
-# Config-file keys, also the flags' argparse dests: key -> (RunConfig field, converter, default).
+# Config-file keys, also the flags' argparse dests: key -> (RunConfig field, converter, rule, default).
+# A protocol setting's rule is HyperParams.RULES[field], so its rule here is None.
 # A None default means unset, or derived in resolve_config (senders, rates, data_dir).
 # These are the only defaults of the protocol settings; HyperParams declares none.
 _KEYS = {
-    "dataset": ("dataset", _text, "synthetic"),
-    "data_dir": ("data_dir", _text, None),
-    "model": ("model", _text, "mlp"),
-    "hidden": ("hidden", _ints, (200, 200)),
-    "strategy": ("strategy", _text, "all"),
-    "xi": ("classes_per_client", _int, None),  # unset: IID partition
-    "clients": ("num_clients", _int, 10),
-    "senders": ("senders_per_round", _int, None),
-    "rounds": ("rounds", _int, 500),
-    "lr": (None, _float, 0.01),
-    "local_lr": ("local_lr", _float, None),
-    "mkt_lr_received": ("mkt_lr_received", _float, None),
-    "mkt_lr_local": ("mkt_lr_local", _float, None),
-    "momentum": ("momentum", _float, 0.5),
-    "batch_b1": ("local_batch_size", _int, 200),
-    "batch_b2": ("mkt_batch_size", _int, 200),
-    "passes_m": ("local_passes", _int, 1),
-    "passes_e": ("mkt_passes", _int, 1),
-    "seeds": ("seeds", _seeds, (1,)),
-    "eval_every": ("eval_every", _int, 10),
-    "reduction": ("reduction", _text, "mean"),
-    "output_dir": ("output_dir", _text, "runs"),
-    "subset": ("subset", _int, None),
-    "synthetic": ("synthetic", _synthetic, {}),
+    "dataset": ("dataset", _text, one_of(DATASETS), "synthetic"),
+    "data_dir": ("data_dir", _text, None, None),
+    "model": ("model", _text, one_of(MODELS), "mlp"),
+    "hidden": ("hidden", _ints, Rule(lambda w: min(w, default=1) >= 1, "every width must be at least 1"), (200, 200)),
+    "strategy": ("strategy", _text, one_of(STRATEGIES), "all"),
+    "xi": ("classes_per_client", _int, at_least(1), None),  # unset: IID partition
+    "clients": ("num_clients", _int, None, 10),
+    "senders": ("senders_per_round", _int, None, None),
+    "rounds": ("rounds", _int, None, 500),
+    "lr": (None, _float, NONNEGATIVE_FINITE, 0.01),
+    "local_lr": ("local_lr", _float, None, None),
+    "mkt_lr_received": ("mkt_lr_received", _float, None, None),
+    "mkt_lr_local": ("mkt_lr_local", _float, None, None),
+    "momentum": ("momentum", _float, None, 0.5),
+    "batch_b1": ("local_batch_size", _int, None, 200),
+    "batch_b2": ("mkt_batch_size", _int, None, 200),
+    "passes_m": ("local_passes", _int, None, 1),
+    "passes_e": ("mkt_passes", _int, None, 1),
+    "seeds": ("seeds", _seeds, SEED._replace(each=True), (1,)),
+    "eval_every": ("eval_every", _int, at_least(1), 10),
+    "reduction": ("reduction", _text, one_of(("mean", "sum")), "mean"),
+    "output_dir": ("output_dir", _text, None, "runs"),
+    "subset": ("subset", _int, at_least(1), None),
+    "synthetic": ("synthetic", _synthetic, None, {}),
 }
 
 _IDX_NAMES = {
@@ -180,7 +183,7 @@ class RunConfig(HyperParams):
         return self.senders_per_round
 
     def _setting_name(self, field_name: str) -> str:
-        return next(f"config key {key}" for key, (field, _, _) in _KEYS.items() if field == field_name)
+        return next((f"config key {key}" for key, (field, *_) in _KEYS.items() if field == field_name), field_name)
 
     def hyper_for(self, seed: int) -> RunConfig:
         return replace(self, seed=seed)
@@ -243,32 +246,7 @@ def resolve_config(file_values: dict | None = None, flags: dict | None = None) -
             v[key] = v["lr"]
     if v["data_dir"] is None:
         v["data_dir"] = os.environ.get("DEFKT_DATA_DIR", "data")
-
-    for key, allowed in (
-        ("dataset", DATASETS), ("model", MODELS), ("strategy", STRATEGIES),
-        ("reduction", ("mean", "sum")),
-    ):
-        if v[key] not in allowed:
-            raise ConfigurationError(f"unknown {key} {v[key]!r}; expected one of {allowed}")
-    if not 0 <= v["lr"] < math.inf:  # else the rates it fills in would name their own keys
-        raise ConfigurationError(f"config key lr: must be nonnegative and finite, got {v['lr']}")
-    for key in ("eval_every", "subset", "xi"):
-        if v[key] is not None and v[key] < 1:
-            raise ConfigurationError(f"config key {key}: must be at least 1, got {v[key]}")
-    if min(v["hidden"], default=1) < 1:
-        raise ConfigurationError(f"config key hidden: every width must be at least 1, got {list(v['hidden'])}")
-    for key, seeds in (("config key seeds", v["seeds"]), ("synthetic key seed", [v["synthetic"]["seed"]])):
-        bad = [seed for seed in seeds if seed is not None and not 0 <= seed < 2**64]
-        if bad:  # derive_seed reduces keys mod 2**64, so such a seed would alias one inside the range
-            raise ConfigurationError(f"{key}: must lie in [0, 2**64), got {bad[0]}")
-    synthetic = v["synthetic"]
-    for key, least in (("classes", 2), ("per_class", 1), ("dims", 1), ("test_per_class", 1)):
-        if synthetic[key] < least:
-            raise ConfigurationError(f"synthetic key {key}: must be at least {least}, got {synthetic[key]}")
-    if not 0 <= synthetic["sigma"] < math.inf:
-        raise ConfigurationError(f"synthetic key sigma: must be nonnegative and finite, got {synthetic['sigma']}")
-
-    config = RunConfig(**{field: v[key] for key, (field, _, _) in _KEYS.items() if field})
+    config = RunConfig(**{field: v[key] for key, (field, *_) in _KEYS.items() if field})
     if config.dataset != "synthetic":
         _find_idx_files(config.data_dir, config.dataset)
     return config
@@ -296,10 +274,8 @@ def load_corpus(config: RunConfig, seed: int) -> tuple[Rows, Dataset]:
         train = load_idx(files["train_images"], files["train_labels"], num_classes=10)
         test = load_idx(files["test_images"], files["test_labels"], num_classes=10)
     if config.subset is not None:
-        if config.subset > len(train):
-            raise ConfigurationError(
-                f"config key subset: must not exceed the corpus size {len(train)}, got {config.subset}"
-            )
+        check("config key subset", config.subset,
+              Rule(lambda rows: rows <= len(train), f"must not exceed the corpus size {len(train)}"))
         rng = derive_rng(seed, "corpus-subset")
         train = train.subset(rng.choice(len(train), size=config.subset, replace=False))
     return train, test
@@ -309,19 +285,20 @@ def model_spec(config: RunConfig, corpus: Rows) -> ModelSpec:
     input_dim = corpus.batch(slice(0, 1)).inputs.shape[1]
     if config.model == "mlp":
         return ModelSpec.mlp(input_dim, hidden=config.hidden, num_classes=corpus.num_classes)
-    if input_dim != 784:
-        raise ConfigurationError("cnn-small expects 28x28 single-channel inputs (784 features)")
+    check("config key model", config.model, Rule(
+        lambda _: input_dim == 784, f"needs 28x28 single-channel inputs (784 features; the corpus has {input_dim})"))
     return ModelSpec.cnn_small((1, 28, 28), num_classes=corpus.num_classes)
 
 
 def make_shards(config: RunConfig, corpus: Rows, seed: int) -> list[DatasetView]:
     """Client shards: IID when xi is unset, else xi label segments per client."""
-    xi = config.classes_per_client
-    if xi is not None and xi > corpus.num_classes:
-        raise ConfigurationError(
-            f"config key xi: must not exceed the corpus class count {corpus.num_classes}, got {xi}"
-        )
-    return partition(corpus, config.num_clients, xi, derive_seed(seed, "partition"))
+    segments = config.classes_per_client or 1  # per client; the smallest shard has segments * (rows // (K * segments))
+    check("config key xi", segments, Rule(lambda xi: xi <= corpus.num_classes,
+                                          f"must not exceed the corpus class count {corpus.num_classes}"))
+    check("config key clients", config.num_clients, Rule(
+        lambda clients: segments * (len(corpus) // (clients * segments)) >= SPLIT_MIN_ROWS,
+        f"must leave every client at least {SPLIT_MIN_ROWS} of the corpus's {len(corpus)} rows"))
+    return partition(corpus, config.num_clients, config.classes_per_client, derive_seed(seed, "partition"))
 
 
 # ---------------------------- model checkpoints ---------------------------- #

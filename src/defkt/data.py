@@ -24,7 +24,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import ConfigurationError, LoadError
+from .errors import NONNEGATIVE_FINITE, ConfigurationError, LoadError, at_least, check
 from .nn import Batch
 from .seeding import derive_rng
 
@@ -167,10 +167,9 @@ def synth_dataset(
     num_classes: int, per_class: int, dims: int, seed: int, sigma: float = 1.0
 ) -> Dataset:
     """Gaussian-blob classification set: per_class samples around each class mean."""
-    if num_classes < 2 or per_class < 1 or dims < 1 or not sigma >= 0:  # `not >=` also rejects NaN
-        raise ConfigurationError(
-            "synthetic data needs num_classes >= 2, per_class >= 1, dims >= 1 and sigma >= 0"
-        )
+    for name, value, rule in (("num_classes", num_classes, at_least(2)), ("per_class", per_class, at_least(1)),
+                              ("dims", dims, at_least(1)), ("sigma", sigma, NONNEGATIVE_FINITE)):
+        check(name, value, rule)
     rng = derive_rng(seed)
     means = class_means(num_classes, dims)
     inputs = np.empty((num_classes * per_class, dims), dtype=np.float64)
@@ -221,19 +220,19 @@ def partition(
     data: Rows, num_clients: int, classes_per_client: int | None, seed: int
 ) -> list[DatasetView]:
     """Divide a corpus among clients: IID when classes_per_client is None, else non-IID."""
-    if num_clients < 2:
-        raise ConfigurationError("partitioning needs at least 2 clients")
+    check("num_clients", num_clients, at_least(2))
     if classes_per_client is None:
         return partition_iid(data, num_clients, seed)
-    if classes_per_client < 1:
-        raise ConfigurationError("noniid partitioning needs classes_per_client >= 1")
+    check("classes_per_client", classes_per_client, at_least(1))
     return partition_noniid(data, num_clients, classes_per_client, seed)
+
+
+SPLIT_MIN_ROWS = 5  # the fewest rows train_val_split takes: 4 to train and 1 to validate at 0.8
 
 
 def train_val_split(data: Rows, fraction: float = 0.8, seed: int = 0) -> ClientData:
     """Seeded shuffle, first floor(fraction*N) samples to train, rest to validation."""
-    if len(data) < 5:
-        raise ConfigurationError(f"need at least 5 samples to split, got {len(data)}")
+    check("samples to split", len(data), at_least(SPLIT_MIN_ROWS))
     rng = derive_rng(seed)
     order = rng.permutation(len(data))
     n_train = int(fraction * len(data))
@@ -249,8 +248,7 @@ def minibatches(data: Rows, batch_size: int, rng: np.random.Generator) -> Iterat
     Yields ceil(N / batch_size) batches, the last possibly smaller; every
     sample appears exactly once per pass.
     """
-    if batch_size < 1:
-        raise ConfigurationError("batch_size must be at least 1")
+    check("batch_size", batch_size, at_least(1))
     order = rng.permutation(len(data))
     for start in range(0, len(data), batch_size):
         yield data.batch(order[start : start + batch_size])

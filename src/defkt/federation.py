@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .data import ClientData, Dataset, Rows, minibatches, train_val_split
-from .errors import ConfigurationError, NumericalError
+from .errors import NONNEGATIVE_FINITE, SEED, UNIT_INTERVAL, ConfigurationError, NumericalError, Rule, at_least, check
 from .losses import cross_entropy_grad_logits, mutual_loss_grad_logits, softmax
 from .metrics import MetricsRecord, evaluation_pool, submit_record
 from .nn import (
@@ -56,7 +56,7 @@ class HyperParams:
     senders_per_round is the number of transmitting clients per round;
     2 * senders_per_round clients participate in total. Every setting but
     the seed must be given; the reference defaults live in the CLI's key
-    table (`defkt.cli._KEYS`).
+    table (`defkt.cli._KEYS`), and `RULES` holds each setting's only rule.
     """
 
     num_clients: int
@@ -72,24 +72,22 @@ class HyperParams:
     momentum: float
     seed: int = 0
 
-    def __post_init__(self):
-        def check(ok: bool, field_name: str, rule: str) -> None:
-            if not ok:
-                value = getattr(self, field_name)
-                raise ConfigurationError(f"{self._setting_name(field_name)}: {rule}, got {value}")
+    RULES = {
+        "num_clients": at_least(2, "need at least 2 clients"),
+        "senders_per_round": at_least(0, "must be nonnegative"),
+        **dict.fromkeys(("rounds", "mkt_passes"), at_least(0)),
+        **dict.fromkeys(("local_batch_size", "mkt_batch_size", "local_passes"), at_least(1)),
+        **dict.fromkeys(("local_lr", "mkt_lr_received", "mkt_lr_local"), NONNEGATIVE_FINITE),
+        "momentum": UNIT_INTERVAL,
+        "seed": SEED,
+    }
 
-        check(self.num_clients >= 2, "num_clients", "need at least 2 clients")
-        check(self.senders_per_round >= 0, "senders_per_round", "must be nonnegative")
+    def __post_init__(self):
+        for field_name, rule in self.RULES.items():
+            check(self._setting_name(field_name), getattr(self, field_name), rule)
         clients = f"{self._setting_name('num_clients')} ({self.num_clients})"
-        check(2 * self.senders_per_round <= self.num_clients, "senders_per_round",
-              f"twice its value must not exceed {clients}")
-        for field_name, least in (
-            ("rounds", 0), ("local_batch_size", 1), ("mkt_batch_size", 1), ("local_passes", 1), ("mkt_passes", 0),
-        ):
-            check(getattr(self, field_name) >= least, field_name, f"must be at least {least}")
-        for field_name in ("local_lr", "mkt_lr_received", "mkt_lr_local"):
-            check(0 <= getattr(self, field_name) < np.inf, field_name, "must be nonnegative and finite")
-        check(0.0 <= self.momentum < 1.0, "momentum", "must lie in [0, 1)")
+        check(self._setting_name("senders_per_round"), self.senders_per_round,
+              Rule(lambda senders: 2 * senders <= self.num_clients, f"twice its value must not exceed {clients}"))
 
     def _setting_name(self, field_name: str) -> str:
         """How a check's message names a setting: its field here, its config key in RunConfig."""
@@ -147,10 +145,8 @@ class CommLog:
 
 def select_round(num_clients: int, senders_per_round: int, round_index: int, master_seed: int) -> RoundPlan:
     """Draw 2Q distinct client ids without replacement; first Q send, next Q receive."""
-    if 2 * senders_per_round > num_clients:
-        raise ConfigurationError(
-            f"cannot draw {2 * senders_per_round} distinct clients from {num_clients}"
-        )
+    check("senders_per_round", senders_per_round, Rule(
+        lambda senders: 2 * senders <= num_clients, f"twice its value must not exceed num_clients ({num_clients})"))
     rng = derive_rng(master_seed, SELECT_STREAM, round_index)
     drawn = rng.permutation(num_clients)[: 2 * senders_per_round] + 1
     return RoundPlan(
@@ -376,8 +372,7 @@ def run_experiment(
     are raised before round 1; an error in a pooled evaluation is raised
     when its record is collected, after the pool is joined.
     """
-    if eval_every < 1:
-        raise ConfigurationError("eval_every must be at least 1")
+    check("eval_every", eval_every, at_least(1))
     states = dict(clients)
     if comm is None:
         comm = CommLog()

@@ -78,7 +78,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericalError
+from .errors import ConfigurationError, NumericalError, at_least, check
 from .seeding import derive_rng
 
 
@@ -91,8 +91,7 @@ class DenseLayer:
     relu: bool = False
 
     def out_shape(self, in_shape: tuple[int, ...]) -> tuple[int, ...]:
-        if self.n_out < 1:
-            raise ConfigurationError(f"dense layer width must be at least 1, got {self.n_out}")
+        check("dense layer width", self.n_out, at_least(1))
         flat = int(np.prod(in_shape))
         if flat != self.n_in:
             raise ConfigurationError(
@@ -238,8 +237,7 @@ class ModelSpec:
     first_param_layer: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.num_classes < 2:
-            raise ConfigurationError("num_classes must be at least 2")
+        check("num_classes", self.num_classes, at_least(2))
         if not self.layers:
             raise ConfigurationError("model needs at least one layer")
         last = self.layers[-1]

@@ -1,8 +1,11 @@
 """CLI tests: config resolution, run/inspect/eval subcommands, exit codes."""
 
 import argparse
+import dataclasses
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -16,6 +19,11 @@ import defkt
 from defkt.cli import (
     _IDX_NAMES,
     _KEYS,
+    _SYNTH_KEYS,
+    _float,
+    _int,
+    _ints,
+    _seeds,
     build_parser,
     load_corpus,
     load_model,
@@ -28,8 +36,8 @@ from defkt.cli import (
     save_model,
 )
 from defkt.data import DatasetView
-from defkt.errors import ConfigurationError, LoadError
-from defkt.federation import build_client_states
+from defkt.errors import SEED, ConfigurationError, LoadError, check
+from defkt.federation import HyperParams, build_client_states
 from defkt.metrics import read_csv
 from defkt.nn import ModelSpec, init_params
 
@@ -67,6 +75,52 @@ RUN_FLAGS = [
     (["--eval-every", "5"], {"eval_every": 5}),
     (["--out", "d"], {"output_dir": "d"}),
 ]
+
+
+def table_entries():
+    """(section, key, converter, rule) for every key of both tables; a protocol key's rule is HyperParams.RULES."""
+    for section, table in (("config", _KEYS), ("synthetic", _SYNTH_KEYS)):
+        for key, entry in table.items():
+            *field, convert, rule, _ = entry
+            yield section, key, convert, rule or HyperParams.RULES.get(field[0] if field else None)
+
+
+RULED_KEYS = [entry for entry in table_entries() if entry[3] is not None]
+
+
+def converts(convert, value) -> bool:
+    try:
+        convert(value)
+    except (TypeError, ValueError):
+        return False
+    return True
+
+
+def accepts(convert, rule, value) -> bool:
+    try:
+        check("probe", convert(value), rule)
+    except (ConfigurationError, TypeError, ValueError):
+        return False
+    return True
+
+
+def derived_bad_values(convert, rule) -> list:
+    """Values that a key's converter or rule must reject, derived from both.
+
+    For a list key each value is an item of the list. The values are one
+    below the least accepted whole number, a boolean, NaN, ±inf, a list, a
+    name outside any set, and for a seed rule -1 and 2**64. None is a large
+    count, so a rule that broke could not start a long run.
+    """
+    item = (lambda v: [v]) if converts(convert, [1]) else (lambda v: v)
+    probes = range(-2, 10)
+    least = next((n for n in probes if accepts(convert, rule, item(n))), None)
+    values = [True, math.nan, math.inf, -math.inf, [1], "no-such-name"]
+    if least not in (None, probes[0]):
+        values.append(least - 1)
+    if rule.holds is SEED.holds:
+        values += [v for v in (-1, 2**64) if v not in values]
+    return [item(v) for v in values]
 
 
 class TestResolveConfig:
@@ -166,6 +220,25 @@ class TestResolveConfig:
         monkeypatch.setenv("DEFKT_DATA_DIR", str(tmp_path))
         config = parse_config(build_parser().parse_args(["run", *flags]))
         assert {field: getattr(config, field) for field in expected} == expected
+
+    def test_every_numeric_key_carries_one_rule(self):
+        # a new key gets the derived bad values above, or fails here
+        assert set(HyperParams.RULES) == {f.name for f in dataclasses.fields(HyperParams)}
+        for section, key, convert, rule in table_entries():
+            if convert in (_int, _float, _ints, _seeds):
+                assert rule is not None, f"{section} key {key} has no rule"
+        for key, (field, _, rule, _) in _KEYS.items():
+            assert not (rule and field in HyperParams.RULES), f"config key {key} has a rule in both places"
+            assert rule or field in HyperParams.RULES or key in ("data_dir", "output_dir", "synthetic"), key
+
+    def test_readme_example_config_is_accepted(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        (block,) = re.findall(r"```yaml\n(.*?)```", readme, re.DOTALL)
+        config = resolve_config(yaml.safe_load(block))
+        seed = config.seeds[0]
+        corpus, _ = load_corpus(config, seed)
+        model_spec(config, corpus)
+        assert len(make_shards(config, corpus, seed)) == config.num_clients
 
     def test_every_run_flag_is_a_key_with_a_case(self):
         # parse_config drops a dest that is not a config key, so such a flag would do nothing
@@ -349,19 +422,39 @@ class TestCmdRun:
              "config key seeds: must lie in [0, 2**64), got 18446744073709551616\n"),
             ({"synthetic": dict(TINY["synthetic"], seed=-1)}, [],
              "synthetic key seed: must lie in [0, 2**64), got -1\n"),
+            ({}, ["--clients", "200"], "config key clients: must leave every client at least 5 of the corpus's "
+                                       "120 rows, got 200\n"),
+            ({}, ["--clients", "30"], "config key clients: must leave every client at least 5 of the corpus's "
+                                      "120 rows, got 30\n"),
+            ({"dataset": "x"}, [],
+             "config key dataset: must be one of ('mnist', 'fashion-mnist', 'synthetic'), got 'x'\n"),
         ],
         ids=[
             "seed-repeated", "senders-negative", "passes-e-negative", "passes-m-0", "batch-b1-0",
             "batch-b2-0", "rounds-negative", "clients-1", "senders-exceed-clients", "momentum-1",
             "lr-negative", "eval-every-0", "subset-0", "subset-exceeds-corpus", "xi-0", "xi-exceeds-classes",
             "hidden-width-0", "synthetic-classes-1", "synthetic-test-per-class-0", "synthetic-sigma-inf",
-            "seed-negative", "seed-2-to-the-64", "synthetic-seed-negative",
+            "seed-negative", "seed-2-to-the-64", "synthetic-seed-negative", "clients-exceed-rows",
+            "clients-leave-4-rows", "dataset-unknown",
         ],
     )
     def test_bad_input_message_names_the_value(self, tmp_path, capsys, overrides, flags, message):
         config = write_config(tmp_path, overrides)
         assert main(["run", "--config", config, "--out", str(tmp_path / "runs"), *flags]) == 1
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, key, convert, rule", RULED_KEYS, ids=[f"{s}-{k}" for s, k, _, _ in RULED_KEYS])
+    def test_bad_values_derived_from_each_rule_name_their_key(self, tmp_path, capsys, section, key, convert, rule):
+        bad = derived_bad_values(convert, rule)
+        assert len(bad) >= 6
+        wrong = []
+        for value in bad:
+            overrides = {key: value} if section == "config" else {"synthetic": dict(TINY["synthetic"], **{key: value})}
+            status = main(["run", "--config", write_config(tmp_path, overrides), "--out", str(tmp_path / "runs")])
+            err = capsys.readouterr().err
+            if status != 1 or not err.startswith(f"configuration error: {section} key {key}: "):
+                wrong.append((value, status, err))
+        assert wrong == []
 
     def test_numerical_failure_prints_only_its_error(self, tmp_path):
         # a subprocess, so that numpy's RuntimeWarnings would reach stderr as a user sees them

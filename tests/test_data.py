@@ -132,6 +132,12 @@ class TestSynthDataset:
         with pytest.raises(ConfigurationError):
             synth_dataset(1, 10, 4, seed=0)
 
+    @pytest.mark.parametrize("sigma", [float("inf"), float("-inf"), float("nan"), -0.5])
+    def test_sigma_must_be_nonnegative_and_finite(self, sigma):
+        # an infinite sigma would give an all-±inf corpus
+        with pytest.raises(ConfigurationError, match=f"^sigma: must be nonnegative and finite, got {sigma}$"):
+            synth_dataset(2, 3, 2, 0, sigma=sigma)
+
 
 @pytest.fixture(scope="module")
 def surrogate_corpus():

@@ -94,6 +94,15 @@ class TestHyperParams:
         with pytest.raises(ConfigurationError):
             tiny_hyper(momentum=1.0)
 
+    # derive_seed reduces keys mod 2**64: -1 would run as 2**64 - 1, and 2**64 as 0
+    @pytest.mark.parametrize("seed", [-1, 2**64], ids=["negative", "2-to-the-64"])
+    def test_seed_outside_the_derivation_range_rejected(self, seed):
+        with pytest.raises(ConfigurationError, match=rf"^seed: must lie in \[0, 2\*\*64\), got {seed}$"):
+            tiny_hyper(seed=seed)
+
+    def test_seeds_at_the_ends_of_the_range_accepted(self):
+        assert [tiny_hyper(seed=seed).seed for seed in (0, 2**64 - 1)] == [0, 2**64 - 1]
+
 
 class TestSelectRound:
     def test_sender_differs_from_receiver(self):
