@@ -2,13 +2,16 @@
 
 A record's evaluations (each distinct parameter vector on the shared test
 set, every client on its own validation set) are tasks that submit_record
-submits together and collects later. A run's one pool comes from
-evaluation_pool: usable CPUs - 1 threads when more than one CPU is usable
-and the smallest evaluation's rows x parameters reach PARALLEL_EVAL_WORK;
-otherwise each task is evaluated as it is submitted. The collecting thread
-evaluates, last first, every task no pool thread has started, so at most
-one thread per CPU computes. global_accuracy and local_accuracy are the
-serial reference and evaluate on the calling thread.
+submits together and collects later. An evaluation's work is its rows x
+the model's multiply-adds per row (spec.macs_per_row). A run's one pool
+comes from evaluation_pool: usable CPUs - 1 threads when more than one CPU
+is usable and the largest evaluation's work reaches PARALLEL_EVAL_WORK.
+A task goes to the pool only if its own work reaches that gate; any other
+task, and every task of a run without a pool, is evaluated as it is
+submitted. The collecting thread evaluates, last first, every pooled task
+no pool thread has started, so at most one thread per CPU computes.
+global_accuracy and local_accuracy are the serial reference and evaluate on
+the calling thread.
 
 The accuracies are bitwise those of a plain loop: each evaluation is one
 single-threaded forward (one BLAS thread) on vectors nothing writes (the
@@ -42,15 +45,15 @@ CSV_FIELDS = ("round", "strategy", "seed", "global_acc", "local_acc", "scalars_t
 # bits of the logits: the reference MLP's logits on 1,000 rows differ bitwise
 # between one call and two 500-row chunks. Changing it can change accuracies.
 EVAL_CHUNK_ROWS = 2048
-# Rows x parameters of the smallest evaluation (a dense model's multiply-adds)
-# from which a run's records go to its pool. Sized when each call opened its
-# own pool: with one BLAS thread on 2 cores, ten threaded evaluations took
-# 1.3x the serial time at 3e6, broke even near 1e7 and took 0.7x at 2.4e7 (a
-# reference-MLP validation set) and 0.5x at 2e8 (its 1,000-row test set).
-# Pools are now opened once per run, so the break-even may be lower (not
-# measured); no workload lies between 2.4e7 and hetero-sweep's 32x32 MLP
-# (7e5) or cnn-small on 100 rows (5e5), which stay inline, nor does the
-# README quick-start (1.4e6 per validation set), so the value was kept.
+# Multiply-adds (rows x spec.macs_per_row) from which an evaluation goes to
+# the run's pool; a run whose largest evaluation falls below it opens none.
+# Sized when each call opened its own pool: with one BLAS thread on 2 cores,
+# ten threaded evaluations took 1.3x the serial time at 3e6, broke even near
+# 1e7 and took 0.7x at 2.4e7 (a reference-MLP validation set) and 0.5x at 2e8
+# (its 1,000-row test set). Below it stay hetero-sweep's 32x32 MLP (7e5 on
+# its test set), the README quick-start's validation sets (1.4e6) and
+# cnn-small on 10 rows (1.9e6); above it are the quick-start's test set
+# (1.8e7) and cnn-small on 100 rows (1.9e7).
 PARALLEL_EVAL_WORK = 10_000_000
 # Entries of a parameter vector in its record key (see _test_tasks).
 KEY_SAMPLES = 64
@@ -86,16 +89,15 @@ def evaluation_pool(spec: ModelSpec, states: dict, test: Dataset):
     """Yield a pool of usable CPUs - 1 threads for the records of `states` on `test`, or None.
 
     A record's input errors (a test set of the wrong width, an empty
-    validation set) are raised first. None when one CPU is usable or the
-    smallest evaluation's rows x parameters fall below PARALLEL_EVAL_WORK.
-    On exit, tasks no thread has started are cancelled and the pool's
-    threads are joined.
+    validation set) are raised first. None when one CPU is usable or no
+    evaluation reaches the gate (_pooled). On exit, tasks no thread has
+    started are cancelled and the pool's threads are joined.
     """
     check_features(spec, test.inputs)
     _check_validation_sets(states)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    smallest = min(len(test), *(len(s.data.validation) for s in states.values()))
-    if cpus < 2 or smallest * spec.param_count < PARALLEL_EVAL_WORK:
+    largest = max(len(test), *(len(s.data.validation) for s in states.values()))
+    if cpus < 2 or not _pooled(spec, largest):
         yield None
         return
     from concurrent.futures import ThreadPoolExecutor
@@ -107,16 +109,22 @@ def evaluation_pool(spec: ModelSpec, states: dict, test: Dataset):
         pool.shutdown(wait=True, cancel_futures=True)
 
 
+def _pooled(spec: ModelSpec, rows: int) -> bool:
+    """Whether evaluating `rows` rows is work enough for the pool (PARALLEL_EVAL_WORK)."""
+    return rows * spec.macs_per_row >= PARALLEL_EVAL_WORK
+
+
 class _Task:
     """One evaluate() call, made once: by a pool thread, or by the collecting thread if none started it.
 
-    Without a pool it is made at once.
+    Without a pool, or below the gate, it is made at once.
     """
 
     def __init__(self, pool, spec: ModelSpec, params: np.ndarray, data: Rows):
         self._args = (spec, params, data)
-        self._future = None if pool is None else pool.submit(self._run)
-        self._value = self._run() if pool is None else None
+        pooled = pool is not None and _pooled(spec, len(data))
+        self._future = pool.submit(self._run) if pooled else None
+        self._value = None if pooled else self._run()
 
     def _run(self) -> float:
         args, self._args = self._args, None  # keep no vector once evaluated

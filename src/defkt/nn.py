@@ -17,7 +17,14 @@ backward_from_cache only loop over the layers.
 
 forward produces logits; the softmax lives in the losses module. It keeps
 no cache: each layer's patch matrix, ReLU mask and pooling indices are
-freed when the layer returns. forward_cached runs the same loop and keeps,
+freed when the layer returns. It runs the conv stack (every layer before
+the first dense layer) on blocks of conv_block_rows rows, so that a
+block's widest array stays near CONV_BLOCK_BYTES and in L2, and writes each
+block's output into one array for the dense head, which runs on all rows at
+once. Blocking changes no bits: the conv GEMM is a batched (B, P, K) @ (K, O)
+matmul, one product per row, and the gather, pooling and ReLU kernels work
+row by row. The dense GEMM's bits depend on its row count, which is why the
+head is not blocked. forward_cached runs the layers unblocked and keeps,
 per layer, its input and ReLU mask (dense and conv) or its pooling indices.
 A conv layer's patch matrix is not kept: its backward gathers it again from
 the cached input, which is a view of the batch for the first layer and the
@@ -80,6 +87,10 @@ import numpy as np
 
 from .errors import ConfigurationError, NumericalError, at_least, check
 from .seeding import derive_rng
+
+# Bytes of the widest array a block of forward's conv stack makes: about
+# half of one core's L2 on the 2-vCPU Xeon the benchmark runs on.
+CONV_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -230,11 +241,18 @@ class ModelSpec:
     num_classes: int
     # Derived in __post_init__ and left out of repr and comparison. layout holds,
     # per layer, (weight slice, weight shape, bias slice) into the canonical
-    # parameter vector, or None for pooling.
+    # parameter vector, or None for pooling. first_dense is the index of the
+    # first DenseLayer, so layers[:first_dense] is the conv stack; widest_row
+    # is the most float64 entries per row of any array that stack makes (an
+    # output or a patch matrix). macs_per_row counts the multiply-adds of one
+    # row's forward: one per weight per output position that shares it.
     layout: tuple = field(init=False, repr=False, compare=False)
     param_count: int = field(init=False, repr=False, compare=False)
     input_dim: int = field(init=False, repr=False, compare=False)
     first_param_layer: int = field(init=False, repr=False, compare=False)
+    first_dense: int = field(init=False, repr=False, compare=False)
+    widest_row: int = field(init=False, repr=False, compare=False)
+    macs_per_row: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check("num_classes", self.num_classes, at_least(2))
@@ -243,16 +261,24 @@ class ModelSpec:
         last = self.layers[-1]
         if not isinstance(last, DenseLayer) or last.relu or last.n_out != self.num_classes:
             raise ConfigurationError("final layer must be a linear DenseLayer with num_classes outputs")
+        first_dense = next(i for i, layer in enumerate(self.layers) if isinstance(layer, DenseLayer))
         shape = tuple(self.input_shape)
         layout: list[tuple[slice, tuple[int, ...], slice] | None] = []
-        offset = 0
-        for layer in self.layers:
+        offset = macs = 0
+        widest = math.prod(shape)
+        for i, layer in enumerate(self.layers):
             shape = layer.out_shape(shape)
+            if i < first_dense:
+                widest = max(widest, math.prod(shape))
             shapes = layer.param_shapes()
             if shapes is None:
                 layout.append(None)
                 continue
-            w_shape, n_bias, _, _ = shapes
+            w_shape, n_bias, fan_in, _ = shapes
+            positions = math.prod(shape) // n_bias  # 1 for a dense layer
+            macs += math.prod(w_shape) * positions
+            if i < first_dense:
+                widest = max(widest, fan_in * positions)  # the conv layer's patch matrix
             w_end = offset + math.prod(w_shape)
             layout.append((slice(offset, w_end), w_shape, slice(w_end, w_end + n_bias)))
             offset = w_end + n_bias
@@ -260,6 +286,9 @@ class ModelSpec:
         object.__setattr__(self, "param_count", offset)
         object.__setattr__(self, "input_dim", int(math.prod(self.input_shape)))
         object.__setattr__(self, "first_param_layer", next(i for i, e in enumerate(layout) if e is not None))
+        object.__setattr__(self, "first_dense", first_dense)
+        object.__setattr__(self, "widest_row", widest)
+        object.__setattr__(self, "macs_per_row", macs)
 
     @classmethod
     def mlp(cls, input_dim: int, hidden: tuple[int, ...] = (200, 200), num_classes: int = 10) -> "ModelSpec":
@@ -439,29 +468,56 @@ def check_features(spec: ModelSpec, inputs: np.ndarray) -> None:
         raise ConfigurationError(f"batch has {inputs.shape[1]} input features, model expects {spec.input_dim}")
 
 
-def _forward(spec: ModelSpec, params: np.ndarray, batch: Batch, cache: list | None) -> np.ndarray:
-    """Logits for a batch; appends one entry per layer to `cache` unless it is None."""
+def _inputs(spec: ModelSpec, params: np.ndarray, batch: Batch) -> tuple[np.ndarray, list]:
+    """The batch shaped as the first layer's input, and the per-layer parameter views."""
     check_features(spec, batch.inputs)
     views = _unpack(spec, np.asarray(params, dtype=np.float64))
     x: np.ndarray = batch.inputs
     if len(spec.input_shape) == 3:
         x = x.reshape(len(batch), *spec.input_shape)
-    for layer, view in zip(spec.layers, views):
-        x, entry = layer.forward(view, x, cache is not None)
-        if cache is not None:
-            cache.append(entry)
-    return x
+    return x, views
 
 
 def forward_cached(spec: ModelSpec, params: np.ndarray, batch: Batch) -> tuple[np.ndarray, list]:
-    """Forward pass returning (logits, cache); the cache feeds backward_from_cache."""
+    """Forward pass returning (logits, cache); the cache feeds backward_from_cache.
+
+    It runs every layer on the whole batch: the backward needs whole-batch cache entries.
+    """
+    x, views = _inputs(spec, params, batch)
     cache: list = []
-    return _forward(spec, params, batch, cache), cache
+    for layer, view in zip(spec.layers, views):
+        x, entry = layer.forward(view, x, True)
+        cache.append(entry)
+    return x, cache
+
+
+def conv_block_rows(spec: ModelSpec) -> int:
+    """Rows per block of forward's conv stack: CONV_BLOCK_BYTES over the stack's widest float64 row, at least 1."""
+    return max(1, CONV_BLOCK_BYTES // (8 * spec.widest_row))
 
 
 def forward(spec: ModelSpec, params: np.ndarray, batch: Batch) -> np.ndarray:
-    """Logits (B, num_classes) for a batch; keeps no cache and writes no argument."""
-    return _forward(spec, params, batch, None)
+    """Logits (B, num_classes) for a batch; keeps no cache and writes no argument.
+
+    The conv stack runs block by block and the dense head on all rows (see
+    the module docstring), so the logits are bitwise forward_cached's.
+    """
+    x, views = _inputs(spec, params, batch)
+    head = spec.first_dense
+    if head:
+        rows = conv_block_rows(spec)
+        stacked = None
+        for start in range(0, len(x), rows):
+            block = x[start : start + rows]
+            for layer, view in zip(spec.layers[:head], views[:head]):
+                block, _ = layer.forward(view, block, False)
+            if stacked is None:
+                stacked = np.empty((len(x), *block.shape[1:]))
+            stacked[start : start + rows] = block
+        x = stacked
+    for layer, view in zip(spec.layers[head:], views[head:]):
+        x, _ = layer.forward(view, x, False)
+    return x
 
 
 def backward_from_cache(

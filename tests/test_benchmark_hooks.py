@@ -87,3 +87,13 @@ def test_op_counts_the_benchmark_reports(monkeypatch):
     conv1 = 2 * 26 * 26 * 8 * 1 * 9  # 28x28x1 -> 26x26x8, pooled to 13x13
     conv2 = 2 * 11 * 11 * 16 * 8 * 9  # 13x13x8 -> 11x11x16, pooled to 5x5
     assert opcount.forward_flops_per_sample(ModelSpec.cnn_small()) == conv1 + conv2 + 2 * 400 * 10
+
+
+def test_macs_per_row_is_half_the_benchmark_forward_flops(monkeypatch):
+    # the pool gate counts what the benchmark counts: one multiply-add is two flops
+    opcount = load_perfbench_module(monkeypatch, "opcount")
+    from defkt.nn import ConvLayer, DenseLayer, MaxPoolLayer, ModelSpec
+
+    pool_first = ModelSpec((1, 13, 13), (MaxPoolLayer(2), ConvLayer(1, 2, 3), MaxPoolLayer(2), DenseLayer(8, 3)), 3)
+    for spec in (ModelSpec.mlp(784), ModelSpec.mlp(20, (32, 32), 4), ModelSpec.cnn_small(), pool_first):
+        assert 2 * spec.macs_per_row == opcount.forward_flops_per_sample(spec)

@@ -620,16 +620,63 @@ class TestOverlappedRecords:
         assert set(probe.threads) == {threading.main_thread()}
         assert threading.active_count() == before
 
-    def test_no_thread_starts_when_a_validation_set_is_below_the_gate(self, cpus, monkeypatch):
-        """The test set alone reaching the gate opens no pool: a run has one pool or none."""
-        serial, _ = self.run()
-        cpus(2)
-        monkeypatch.setattr(metrics, "PARALLEL_EVAL_WORK", len(self.TEST_DATA) * SPEC.param_count)
-        assert max(len(s.data.validation) for s in experiment_states(tiny_hyper()).values()) < len(self.TEST_DATA)
+    @staticmethod
+    def count_thread_starts(monkeypatch) -> list:
         started, start = [], threading.Thread.start
         monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread) or start(thread))
+        return started
+
+    def test_no_thread_starts_when_every_evaluation_is_below_the_gate(self, cpus, monkeypatch):
+        """The test set is the largest evaluation; one multiply-add short of the gate, no pool opens."""
+        serial, _ = self.run()
+        cpus(2)
+        monkeypatch.setattr(metrics, "PARALLEL_EVAL_WORK", len(self.TEST_DATA) * SPEC.macs_per_row + 1)
+        assert max(len(s.data.validation) for s in experiment_states(tiny_hyper()).values()) < len(self.TEST_DATA)
+        started = self.count_thread_starts(monkeypatch)
         assert self.run()[0] == serial
         assert started == []
+
+    def test_with_the_pool_open_each_task_runs_where_its_own_work_puts_it(self, cpus, monkeypatch):
+        """Only the test set reaches the gate: its task runs on a pool thread, the validation tasks inline."""
+        states = experiment_states(tiny_hyper())
+        expected = global_accuracy(states, SPEC, self.TEST_DATA), local_accuracy(states, SPEC)
+        cpus(2)
+        monkeypatch.setattr(metrics, "PARALLEL_EVAL_WORK", len(self.TEST_DATA) * SPEC.macs_per_row)
+        assert max(len(s.data.validation) for s in states.values()) < len(self.TEST_DATA)
+        calls = []  # (rows, on the calling thread) per evaluation
+
+        def recording(spec, params, data):
+            calls.append((len(data), threading.current_thread() is threading.main_thread()))
+            return evaluate(spec, params, data)
+
+        monkeypatch.setattr(metrics, "evaluate", recording)
+        with metrics.evaluation_pool(SPEC, states, self.TEST_DATA) as pool:
+            collect = metrics.submit_record(pool, SPEC, states, self.TEST_DATA)
+            pool.shutdown(wait=True)  # a pooled task has run by now, so collecting takes none over
+            assert collect() == expected
+        assert sorted(calls) == sorted(
+            [(len(self.TEST_DATA), False)] + [(len(states[k].data.validation), True) for k in states]
+        )
+
+    def test_a_conv_test_set_opens_the_pool_by_multiply_adds(self, cpus, monkeypatch):
+        """Rows x parameters undercounts a conv layer's work by its output positions; the gate counts multiply-adds."""
+        spec = ModelSpec.cnn_small((1, 10, 10), 3, channels=(2, 3))
+        hyper = tiny_hyper(rounds=2)
+        data = synth_dataset(3, 40, spec.input_dim, seed=1)
+        shards = [data.subset(np.arange(i * 30, (i + 1) * 30)) for i in range(hyper.num_clients)]
+        test = synth_dataset(3, 20, spec.input_dim, seed=2)
+
+        def run():
+            states = build_client_states(spec, shards, hyper)
+            return run_experiment(spec, hyper, FusionStrategy.DEFKT, states, test, eval_every=1)[0]
+
+        serial = run()
+        cpus(2)
+        monkeypatch.setattr(metrics, "PARALLEL_EVAL_WORK", len(test) * spec.macs_per_row)
+        assert len(test) * spec.param_count < metrics.PARALLEL_EVAL_WORK
+        started = self.count_thread_starts(monkeypatch)
+        assert run() == serial
+        assert started
 
     def test_serial_reference_evaluates_on_the_calling_thread(self, cpus, monkeypatch):
         cpus(2)

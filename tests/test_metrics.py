@@ -1,11 +1,12 @@
 """Metrics tests: evaluation, client aggregates, CSV round trips."""
 
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from defkt.data import ClientData, synth_dataset, train_val_split
+from defkt.data import ClientData, Dataset, synth_dataset, train_val_split
 from defkt import metrics
 from defkt.errors import ConfigurationError, LoadError
 from defkt.federation import ClientState
@@ -38,8 +39,6 @@ class TestEvaluate:
         params = np.concatenate([10.0 * np.eye(3).ravel(), np.zeros(3)])
         labels = np.array([1, 2, 3, 2, 1])
         inputs = np.eye(3)[labels - 1]
-        from defkt.data import Dataset
-
         data = Dataset(inputs, labels, 3)
         assert evaluate(spec, params, data) == 1.0
 
@@ -58,6 +57,21 @@ class TestEvaluate:
         chunked = evaluate(SPEC, params, data)
         monkeypatch.setattr(metrics, "EVAL_CHUNK_ROWS", 1000)
         assert chunked == evaluate(SPEC, params, data)
+
+    def test_cnn_small_chunk_peaks_far_below_its_unblocked_working_set(self):
+        # one 2,048-row chunk: the unblocked conv stack peaked at 227 MB, the blocked one
+        # holds one block's arrays (about 1 MiB each) and the (2048, 16, 5, 5) stack output
+        spec = ModelSpec.cnn_small()
+        data = Dataset(np.random.default_rng(7).standard_normal((2048, spec.input_dim)), np.ones(2048, dtype=int), 10)
+        params = init_params(spec, 2)
+        evaluate(spec, params, data.subset(np.arange(20)))  # the patch indices are derived before the count
+        tracemalloc.start()
+        try:
+            evaluate(spec, params, data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6
 
     def test_empty_dataset_unrepresentable(self):
         # the Dataset and subset invariant (N >= 1) blocks empty evaluation inputs upstream

@@ -20,6 +20,7 @@ from defkt.nn import (
     _patch_index,
     _unpack,
     backward_from_cache,
+    conv_block_rows,
     forward,
     forward_cached,
     init_params,
@@ -55,6 +56,14 @@ CONV_POOL_DENSE_RELU = ModelSpec(
 )
 # pooling before the first parameter layer, odd sizes: 13 -> 6 -> 4 -> 2
 POOL_FIRST = ModelSpec((1, 13, 13), (MaxPoolLayer(2), ConvLayer(1, 2, 3), MaxPoolLayer(2), DenseLayer(8, 3)), 3)
+# Row counts around forward's conv block size b, named so that the test ids say which edge.
+BLOCK_EDGES = {
+    "one-row": lambda b: 1,
+    "block-1": lambda b: b - 1,
+    "block": lambda b: b,
+    "block+1": lambda b: b + 1,
+    "3-blocks+2": lambda b: 3 * b + 2,
+}
 
 
 class Preactivation:
@@ -101,6 +110,35 @@ class TestParamCount:
     def test_cnn_small_count_matches_vector(self):
         spec = ModelSpec.cnn_small((1, 28, 28), 10)
         assert init_params(spec, 1).shape == (param_count(spec),)
+
+
+class TestMacsPerRow:
+    @pytest.mark.parametrize(
+        "spec, macs",
+        [
+            (ModelSpec.mlp(784), 198_800),  # 784*200 + 200*200 + 200*10
+            (ModelSpec.mlp(20, (32, 32), 4), 1_792),  # 20*32 + 32*32 + 32*4
+            # conv1 28x28x1 -> 26x26x8 (26*26*8*9), conv2 13x13x8 -> 11x11x16 (11*11*16*72), head 400*10
+            (ModelSpec.cnn_small(), 192_064),
+            # pool 13 -> 6, conv 6x6x1 -> 4x4x2 (4*4*2*9), pool 4 -> 2, head 8*3; pooling adds none
+            (POOL_FIRST, 312),
+        ],
+        ids=["reference-mlp", "mlp-20-32-32-4", "cnn-small", "pool-first"],
+    )
+    def test_matches_hand_count(self, spec, macs):
+        assert spec.macs_per_row == macs
+
+    def test_conv_stack_bounds(self):
+        # the conv stack ends at the first dense layer; its widest row is conv2's (11*11, 8*9) patch matrix
+        cnn = ModelSpec.cnn_small()
+        assert (cnn.first_dense, cnn.widest_row) == (4, 11 * 11 * 8 * 9)
+        assert (POOL_FIRST.first_dense, POOL_FIRST.widest_row) == (3, 13 * 13)  # the input is widest
+        assert ModelSpec.mlp(784).first_dense == 0
+
+    def test_derived_fields_stay_out_of_repr_and_equality(self):
+        spec = ModelSpec.cnn_small()
+        assert "macs_per_row" not in repr(spec) and "widest_row" not in repr(spec)
+        assert spec == ModelSpec.cnn_small() and hash(spec) == hash(ModelSpec.cnn_small())
 
 
 class TestModelSpec:
@@ -255,17 +293,25 @@ class TestForward:
         else:
             assert entry is None
 
-    @pytest.mark.parametrize("rows", [7, 32, 100])
+    @pytest.mark.parametrize("rows", [7, 32, 100, *BLOCK_EDGES])
     @pytest.mark.parametrize(
-        "spec", [ModelSpec.mlp(784), ModelSpec.cnn_small()], ids=["mlp", "cnn-small"]
+        "spec", [ModelSpec.mlp(784), ModelSpec.cnn_small(), POOL_FIRST], ids=["mlp", "cnn-small", "pool-first"]
     )
     def test_bitwise_equals_cached_forward(self, spec, rows):
-        # forward keeps no cache but must run the same float64 operations in the same order
+        # forward keeps no cache and runs the conv stack in row blocks; forward_cached runs
+        # every layer on the whole batch, so it is the oracle for any row count
+        if isinstance(rows, str):
+            rows = BLOCK_EDGES[rows](conv_block_rows(spec))
         rng = np.random.default_rng(rows)
         params = init_params(spec, 3)
-        batch = Batch(rng.standard_normal((rows, spec.input_dim)), np.ones(rows, dtype=int))
-        logits = forward(spec, params, batch)
-        assert logits.tobytes() == forward_cached(spec, params, batch)[0].tobytes()
+        inputs = rng.standard_normal((rows, spec.input_dim))
+        special = inputs.copy()
+        special.flat[::37] = np.resize(SPECIALS, special.flat[::37].shape)  # NaN, +-inf, -0.0 among the rows
+        for values in (inputs, special):
+            batch = Batch(values, np.ones(rows, dtype=int))
+            with np.errstate(invalid="ignore"):  # inf - inf in a patch product
+                logits = forward(spec, params, batch)
+                assert logits.tobytes() == forward_cached(spec, params, batch)[0].tobytes()
 
 
 class TestMaxPool:
