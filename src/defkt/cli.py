@@ -15,7 +15,8 @@ is in `HyperParams.RULES`, and every rejection reads `config key K: <rule>,
 got V`. The environment variable DEFKT_DATA_DIR supplies the default
 dataset root. Exit codes: 0 success, 1 configuration or input error (a
 bad value, from a flag or a file, or data too small for it) or a standard
-output closed by its reader, 2 load or numerical error. A malformed
+output closed by its reader, 2 load or numerical error or out of memory
+(one `error: out of memory ...` line, no traceback). A malformed
 command line (an unknown flag, a flag without its value) exits 2 from
 argparse.
 """
@@ -474,6 +475,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except DefktError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory{': ' if str(exc) else ''}{exc}", file=sys.stderr)
         return 2
 
 

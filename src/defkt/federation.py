@@ -17,14 +17,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable
 
 import numpy as np
 
 from .data import ClientData, Dataset, Rows, minibatches, train_val_split
 from .errors import NONNEGATIVE_FINITE, SEED, UNIT_INTERVAL, ConfigurationError, NumericalError, Rule, at_least, check
 from .losses import cross_entropy_grad_logits, mutual_loss_grad_logits, softmax
-from .metrics import MetricsRecord, evaluation_pool, submit_record
+from .metrics import MetricsRecord, Record, evaluation_pool
 from .nn import (
     ModelSpec,
     backward_from_cache,
@@ -365,12 +364,18 @@ def run_experiment(
     eval_every rounds, and at the final round. Returns the metrics
     timeline and the final client states.
 
-    Each record's evaluations go to one pool opened for the run (see
-    metrics), and training goes straight on; the record is collected at the
-    next record point or after the final round. The timeline is bitwise that
-    of evaluating each record in place. Input errors a record would raise
-    are raised before round 1; an error in a pooled evaluation is raised
-    when its record is collected, after the pool is joined.
+    When a record's window of rounds (previous record, this record] opens,
+    its round plans are drawn (select_round is a pure function of the
+    round). A client is added to the record (see metrics.Record) as soon
+    as its state for the record is final: when the window opens if no round
+    of the window touches it, else right after the last round that does.
+    Its evaluations go to one pool opened for the run, and training goes
+    straight on; the record is collected at the next record point or after
+    the final round. So the final record waits only on the last round's
+    pairs. The timeline is bitwise that of evaluating each record in place.
+    Input errors a record would raise are raised before round 1; an error
+    in a pooled evaluation is raised when its record is collected, after
+    the pool is joined.
     """
     check("eval_every", eval_every, at_least(1))
     states = dict(clients)
@@ -378,17 +383,23 @@ def run_experiment(
         comm = CommLog()
     with evaluation_pool(spec, states, test_data) as pool:
 
-        def submit(round_index: int) -> Callable[[], MetricsRecord]:
-            accuracies, scalars = submit_record(pool, spec, states, test_data), comm.total_scalars
-            return lambda: MetricsRecord(round_index, strategy.value, hyper.seed, *accuracies(), scalars)
+        def collect(round_index: int, record: Record, scalars: int) -> MetricsRecord:
+            return MetricsRecord(round_index, strategy.value, hyper.seed, *record.collect(), scalars)
 
-        timeline = []
-        pending = submit(0)
-        for round_index in range(1, hyper.rounds + 1):
-            plan = select_round(hyper.num_clients, hyper.senders_per_round, round_index, hyper.seed)
-            states = run_round(states, plan, strategy, hyper, spec, comm=comm, reduction=reduction)
-            if round_index % eval_every == 0 or round_index == hyper.rounds:
-                timeline.append(pending())
-                pending = submit(round_index)
-        timeline.append(pending())
+        timeline, pending, done = [], None, 0
+        for point in [*range(0, hyper.rounds, eval_every), hyper.rounds]:
+            plans = [select_round(hyper.num_clients, hyper.senders_per_round, r, hyper.seed)
+                     for r in range(done + 1, point + 1)]
+            last_touch = {k: plan.round_index for plan in plans for pair in plan.pairs() for k in pair}
+            record = Record(pool, spec, test_data, len(states))
+            for k in sorted(states.keys() - last_touch.keys()):
+                record.add(k, states[k])
+            for plan in plans:
+                states = run_round(states, plan, strategy, hyper, spec, comm=comm, reduction=reduction)
+                for k in sorted(k for pair in plan.pairs() for k in pair if last_touch[k] == plan.round_index):
+                    record.add(k, states[k])
+            if pending is not None:
+                timeline.append(collect(*pending))
+            pending, done = (point, record, comm.total_scalars), point
+        timeline.append(collect(*pending))
     return timeline, states

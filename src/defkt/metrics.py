@@ -1,29 +1,30 @@
 """Model evaluation, accuracy aggregates over clients, CSV emission.
 
 A record's evaluations (each distinct parameter vector on the shared test
-set, every client on its own validation set) are tasks that submit_record
-submits together and collects later. An evaluation's work is its rows x
-the model's multiply-adds per row (spec.macs_per_row). A run's one pool
-comes from evaluation_pool: usable CPUs - 1 threads when more than one CPU
-is usable and the largest evaluation's work reaches PARALLEL_EVAL_WORK.
-A task goes to the pool only if its own work reaches that gate; any other
-task, and every task of a run without a pool, is evaluated as it is
-submitted. The collecting thread evaluates, last first, every pooled task
-no pool thread has started, so at most one thread per CPU computes.
-global_accuracy and local_accuracy are the serial reference and evaluate on
-the calling thread.
+set, every client on its own validation set) are tasks that a Record
+submits client by client, as each client's state for the record becomes
+final, and collects later. An evaluation's work is its rows x the model's
+multiply-adds per row (spec.macs_per_row). A run's one pool comes from
+evaluation_pool: usable CPUs - 1 threads when more than one CPU is usable
+and the largest evaluation's work reaches PARALLEL_EVAL_WORK. A task goes
+to the pool only if its own work reaches that gate; any other task, and
+every task of a run without a pool, is evaluated as it is submitted. The
+collecting thread evaluates, last first, every pooled task no pool thread
+has started, so at most one thread per CPU computes. global_accuracy and
+local_accuracy are the serial reference and evaluate on the calling thread.
 
 The accuracies are bitwise those of a plain loop: each evaluation is one
 single-threaded forward (one BLAS thread) on vectors nothing writes (the
 purity contract in nn), and each mean sums the per-client list in client
-order. A task drops its vector once evaluated, and a pending record keeps
-slot indices, not the vectors or their bytes.
+order, whatever order the clients were added in. A task drops its vector
+once evaluated.
 
-Clients with bitwise-identical vectors share one test-set evaluation. No
-vector is copied to find them: the key is a strided sample of at most
-KEY_SAMPLES entries, and a key hit is confirmed bitwise (identity, or
-equality as int64), so vectors that differ anywhere, even in a zero's sign,
-never share.
+Clients of one record with bitwise-identical vectors share one test-set
+evaluation. No vector is copied to find them: the key is a strided sample
+of at most KEY_SAMPLES entries, and a key hit is confirmed bitwise
+(identity, or equality as int64), so vectors that differ anywhere, even in
+a zero's sign, never share. A record keeps the vectors it compares against
+only until its last client is added.
 """
 
 from __future__ import annotations
@@ -32,8 +33,6 @@ import csv
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable
-
 import numpy as np
 
 from .data import Dataset, Rows
@@ -55,7 +54,7 @@ EVAL_CHUNK_ROWS = 2048
 # cnn-small on 10 rows (1.9e6); above it are the quick-start's test set
 # (1.8e7) and cnn-small on 100 rows (1.9e7).
 PARALLEL_EVAL_WORK = 10_000_000
-# Entries of a parameter vector in its record key (see _test_tasks).
+# Entries of a parameter vector in its record key (see Record).
 KEY_SAMPLES = 64
 
 
@@ -140,29 +139,53 @@ class _Task:
         return self._value if self._future is None else self._future.result()
 
 
-def _test_tasks(pool, spec: ModelSpec, states: dict, test: Dataset) -> tuple[list[int], list[_Task]]:
-    """One test-set task per distinct parameter vector, and each client's slot among them in client order.
+class Record:
+    """One record's evaluations, taken client by client: add(k, state) for each of `clients` clients, then collect().
 
-    Clients holding bitwise-identical parameters (common early in a run,
-    when most still carry the shared initialization) share a slot. The key
-    is every step-th entry, at most KEY_SAMPLES of them; a hit must be the
-    same object or equal as int64.
+    Adding a client submits its test-set task, unless a client added
+    before holds a bitwise-identical vector, and its validation task.
+    Clients with identical vectors (common early in a run, when most still
+    carry the shared initialization) share a test-set task. The key is
+    every step-th entry, at most KEY_SAMPLES of them; a hit must be the
+    same object or equal as int64. The vectors kept to find a hit are
+    dropped once the last client is added.
     """
-    step = -(-spec.param_count // KEY_SAMPLES)
-    seen: dict[bytes, list[tuple[np.ndarray, int]]] = {}
-    tasks: list[_Task] = []
-    slots = []
-    for k in sorted(states):
-        params = states[k].params
+
+    def __init__(self, pool, spec: ModelSpec, test: Dataset, clients: int):
+        self._pool, self._spec, self._test, self._left = pool, spec, test, clients
+        self._step = -(-spec.param_count // KEY_SAMPLES)
+        self._seen: dict[bytes, list[tuple[np.ndarray, _Task]]] | None = {}
+        self._tasks: list[_Task] = []  # in submission order
+        self._tests: dict[int, _Task] = {}
+        self._validations: dict[int, _Task] = {}
+
+    def _submit(self, params: np.ndarray, data: Rows) -> _Task:
+        self._tasks.append(_Task(self._pool, self._spec, params, data))
+        return self._tasks[-1]
+
+    def add(self, k: int, state) -> None:
+        """Submit client k's evaluations on `state`, its state at this record."""
+        params = state.params
         bits = params.view(np.int64)
-        candidates = seen.setdefault(params[::step].tobytes(), [])
-        slot = next((s for v, s in candidates if v is params or np.array_equal(v.view(np.int64), bits)), None)
-        if slot is None:
-            slot = len(tasks)
-            candidates.append((params, slot))
-            tasks.append(_Task(pool, spec, params, test))
-        slots.append(slot)
-    return slots, tasks
+        candidates = self._seen.setdefault(params[::self._step].tobytes(), [])
+        task = next((t for v, t in candidates if v is params or np.array_equal(v.view(np.int64), bits)), None)
+        if task is None:
+            task = self._submit(params, self._test)
+            candidates.append((params, task))
+        self._tests[k] = task
+        self._validations[k] = self._submit(params, state.data.validation)
+        self._left -= 1
+        if self._left == 0:
+            self._seen = None
+
+    def collect(self) -> tuple[float, float]:
+        """(global_acc, local_acc), each the mean over clients in client order."""
+        for task in reversed(self._tasks):
+            task.take_over()
+        return (
+            float(np.mean([self._tests[k].result() for k in sorted(self._tests)])),
+            float(np.mean([self._validations[k].result() for k in sorted(self._validations)])),
+        )
 
 
 def _check_validation_sets(states: dict) -> None:
@@ -171,30 +194,9 @@ def _check_validation_sets(states: dict) -> None:
             raise ConfigurationError(f"client {k} has an empty validation set")
 
 
-def submit_record(pool, spec: ModelSpec, states: dict, test: Dataset) -> Callable[[], tuple[float, float]]:
-    """Hand a record's evaluations to `pool`; the returned function collects (global_acc, local_acc).
-
-    Without a pool each evaluation is made as it is submitted.
-    """
-    slots, tasks = _test_tasks(pool, spec, states, test)
-    tests = len(tasks)
-    tasks += [_Task(pool, spec, states[k].params, states[k].data.validation) for k in sorted(states)]
-
-    def collect() -> tuple[float, float]:
-        for task in reversed(tasks):
-            task.take_over()
-        results = [task.result() for task in tasks]
-        return float(np.mean([results[s] for s in slots])), float(np.mean(results[tests:]))
-    return collect
-
-
 def global_accuracy(states: dict, spec: ModelSpec, test: Dataset) -> float:
-    """Unweighted mean over all clients of their accuracy on the shared test set.
-
-    Clients holding bitwise-identical parameters are evaluated once, on the calling thread.
-    """
-    slots, tasks = _test_tasks(None, spec, states, test)
-    return float(np.mean([tasks[s].result() for s in slots]))
+    """Unweighted mean over clients of each model's accuracy on the shared test set, on the calling thread."""
+    return float(np.mean([evaluate(spec, states[k].params, test) for k in sorted(states)]))
 
 
 def local_accuracy(states: dict, spec: ModelSpec) -> float:

@@ -1,4 +1,4 @@
-"""Golden trajectory digests: one tiny run per fusion strategy, hashed.
+"""Golden trajectory digests: tiny runs of every fusion strategy, of `reduction: sum` and of pooled records, hashed.
 
 Prints one JSON object: the environment key (numpy version, OpenBLAS
 runtime configuration, BLAS thread count; float64 results are bit-exact
@@ -20,6 +20,7 @@ import json
 import os
 import sys
 import tempfile
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
@@ -28,20 +29,28 @@ sys.path.insert(0, str(HERE.parent / "src"))
 
 import numpy as np  # noqa: E402
 
+from defkt import metrics  # noqa: E402
 from defkt.data import partition_iid, synth_dataset  # noqa: E402
 from defkt.federation import FusionStrategy, HyperParams, build_client_states, run_experiment  # noqa: E402
 from defkt.metrics import emit_csv  # noqa: E402
 from defkt.nn import ModelSpec  # noqa: E402
 
-# name -> (strategy, model, input dims). Each client holds 16 training rows,
-# so batches of 6 end on a smaller batch of 4; two passes of local update and
-# of mutual transfer exercise the last-batch-of-last-pass path. The MLP has
-# 53 parameters, an odd count, so combo's split point is asymmetric.
+MLP = ModelSpec.mlp(6, (5,), 3)
+CNN = ModelSpec.cnn_small((1, 10, 10), num_classes=3)
+# name -> (strategy, model, input dims, options). Each client holds 16
+# training rows, so batches of 6 end on a smaller batch of 4; two passes of
+# local update and of mutual transfer exercise the last-batch-of-last-pass
+# path. The MLP has 53 parameters, an odd count, so combo's split point is
+# asymmetric. Options: "reduction" (default "mean"); "pooled" sends every
+# record to an evaluation pool, as on a host with two usable CPUs, so its
+# digests must equal those of the same case run inline.
 CONFIGS = {
-    "defkt-mlp": (FusionStrategy.DEFKT, ModelSpec.mlp(6, (5,), 3), 6),
-    "defkt-cnn": (FusionStrategy.DEFKT, ModelSpec.cnn_small((1, 10, 10), num_classes=3), 100),
-    "fullavg": (FusionStrategy.FULLAVG, ModelSpec.mlp(6, (5,), 3), 6),
-    "combo": (FusionStrategy.COMBO, ModelSpec.mlp(6, (5,), 3), 6),
+    "defkt-mlp": (FusionStrategy.DEFKT, MLP, 6, {}),
+    "defkt-cnn": (FusionStrategy.DEFKT, CNN, 100, {}),
+    "fullavg": (FusionStrategy.FULLAVG, MLP, 6, {}),
+    "combo": (FusionStrategy.COMBO, MLP, 6, {}),
+    "defkt-mlp-sum": (FusionStrategy.DEFKT, MLP, 6, {"reduction": "sum"}),
+    "defkt-cnn-pooled": (FusionStrategy.DEFKT, CNN, 100, {"pooled": True}),
 }
 
 
@@ -63,7 +72,18 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def run_config(strategy: FusionStrategy, spec: ModelSpec, dims: int, out_dir: Path) -> dict:
+@contextmanager
+def pooled_records():
+    """Every evaluation goes to the pool (gate 0), and the host reports two usable CPUs."""
+    saved = metrics.PARALLEL_EVAL_WORK, metrics.os.sched_getaffinity
+    metrics.PARALLEL_EVAL_WORK, metrics.os.sched_getaffinity = 0, lambda pid: {0, 1}
+    try:
+        yield
+    finally:
+        metrics.PARALLEL_EVAL_WORK, metrics.os.sched_getaffinity = saved
+
+
+def run_config(name: str, strategy: FusionStrategy, spec: ModelSpec, dims: int, options: dict, out_dir: Path) -> dict:
     hyper = HyperParams(
         num_clients=6, senders_per_round=2, rounds=4,
         local_batch_size=6, local_passes=2, local_lr=0.05,
@@ -72,9 +92,10 @@ def run_config(strategy: FusionStrategy, spec: ModelSpec, dims: int, out_dir: Pa
     )
     shards = partition_iid(synth_dataset(3, 40, dims, seed=12), hyper.num_clients, seed=13)
     clients = build_client_states(spec, shards, hyper)
-    timeline, final = run_experiment(spec, hyper, strategy, clients, synth_dataset(3, 10, dims, seed=14),
-                                     eval_every=2)
-    path = out_dir / f"{strategy.value}.csv"
+    with pooled_records() if options.get("pooled") else nullcontext():
+        timeline, final = run_experiment(spec, hyper, strategy, clients, synth_dataset(3, 10, dims, seed=14),
+                                         eval_every=2, reduction=options.get("reduction", "mean"))
+    path = out_dir / f"{name}.csv"
     emit_csv(timeline, str(path))
     return {
         "csv": sha256(path.read_bytes()),
@@ -84,7 +105,7 @@ def run_config(strategy: FusionStrategy, spec: ModelSpec, dims: int, out_dir: Pa
 
 def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory() as tmp:
-        digests = {name: run_config(*config, Path(tmp)) for name, config in CONFIGS.items()}
+        digests = {name: run_config(name, *config, Path(tmp)) for name, config in CONFIGS.items()}
     key = environment_key()
     if "--record" in argv:
         stored = json.loads(GOLDEN_FILE.read_text()) if GOLDEN_FILE.is_file() else {}

@@ -349,3 +349,13 @@ class ComputeProbe:
                 with self._lock:
                     self._running.remove(fn.__name__)
         return probed
+
+
+def whole_record(pool, spec, states: dict, test: Dataset):
+    """A metrics.Record with every client of `states` added in client order, as a record of round 0 is."""
+    from defkt.metrics import Record
+
+    record = Record(pool, spec, test, len(states))
+    for k in sorted(states):
+        record.add(k, states[k])
+    return record

@@ -485,6 +485,17 @@ class TestCmdRun:
         assert (out / "defkt_1.meta.json").read_bytes() == earlier
         assert sorted(p.name for p in out.iterdir()) == ["defkt_1.csv", "defkt_1.meta.json"]
 
+    @pytest.mark.parametrize("message", ["Unable to allocate 1.00 TiB for an array with shape (10, 13743895347)", ""])
+    def test_out_of_memory_exits_two_with_one_line(self, tmp_path, monkeypatch, capsys, message):
+        def exhausted(*args):
+            raise MemoryError(message)
+
+        monkeypatch.setattr("defkt.cli.build_client_states", exhausted)
+        config = write_config(tmp_path, strategy="defkt", seeds=[1])
+        assert main(["run", "--config", config, "--out", str(tmp_path / "runs")]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: out of memory: {message}\n" if message else "error: out of memory\n")
+
     # "file" is a regular file; "runs" holds a directory where the metadata file goes
     @pytest.mark.parametrize(
         "target", ["file", "file/sub", "runs"], ids=["out-is-file", "out-under-file", "meta-path-is-dir"]

@@ -17,6 +17,7 @@ from defkt.errors import ConfigurationError, NumericalError
 from defkt.federation import (
     LOCAL_STREAM,
     ClientState,
+    CommLog,
     FusionStrategy,
     HyperParams,
     RoundPlan,
@@ -30,11 +31,11 @@ from defkt.federation import (
     select_round,
 )
 from defkt.losses import cross_entropy, cross_entropy_grad_logits, mutual_loss_grad_logits, softmax
-from defkt.metrics import evaluate, global_accuracy, local_accuracy
+from defkt.metrics import MetricsRecord, evaluate, global_accuracy, local_accuracy
 from defkt.nn import Batch, ModelSpec, forward, init_params, param_count, sgd_step
 from defkt.seeding import derive_rng
 
-from oracles import ComputeProbe, RecordingLog, backward, combo_by_formula, fullavg_by_formula
+from oracles import ComputeProbe, RecordingLog, backward, combo_by_formula, fullavg_by_formula, whole_record
 
 
 SPEC = ModelSpec.mlp(6, (5,), 3)
@@ -651,9 +652,9 @@ class TestOverlappedRecords:
 
         monkeypatch.setattr(metrics, "evaluate", recording)
         with metrics.evaluation_pool(SPEC, states, self.TEST_DATA) as pool:
-            collect = metrics.submit_record(pool, SPEC, states, self.TEST_DATA)
+            record = whole_record(pool, SPEC, states, self.TEST_DATA)
             pool.shutdown(wait=True)  # a pooled task has run by now, so collecting takes none over
-            assert collect() == expected
+            assert record.collect() == expected
         assert sorted(calls) == sorted(
             [(len(self.TEST_DATA), False)] + [(len(states[k].data.validation), True) for k in states]
         )
@@ -765,3 +766,89 @@ class TestOverlappedRecords:
         with pytest.raises(ConfigurationError, match="client 2 has an empty validation set"):
             run_experiment(SPEC, hyper, FusionStrategy.DEFKT, states, self.TEST_DATA)
         assert probe.threads == []
+
+
+class TestRecordSchedule:
+    """A client is added to a record as soon as its state for that record is final."""
+
+    TEST_DATA = synth_dataset(3, 20, 6, seed=2)
+    # (rounds, eval_every, overrides): Q=1 of K=4 with records every round, every third round
+    # and only at the ends; a run of no rounds; and 2Q = K, where every round touches every client
+    CASES = [(7, 1, {}), (7, 3, {}), (7, 10, {}), (0, 3, {}), (7, 3, {"senders_per_round": 2})]
+    IDS = ["every-1", "every-3", "above-rounds", "no-rounds", "2q-is-k"]
+
+    @pytest.fixture(params=["inline", "pooled"])
+    def where(self, request, monkeypatch):
+        """Evaluates every record inline, or on the pool of a host with two usable CPUs."""
+        if request.param == "pooled":
+            monkeypatch.setattr(metrics, "PARALLEL_EVAL_WORK", 0)
+            monkeypatch.setattr(metrics.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        return request.param
+
+    @staticmethod
+    def record_points(rounds: int, eval_every: int) -> list[int]:
+        return sorted({0, rounds, *range(eval_every, rounds + 1, eval_every)})
+
+    @pytest.mark.parametrize("strategy", list(FusionStrategy))
+    @pytest.mark.parametrize("case", CASES, ids=IDS)
+    def test_timeline_equals_the_serial_reference_replayed_round_by_round(self, where, case, strategy):
+        rounds, eval_every, overrides = case
+        hyper = tiny_hyper(rounds=rounds, **overrides)
+        timeline, final = run_experiment(
+            SPEC, hyper, strategy, experiment_states(hyper), self.TEST_DATA, eval_every=eval_every
+        )
+        states, comm, expected = experiment_states(hyper), CommLog(), []
+        for r in range(rounds + 1):
+            if r:
+                plan = select_round(hyper.num_clients, hyper.senders_per_round, r, hyper.seed)
+                states = run_round(states, plan, strategy, hyper, SPEC, comm=comm)
+            if r in self.record_points(rounds, eval_every):
+                accuracies = global_accuracy(states, SPEC, self.TEST_DATA), local_accuracy(states, SPEC)
+                expected.append(MetricsRecord(r, strategy.value, hyper.seed, *accuracies, comm.total_scalars))
+        assert timeline == expected
+        assert all(final[k].params.tobytes() == states[k].params.tobytes() for k in states)
+
+    @pytest.mark.parametrize("case", CASES, ids=IDS)
+    def test_each_client_is_evaluated_right_after_the_last_round_of_the_window_that_touches_it(
+        self, case, monkeypatch
+    ):
+        rounds, eval_every, overrides = case
+        hyper = tiny_hyper(rounds=rounds, **overrides)
+        clients = experiment_states(hyper)
+        owner = {id(c.data.validation): k for k, c in clients.items()}
+        log = []  # ("round", r) per run_round; ("client", k) per validation evaluation; ("test", None) per test one
+
+        def logged_round(states, plan, *args, **kwargs):
+            log.append(("round", plan.round_index))
+            return run_round(states, plan, *args, **kwargs)
+
+        def logged_evaluate(spec, params, data):
+            log.append(("client", owner[id(data)]) if id(data) in owner else ("test", None))
+            return evaluate(spec, params, data)
+
+        monkeypatch.setattr(federation, "run_round", logged_round)
+        monkeypatch.setattr(metrics, "evaluate", logged_evaluate)
+        run_experiment(SPEC, hyper, FusionStrategy.FULLAVG, clients, self.TEST_DATA, eval_every=eval_every)
+
+        plans = {
+            r: select_round(hyper.num_clients, hyper.senders_per_round, r, hyper.seed) for r in range(1, rounds + 1)
+        }
+        points = self.record_points(rounds, eval_every)
+        records = {k: 0 for k in clients}  # records each client was evaluated for so far
+        done = 0  # rounds run so far
+        for kind, value in log:
+            if kind == "round":
+                done = value
+            elif kind == "client":
+                i = records[value]
+                opened = points[i - 1] if i else 0  # the record's window is (opened, points[i]]
+                window = range(opened + 1, points[i] + 1)
+                touches = [r for r in window if value in plans[r].senders + plans[r].receivers]
+                assert done == max(touches, default=opened), f"client {value} for record {points[i]}"
+                records[value] += 1
+        assert records == {k: len(points) for k in clients}
+        if rounds:
+            tail = log[log.index(("round", rounds)) + 1:]
+            last = plans[rounds].senders + plans[rounds].receivers
+            assert sorted(k for kind, k in tail if kind == "client") == sorted(last)
+            assert 1 <= sum(kind == "test" for kind, _ in tail) <= len(last)

@@ -8,7 +8,11 @@ interpreter with OPENBLAS_NUM_THREADS=1, set before numpy is imported,
 because bits differ across BLAS thread counts. Those runs call
 run_experiment directly; the CLI chain in front of it (corpus, spec,
 shards, client states) is checked by running `defkt run` on the benchmark's
-hetero-sweep workload against perfbench/golden.json.
+hetero-sweep workload against perfbench/golden.json. The benchmark's three
+library workloads (the reference MLP at scale, cnn-small at 28x28 with
+pooled test-set records on a host with two usable CPUs) are checked against
+the same file through perfbench/workloads.run_lib, which is read, never
+written.
 """
 
 import hashlib
@@ -25,6 +29,10 @@ HERE = Path(__file__).resolve().parent
 PERFBENCH = HERE.parent / "perfbench"
 
 
+RECORD_HINT = ("record them with `OPENBLAS_NUM_THREADS=1 python tests/golden_run.py --record` "
+               "and `python perfbench/run.py --workload W --record-golden`")
+
+
 def pinned_python(*args: str, **kwargs) -> subprocess.CompletedProcess:
     pythonpath = os.pathsep.join(filter(None, [str(HERE.parent / "src"), os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=pythonpath)
@@ -37,8 +45,9 @@ def test_digests_match_stored_values():
     done = pinned_python(str(HERE / "golden_run.py"))
     run = json.loads(done.stdout)
     expected = json.loads((HERE / "golden_digests.json").read_text()).get(run["key"])
+    assert run["digests"]["defkt-cnn-pooled"] == run["digests"]["defkt-cnn"]  # a pool changes no bit
     if expected is None:
-        pytest.skip(f"no golden digests stored for environment {run['key']!r}")
+        pytest.skip(f"no golden digests stored for environment {run['key']!r}; {RECORD_HINT}")
     assert run["digests"] == expected
 
 
@@ -54,6 +63,32 @@ def test_cli_sweep_matches_the_benchmark_digests(tmp_path, monkeypatch):
     key = pinned_python("-c", "import golden_run; print(golden_run.environment_key())", cwd=HERE).stdout.strip()
     expected = json.loads((PERFBENCH / "golden.json").read_text()).get(key, {}).get("hetero-sweep")
     if expected is None:
-        pytest.skip(f"no hetero-sweep digests stored for environment {key!r}")
+        pytest.skip(f"no hetero-sweep digests stored for environment {key!r}; {RECORD_HINT}")
     digests = {path.stem: hashlib.sha256(path.read_bytes()).hexdigest() for path in tmp_path.glob("*.csv")}
     assert digests == expected["csv"]
+
+
+LIB_WORKLOADS = ("ref-defkt", "ref-avg", "cnn-pairs")
+RUN_LIB = f"""
+import json, sys, tempfile, time
+from pathlib import Path
+sys.path.insert(0, {str(PERFBENCH)!r})
+import golden_run, workloads
+digests = {{}}
+for name in {LIB_WORKLOADS!r}:
+    with tempfile.TemporaryDirectory() as tmp:
+        info = workloads.run_lib(workloads.WORKLOADS[name], 1, Path(tmp), workloads.Clock(time.process_time))
+        csv = {{path.stem: workloads.sha256(path.read_bytes()) for path in Path(tmp).glob("*.csv")}}
+    digests[name] = {{"csv": csv, "params": info["params"]}}
+print(json.dumps({{"key": golden_run.environment_key(), "digests": digests}}))
+"""
+
+
+def test_library_workloads_match_the_benchmark_digests():
+    """ref-defkt, ref-avg and cnn-pairs at seed 1, run as the benchmark's lib runner runs them."""
+    run = json.loads(pinned_python("-c", RUN_LIB, cwd=HERE).stdout)
+    stored = json.loads((PERFBENCH / "golden.json").read_text()).get(run["key"], {})
+    missing = [name for name in LIB_WORKLOADS if name not in stored]
+    if missing:
+        pytest.skip(f"no digests of {missing} stored for environment {run['key']!r}; {RECORD_HINT}")
+    assert run["digests"] == {name: stored[name] for name in LIB_WORKLOADS}

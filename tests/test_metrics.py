@@ -2,6 +2,7 @@
 
 import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from defkt.metrics import (
 )
 from defkt.nn import Batch, ModelSpec, forward, init_params, param_count
 
-from oracles import ComputeProbe, accuracy_by_loop
+from oracles import ComputeProbe, accuracy_by_loop, whole_record
 
 
 SPEC = ModelSpec.mlp(6, (5,), 3)
@@ -153,7 +154,7 @@ class TestThreadedEvaluation:
 
     def pooled_record(self, states, test_data):
         with metrics.evaluation_pool(SPEC, states, test_data) as pool:
-            return metrics.submit_record(pool, SPEC, states, test_data)()
+            return whole_record(pool, SPEC, states, test_data).collect()
 
     def test_global_accuracy_with_partially_shared_models(self, probe):
         test_data = synth_dataset(3, 20, 6, seed=9)
@@ -191,7 +192,7 @@ class TestThreadedEvaluation:
         monkeypatch.setattr(metrics, "PARALLEL_EVAL_WORK", len(test_data) * SPEC.param_count)
         with metrics.evaluation_pool(SPEC, states, test_data) as pool:
             assert pool is None
-            metrics.submit_record(pool, SPEC, states, test_data)()
+            whole_record(pool, SPEC, states, test_data).collect()
         assert threads == [threading.main_thread()] * 6
 
 
@@ -203,8 +204,10 @@ class TestRecordKeys:
     def slots(self, vectors):
         data = train_val_split(synth_dataset(3, 12, 20, seed=1), seed=2)
         states = {k: ClientState(k, v, data) for k, v in enumerate(vectors, start=1)}
-        slots, tasks = metrics._test_tasks(None, self.SPEC, states, synth_dataset(3, 5, 20, seed=3))
-        return slots
+        record = whole_record(None, self.SPEC, states, synth_dataset(3, 5, 20, seed=3))
+        tests = [record._tests[k] for k in sorted(states)]
+        distinct = list(dict.fromkeys(tests))  # the test-set tasks in the order they were submitted
+        return [distinct.index(task) for task in tests]
 
     def test_copies_share_a_slot_in_first_seen_order(self):
         a, b = init_params(self.SPEC, 1), init_params(self.SPEC, 2)
@@ -237,6 +240,17 @@ class TestRecordKeys:
         a[3] = np.nan
         assert self.slots([a, a.copy()]) == [0, 0]
 
+    def test_a_record_keeps_no_vector_once_its_last_client_is_added(self):
+        data = train_val_split(synth_dataset(3, 12, 20, seed=1), seed=2)
+        record = metrics.Record(None, self.SPEC, synth_dataset(3, 5, 20, seed=3), 3)
+        refs = []
+        for k in (1, 2, 3):
+            params = init_params(self.SPEC, k)
+            refs.append(weakref.ref(params))
+            record.add(k, ClientState(k, params, data))
+            del params  # evaluated inline, so only the record's comparison table can still hold it
+            assert [ref() is None for ref in refs] == [k == 3] * k
+
     def test_a_record_copies_no_vector(self):
         """Submitting a record of ten distinct reference-MLP vectors allocates less than one vector."""
         import tracemalloc
@@ -254,7 +268,7 @@ class TestRecordKeys:
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            metrics.submit_record(HeldPool(), spec, states, test_data)
+            whole_record(HeldPool(), spec, states, test_data)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
