@@ -3,15 +3,18 @@
 A record's evaluations (each distinct parameter vector on the shared test
 set, every client on its own validation set) are tasks that a Record
 submits client by client, as each client's state for the record becomes
-final, and collects later. An evaluation's work is its rows x the model's
+final, and collects later. A task's work is its rows x the model's
 multiply-adds per row (spec.macs_per_row). A run's one pool comes from
 evaluation_pool: usable CPUs - 1 threads when more than one CPU is usable
-and the largest evaluation's work reaches PARALLEL_EVAL_WORK. A task goes
-to the pool only if its own work reaches that gate; any other task, and
-every task of a run without a pool, is evaluated as it is submitted. The
-collecting thread evaluates, last first, every pooled task no pool thread
-has started, so at most one thread per CPU computes. global_accuracy and
-local_accuracy are the serial reference and evaluate on the calling thread.
+and the largest evaluation's or training task's work reaches
+PARALLEL_EVAL_WORK. The pool also takes fuse_defkt's local-model halves
+(see federation). A task goes to the pool only if its own work reaches
+that gate; any other task, and every task of a run without a pool, is made
+as it is submitted. The collecting thread evaluates, last first, every
+pooled evaluation no pool thread has started, and the trainer takes over a
+fusion half the same way, so at most one thread per CPU computes.
+global_accuracy and local_accuracy are the serial reference and evaluate
+on the calling thread.
 
 The accuracies are bitwise those of a plain loop: each evaluation is one
 single-threaded forward (one BLAS thread) on vectors nothing writes (the
@@ -29,6 +32,7 @@ only until its last client is added.
 
 from __future__ import annotations
 
+import contextvars
 import csv
 import os
 from contextlib import contextmanager
@@ -44,15 +48,17 @@ CSV_FIELDS = ("round", "strategy", "seed", "global_acc", "local_acc", "scalars_t
 # bits of the logits: the reference MLP's logits on 1,000 rows differ bitwise
 # between one call and two 500-row chunks. Changing it can change accuracies.
 EVAL_CHUNK_ROWS = 2048
-# Multiply-adds (rows x spec.macs_per_row) from which an evaluation goes to
-# the run's pool; a run whose largest evaluation falls below it opens none.
+# Multiply-adds (rows x spec.macs_per_row) from which an evaluation or a
+# fusion half goes to the run's pool; a run whose largest task falls below
+# it opens none.
 # Sized when each call opened its own pool: with one BLAS thread on 2 cores,
 # ten threaded evaluations took 1.3x the serial time at 3e6, broke even near
 # 1e7 and took 0.7x at 2.4e7 (a reference-MLP validation set) and 0.5x at 2e8
 # (its 1,000-row test set). Below it stay hetero-sweep's 32x32 MLP (7e5 on
 # its test set), the README quick-start's validation sets (1.4e6) and
-# cnn-small on 10 rows (1.9e6); above it are the quick-start's test set
-# (1.8e7) and cnn-small on 100 rows (1.9e7).
+# cnn-small on 10 rows (1.9e6) and cnn-pairs' 40-row fusion halves (7.7e6);
+# above it are the quick-start's test set (1.8e7), cnn-small on 100 rows
+# (1.9e7) and the reference MLP's 200-row fusion halves (4e7).
 PARALLEL_EVAL_WORK = 10_000_000
 # Entries of a parameter vector in its record key (see Record).
 KEY_SAMPLES = 64
@@ -84,18 +90,20 @@ def evaluate(spec: ModelSpec, params: np.ndarray, data: Rows) -> float:
 
 
 @contextmanager
-def evaluation_pool(spec: ModelSpec, states: dict, test: Dataset):
+def evaluation_pool(spec: ModelSpec, states: dict, test: Dataset, training_rows: int = 0):
     """Yield a pool of usable CPUs - 1 threads for the records of `states` on `test`, or None.
 
     A record's input errors (a test set of the wrong width, an empty
-    validation set) are raised first. None when one CPU is usable or no
-    evaluation reaches the gate (_pooled). On exit, tasks no thread has
-    started are cancelled and the pool's threads are joined.
+    validation set) are raised first. training_rows is the most rows of a
+    training task the run will submit (fuse_defkt's halves), 0 for none.
+    None when one CPU is usable or no evaluation and no training task
+    reaches the gate (_pooled). On exit, tasks no thread has started are
+    cancelled and the pool's threads are joined.
     """
     check_features(spec, test.inputs)
     _check_validation_sets(states)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    largest = max(len(test), *(len(s.data.validation) for s in states.values()))
+    largest = max(len(test), training_rows, *(len(s.data.validation) for s in states.values()))
     if cpus < 2 or not _pooled(spec, largest):
         yield None
         return
@@ -109,34 +117,47 @@ def evaluation_pool(spec: ModelSpec, states: dict, test: Dataset):
 
 
 def _pooled(spec: ModelSpec, rows: int) -> bool:
-    """Whether evaluating `rows` rows is work enough for the pool (PARALLEL_EVAL_WORK)."""
+    """Whether a pass of `rows` rows is work enough for the pool (PARALLEL_EVAL_WORK)."""
     return rows * spec.macs_per_row >= PARALLEL_EVAL_WORK
 
 
-class _Task:
-    """One evaluate() call, made once: by a pool thread, or by the collecting thread if none started it.
+def pool_for(pool, spec: ModelSpec, rows: int):
+    """The pool for a task of `rows` rows: `pool` if they reach the gate (_pooled), else None."""
+    return pool if pool is not None and _pooled(spec, rows) else None
 
-    Without a pool, or below the gate, it is made at once.
+
+class Task:
+    """One call fn(*args), made once: by a pool thread, or by the thread that takes it over if none started it.
+
+    Without a pool it is made at once. A pool thread makes it in a copy of
+    the submitting thread's context, so numpy's error state (np.errstate)
+    is the submitter's. Records' evaluations and fuse_defkt's halves are
+    tasks.
     """
 
-    def __init__(self, pool, spec: ModelSpec, params: np.ndarray, data: Rows):
-        self._args = (spec, params, data)
-        pooled = pool is not None and _pooled(spec, len(data))
-        self._future = pool.submit(self._run) if pooled else None
-        self._value = None if pooled else self._run()
+    def __init__(self, pool, fn, *args):
+        self._call = (fn, args)
+        self._future = None if pool is None else pool.submit(contextvars.copy_context().run, self._run)
+        self._value = self._run() if pool is None else None
 
-    def _run(self) -> float:
-        args, self._args = self._args, None  # keep no vector once evaluated
-        return evaluate(*args)
+    def _run(self):
+        (fn, args), self._call = self._call, None  # keep no argument once called
+        return fn(*args)
 
     def take_over(self) -> None:
-        """Evaluate on this thread if no pool thread has started."""
+        """Make the call on this thread if no pool thread has started it."""
         if self._future is not None and self._future.cancel():
             self._future, self._value = None, self._run()
 
-    def result(self) -> float:
-        """The accuracy; an error the evaluation raised is raised here."""
+    def result(self):
+        """The call's value, made here if no pool thread has started it; an error it raised is raised here."""
+        self.take_over()
         return self._value if self._future is None else self._future.result()
+
+    def discard(self) -> None:
+        """Cancel the call if no pool thread has started it, else wait for it; its outcome is dropped."""
+        if self._future is not None and not self._future.cancel():
+            self._future.exception()  # waits; a pool thread has started it, so it is not cancelled
 
 
 class Record:
@@ -154,13 +175,13 @@ class Record:
     def __init__(self, pool, spec: ModelSpec, test: Dataset, clients: int):
         self._pool, self._spec, self._test, self._left = pool, spec, test, clients
         self._step = -(-spec.param_count // KEY_SAMPLES)
-        self._seen: dict[bytes, list[tuple[np.ndarray, _Task]]] | None = {}
-        self._tasks: list[_Task] = []  # in submission order
-        self._tests: dict[int, _Task] = {}
-        self._validations: dict[int, _Task] = {}
+        self._seen: dict[bytes, list[tuple[np.ndarray, Task]]] | None = {}
+        self._tasks: list[Task] = []  # in submission order
+        self._tests: dict[int, Task] = {}
+        self._validations: dict[int, Task] = {}
 
-    def _submit(self, params: np.ndarray, data: Rows) -> _Task:
-        self._tasks.append(_Task(self._pool, self._spec, params, data))
+    def _submit(self, params: np.ndarray, data: Rows) -> Task:
+        self._tasks.append(Task(pool_for(self._pool, self._spec, len(data)), evaluate, self._spec, params, data))
         return self._tasks[-1]
 
     def add(self, k: int, state) -> None:

@@ -33,15 +33,21 @@ which is exact reverse-mode differentiation of <logits, grad_logits> with
 respect to the parameters; it stops at the first layer's parameter
 gradients and never computes the gradient with respect to the input, which
 no caller reads. Each layer writes its gradients into its _unpack views of
-one fresh vector; the layout tiles the vector, so each entry is written
-once and nothing is copied. sgd_step takes the momentum velocity as a plain
-array and returns the new one.
+one vector, a fresh one or the caller's `out`; the layout tiles the vector,
+so each entry is written once and nothing is copied. sgd_step updates the
+momentum velocity it is given in place and writes the new parameters into
+an `out` vector, which may be the parameters themselves.
 
-All operations are pure: no function writes any of its arguments, and
-identical inputs give bitwise-identical outputs. In-place steps (the dense
-and conv bias and ReLU, the backward ReLU masks, the gradient views) touch
-only arrays the same pass allocated. So split_segments can return views:
-nothing writes a parameter vector. A ReLU layer is never last (ModelSpec
+Apart from those buffers (backward_from_cache's `out`, sgd_step's velocity
+and `out`), no function writes any of its arguments, and identical inputs
+give bitwise-identical outputs. In-place steps (the dense and conv bias and
+ReLU, the backward ReLU masks, the gradient views) touch only arrays the
+same pass allocated. The updates in federation hand those buffers only
+vectors they allocate themselves, once per call on the calling thread: the
+first step reads the given parameters and writes a fresh result vector,
+and later steps update that one. So the contract holds at their
+boundaries: no vector that a client or a record holds is ever written, and
+split_segments can return views. A ReLU layer is never last (ModelSpec
 requires a linear final layer), so the dx its backward masks in place always
 comes from the layer above it in the same pass, never from the caller's
 grad_logits.
@@ -91,6 +97,9 @@ from .seeding import derive_rng
 # Bytes of the widest array a block of forward's conv stack makes: about
 # half of one core's L2 on the 2-vCPU Xeon the benchmark runs on.
 CONV_BLOCK_BYTES = 1 << 20
+# Entries per block of sgd_step: its 64 KiB lr * velocity block stays below
+# glibc's 128 KiB mmap threshold, so a step maps and faults no memory.
+STEP_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -521,16 +530,17 @@ def forward(spec: ModelSpec, params: np.ndarray, batch: Batch) -> np.ndarray:
 
 
 def backward_from_cache(
-    spec: ModelSpec, params: np.ndarray, cache: list, grad_logits: np.ndarray
+    spec: ModelSpec, params: np.ndarray, cache: list, grad_logits: np.ndarray, out: np.ndarray | None = None
 ) -> np.ndarray:
     """Gradient of <logits, grad_logits> w.r.t. params, reusing a forward cache.
 
     Backpropagation ends at the parameter gradients of the first layer that
     has parameters; the gradient with respect to the batch inputs is not
-    computed.
+    computed. It is written into `out` when given (every entry is written),
+    else into a fresh vector, and returned.
     """
     views = _unpack(spec, np.asarray(params, dtype=np.float64))
-    grad = np.empty(spec.param_count)
+    grad = np.empty(spec.param_count) if out is None else out
     grad_views = _unpack(spec, grad)
     first = spec.first_param_layer
     dx = np.asarray(grad_logits, dtype=np.float64)
@@ -540,22 +550,32 @@ def backward_from_cache(
 
 
 def sgd_step(
-    params: np.ndarray, grad: np.ndarray, velocity: np.ndarray, lr: float, momentum: float
-) -> tuple[np.ndarray, np.ndarray]:
+    params: np.ndarray, grad: np.ndarray, velocity: np.ndarray, lr: float, momentum: float, out: np.ndarray
+) -> np.ndarray:
     """One classical-momentum step with mu = momentum: v <- mu*v + g, params <- params - lr*v.
 
-    Returns (new params, new velocity). Pure: params, grad and velocity are
-    not written; the two results are fresh arrays.
+    Updates `velocity` in place, writes the new parameters into `out` and
+    returns it; `out` may be `params` itself. Nothing else is written, and a
+    non-finite gradient raises before anything is. The step runs in blocks of
+    STEP_BLOCK entries, so lr*v needs only a block-sized temporary, not a
+    vector-sized one; each entry takes the same IEEE operations in the same
+    order as the whole-vector expressions, so the bits are theirs.
     """
     if params.shape != grad.shape:
         raise ConfigurationError("parameter and gradient vectors have different lengths")
-    if not np.all(np.isfinite(grad)):
+    # A finite sum means every entry is finite, so the entrywise test and its
+    # vector-sized mask run only when the sum is not.
+    if not math.isfinite(grad.sum()) and not np.all(np.isfinite(grad)):
         raise NumericalError("non-finite gradient")
-    velocity = momentum * velocity
-    velocity += grad
-    new_params = lr * velocity
-    np.subtract(params, new_params, out=new_params)
-    return new_params, velocity
+    scaled = np.empty(min(STEP_BLOCK, params.size))
+    for start in range(0, params.size, STEP_BLOCK):
+        block = slice(start, start + STEP_BLOCK)
+        v = velocity[block]
+        v *= momentum
+        v += grad[block]
+        lr_v = np.multiply(lr, v, out=scaled[: v.size])
+        np.subtract(params[block], lr_v, out=out[block])
+    return out
 
 
 def segment_cut(total: int) -> int:

@@ -1,4 +1,4 @@
-"""Golden trajectory digests: tiny runs of every fusion strategy, of `reduction: sum` and of pooled records, hashed.
+"""Golden trajectory digests: tiny runs of every fusion strategy, of `reduction: sum` and on a pool, hashed.
 
 Prints one JSON object: the environment key (numpy version, OpenBLAS
 runtime configuration, BLAS thread count; float64 results are bit-exact
@@ -42,8 +42,8 @@ CNN = ModelSpec.cnn_small((1, 10, 10), num_classes=3)
 # local update and of mutual transfer exercise the last-batch-of-last-pass
 # path. The MLP has 53 parameters, an odd count, so combo's split point is
 # asymmetric. Options: "reduction" (default "mean"); "pooled" sends every
-# record to an evaluation pool, as on a host with two usable CPUs, so its
-# digests must equal those of the same case run inline.
+# record and every fusion half to the run's pool, as on a host with two
+# usable CPUs, so its digests must equal those of the same case run inline.
 CONFIGS = {
     "defkt-mlp": (FusionStrategy.DEFKT, MLP, 6, {}),
     "defkt-cnn": (FusionStrategy.DEFKT, CNN, 100, {}),
@@ -51,6 +51,7 @@ CONFIGS = {
     "combo": (FusionStrategy.COMBO, MLP, 6, {}),
     "defkt-mlp-sum": (FusionStrategy.DEFKT, MLP, 6, {"reduction": "sum"}),
     "defkt-cnn-pooled": (FusionStrategy.DEFKT, CNN, 100, {"pooled": True}),
+    "defkt-mlp-pooled": (FusionStrategy.DEFKT, MLP, 6, {"pooled": True}),
 }
 
 
@@ -74,7 +75,7 @@ def sha256(data: bytes) -> str:
 
 @contextmanager
 def pooled_records():
-    """Every evaluation goes to the pool (gate 0), and the host reports two usable CPUs."""
+    """Every evaluation and fusion half goes to the pool (gate 0), and the host reports two usable CPUs."""
     saved = metrics.PARALLEL_EVAL_WORK, metrics.os.sched_getaffinity
     metrics.PARALLEL_EVAL_WORK, metrics.os.sched_getaffinity = 0, lambda pid: {0, 1}
     try:

@@ -320,8 +320,8 @@ class RecordingLog(CommLog):
 
 
 class ComputeProbe:
-    """Wraps functions that compute; keeps the thread of every call, the most calls running at once,
-    and which wrapped functions ran at the same time.
+    """Wraps functions that compute; keeps the thread (and the function name with it) of every call,
+    the most calls running at once, and which wrapped functions ran at the same time.
 
     A wrapped call sleeps `pause` seconds first, so that calls on different
     threads overlap when the code lets them.
@@ -330,6 +330,7 @@ class ComputeProbe:
     def __init__(self, pause: float = 0.0):
         self.pause = pause
         self.threads = []
+        self.calls = []  # (function name, thread) per call
         self.peak = 0
         self.together = set()
         self._running = []
@@ -342,6 +343,7 @@ class ComputeProbe:
                 self.peak = max(self.peak, len(self._running))
                 self.together.add(frozenset(self._running))
                 self.threads.append(threading.current_thread())
+                self.calls.append((fn.__name__, threading.current_thread()))
             try:
                 time.sleep(self.pause)
                 return fn(*args, **kwargs)

@@ -16,6 +16,7 @@ import pytest
 import yaml
 
 import defkt
+from defkt import metrics
 from defkt.cli import (
     _IDX_NAMES,
     _KEYS,
@@ -468,6 +469,26 @@ class TestCmdRun:
         )
         assert proc.returncode == 2
         assert proc.stderr == "error: round 1, client 4: non-finite gradient\n"
+
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                        reason="needs two usable CPUs: with one, no pool opens and no half runs on a pool thread")
+    def test_numerical_failure_in_a_pooled_fusion_half_prints_only_its_error(self, tmp_path):
+        # the local model's half of a 200-row minibatch reaches the pool's gate; its rate makes the
+        # local model overflow on a pool thread, which must keep `defkt run`'s np.errstate
+        config = write_config(
+            tmp_path, strategy="defkt", seeds=[1], clients=2, rounds=1, eval_every=1, hidden=[200, 200],
+            batch_b1=200, batch_b2=200, mkt_lr_local=1e300,
+            synthetic={"classes": 4, "per_class": 250, "dims": 100, "sigma": 1.0, "test_per_class": 5},
+        )
+        assert 200 * ModelSpec.mlp(100, (200, 200), 4).macs_per_row >= metrics.PARALLEL_EVAL_WORK
+        src = str(Path(defkt.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "defkt.cli", "run", "--config", config, "--out", str(tmp_path / "runs")],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert re.fullmatch(r"error: round 1, client [12]: non-finite gradient\n", proc.stderr), proc.stderr
 
     def test_failed_metadata_write_keeps_the_earlier_file(self, tmp_path, monkeypatch, capsys):
         config = write_config(tmp_path, strategy="defkt", seeds=[1])

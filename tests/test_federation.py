@@ -6,6 +6,8 @@ import sys
 import threading
 import time
 import weakref
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -168,7 +170,7 @@ class TestLocalUpdate:
         batch = client.data.train.batch(slice(None))
         probs = softmax(forward(SPEC, client.params, batch))
         grad = backward(SPEC, client.params, batch, cross_entropy_grad_logits(probs, batch.labels))
-        expected, _ = sgd_step(client.params, grad, np.zeros(grad.size), 0.1, 0.0)
+        expected = sgd_step(client.params, grad, np.zeros(grad.size), 0.1, 0.0, out=np.empty(grad.size))
         np.testing.assert_allclose(out.params, expected, rtol=0, atol=1e-12)
 
     def test_training_reduces_loss_on_easy_problem(self):
@@ -181,9 +183,12 @@ class TestLocalUpdate:
 
     def test_does_not_mutate_input_state(self):
         client = tiny_client(1, seed=40)
-        snapshot = client.params.copy()
-        local_update(client, SPEC, 8, 2, 0.05, 0.5, derive_rng(3))
-        np.testing.assert_array_equal(client.params, snapshot)
+        rows = client.data.train.batch(slice(None))
+        before = [a.tobytes() for a in (client.params, rows.inputs, rows.labels)]
+        out = local_update(client, SPEC, 8, 2, 0.05, 0.5, derive_rng(3))
+        after = client.data.train.batch(slice(None))
+        assert [a.tobytes() for a in (client.params, after.inputs, after.labels)] == before
+        assert not any(np.shares_memory(out.params, a) for a in (client.params, client.data.train.source.inputs))
 
     def test_sum_reduction_is_mean_with_scaled_rate(self):
         # full-batch, no momentum: sum-reduced gradient is B times the mean one
@@ -329,6 +334,120 @@ class TestFuseDefkt:
         np.testing.assert_array_equal(out, expected)
 
 
+    @pytest.fixture
+    def two_cpus(self, monkeypatch):
+        """Every fusion half reaches the gate (0) of a pool on a host with two usable CPUs."""
+        monkeypatch.setattr(metrics, "PARALLEL_EVAL_WORK", 0)
+        monkeypatch.setattr(metrics.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+    @staticmethod
+    def pooled(data: ClientData):
+        return metrics.evaluation_pool(SPEC, {}, data.train.source, len(data.train))
+
+    @staticmethod
+    def slow_trainer(monkeypatch, pause: float = 0.005) -> list:
+        """The trainer's forward and step sleep first, so a pool thread starts the other half's task
+        before the trainer would take it over; returns the (name, thread) of every forward and step."""
+        calls = []
+
+        def slowed(fn):
+            def call(*args):
+                calls.append((fn.__name__, threading.current_thread()))
+                if threading.current_thread() is threading.main_thread():
+                    time.sleep(pause)
+                return fn(*args)
+            return call
+
+        for name in ("forward_cached", "sgd_step"):
+            monkeypatch.setattr(federation, name, slowed(getattr(federation, name)))
+        return calls
+
+    @pytest.mark.parametrize("passes", [1, 2])
+    @pytest.mark.parametrize("short", [False, True], ids=["full-last-batch", "short-last-batch"])
+    def test_pooled_halves_give_the_serial_bits(self, two_cpus, monkeypatch, passes, short):
+        """Each pass's last local step is taken but in the last pass, where it is skipped."""
+        data = self.receiver_data(seed=80, per_class=10)
+        n = len(data.train)
+        assert n % 2 == 0
+        batch_size = n // 2 + short
+        received, local = init_params(SPEC, 14), init_params(SPEC, 15)
+        args = (data, SPEC, batch_size, passes, 0.04, 0.02, 0.5)
+        serial = fuse_defkt(received, local, *args, derive_rng(16))
+        oracle, _ = _mkt_oracle(received, local, *args, derive_rng(16))
+        calls = self.slow_trainer(monkeypatch)
+        with self.pooled(data) as pool:
+            assert pool is not None
+            out = fuse_defkt(received, local, *args, derive_rng(16), pool=pool)
+        assert out.tobytes() == serial.tobytes() == oracle.tobytes()
+        steps = [thread for name, thread in calls if name == "sgd_step"]
+        assert len(steps) == 2 * 2 * passes - 1
+        pooled = {name for name, thread in calls if thread is not threading.main_thread()}
+        assert pooled == {"forward_cached", "sgd_step"}  # both of the local model's tasks ran on the pool
+
+    def test_a_wide_pool_under_a_short_switch_interval_gives_the_serial_bits(self, two_cpus):
+        """More pool threads than cores, and thread switches every microsecond: the halves still hand over in order."""
+        data = self.receiver_data(seed=85, per_class=10)
+        received, local = init_params(SPEC, 26), init_params(SPEC, 27)
+        args = (data, SPEC, 3, 3, 0.04, 0.02, 0.5)
+        serial = fuse_defkt(received, local, *args, derive_rng(28))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(2 * len(os.sched_getaffinity(0)) + 2) as pool:
+                runs = [fuse_defkt(received, local, *args, derive_rng(28), pool=pool) for _ in range(5)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(out.tobytes() == serial.tobytes() for out in runs)
+
+    @pytest.mark.parametrize("pooled", [False, True])
+    def test_writes_no_input_and_returns_a_fresh_vector(self, two_cpus, pooled):
+        data = self.receiver_data(seed=90)
+        received, local = init_params(SPEC, 17), init_params(SPEC, 18)
+        rows = data.train.batch(slice(None))
+        before = [a.tobytes() for a in (received, local, rows.inputs, rows.labels)]
+        with self.pooled(data) if pooled else nullcontext() as pool:
+            out = fuse_defkt(received, local, data, SPEC, 8, 2, 0.04, 0.02, 0.5, derive_rng(19), pool=pool)
+        after = data.train.batch(slice(None))
+        assert [a.tobytes() for a in (received, local, after.inputs, after.labels)] == before
+        assert not any(np.shares_memory(out, a) for a in (received, local, data.train.source.inputs))
+
+    def test_no_half_outlives_a_call_whose_other_half_raised(self, two_cpus, monkeypatch):
+        """The trainer's step raises while the local model's step runs on the pool; the call waits for it."""
+        started, running = threading.Event(), []
+
+        def slow_there_failing_here(*args):
+            if threading.current_thread() is threading.main_thread():
+                assert started.wait(10)
+                raise NumericalError("the received model's step failed")
+            started.set()
+            running.append(True)
+            time.sleep(0.05)
+            running.pop()
+            return sgd_step(*args)
+
+        monkeypatch.setattr(federation, "sgd_step", slow_there_failing_here)
+        data = self.receiver_data(seed=100)
+        with self.pooled(data) as pool:
+            with pytest.raises(NumericalError, match="received model's step failed"):
+                fuse_defkt(init_params(SPEC, 20), init_params(SPEC, 21), data, SPEC, 8, 1, 0.1, 0.1, 0.5,
+                           derive_rng(22), pool=pool)
+            assert running == []
+
+    def test_a_pooled_half_raises_in_the_call(self, two_cpus, monkeypatch):
+        def failing_there(*args):
+            if threading.current_thread() is not threading.main_thread():
+                raise NumericalError("the local model's step failed")
+            return sgd_step(*args)
+
+        monkeypatch.setattr(federation, "sgd_step", failing_there)
+        self.slow_trainer(monkeypatch)
+        data = self.receiver_data(seed=110)
+        with self.pooled(data) as pool:
+            with pytest.raises(NumericalError, match="local model's step failed"):
+                fuse_defkt(init_params(SPEC, 23), init_params(SPEC, 24), data, SPEC, 8, 1, 0.1, 0.1, 0.5,
+                           derive_rng(25), pool=pool)
+
+
 def _mkt_oracle(w_received, w_local, data, spec, batch_size, passes, lr_r, lr_l, momentum, rng):
     """Step-by-step mutual-knowledge-transfer reference tracking both trajectories."""
     from defkt.data import minibatches
@@ -341,8 +460,8 @@ def _mkt_oracle(w_received, w_local, data, spec, batch_size, passes, lr_r, lr_l,
             p_l = softmax(forward(spec, w_local, batch))
             g_r = backward(spec, w_received, batch, mutual_loss_grad_logits(p_r, p_l, batch.labels))
             g_l = backward(spec, w_local, batch, mutual_loss_grad_logits(p_l, p_r, batch.labels))
-            w_received, v_r = sgd_step(w_received, g_r, v_r, lr_r, momentum)
-            w_local, v_l = sgd_step(w_local, g_l, v_l, lr_l, momentum)
+            v_r, v_l = momentum * v_r + g_r, momentum * v_l + g_l
+            w_received, w_local = w_received - lr_r * v_r, w_local - lr_l * v_l
     return w_received, w_local
 
 
@@ -603,13 +722,21 @@ class TestOverlappedRecords:
         assert all(states[k].params.tobytes() == serial_states[k].params.tobytes() for k in states)
 
     def test_at_most_one_computing_thread_per_cpu(self, cpus, monkeypatch):
+        """Evaluations and the training primitives compute, on the trainer or on a pool thread.
+
+        Fusion halves compute through the same primitives, so they are
+        counted; a trainer blocked on a half's result is in none of them.
+        """
         cpus(2)
         probe = ComputeProbe(pause=0.002)
         monkeypatch.setattr(metrics, "evaluate", probe.wrap(evaluate))
-        monkeypatch.setattr(federation, "run_round", probe.wrap(run_round))  # the trainer
+        training = {"forward_cached", "backward_from_cache", "sgd_step"}
+        for name in training:
+            monkeypatch.setattr(federation, name, probe.wrap(getattr(federation, name)))
         self.run(eval_every=2)
         assert probe.peak <= 2
-        assert frozenset({"evaluate", "run_round"}) in probe.together  # a record overlapped training
+        assert any("evaluate" in running and running & training for running in probe.together)  # a record overlapped training
+        assert any(name in training and thread is not threading.main_thread() for name, thread in probe.calls)  # a half ran on the pool
 
     def test_one_cpu_evaluates_everything_on_the_calling_thread(self, cpus, monkeypatch):
         serial, _ = self.run()

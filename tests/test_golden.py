@@ -46,6 +46,7 @@ def test_digests_match_stored_values():
     run = json.loads(done.stdout)
     expected = json.loads((HERE / "golden_digests.json").read_text()).get(run["key"])
     assert run["digests"]["defkt-cnn-pooled"] == run["digests"]["defkt-cnn"]  # a pool changes no bit
+    assert run["digests"]["defkt-mlp-pooled"] == run["digests"]["defkt-mlp"]
     if expected is None:
         pytest.skip(f"no golden digests stored for environment {run['key']!r}; {RECORD_HINT}")
     assert run["digests"] == expected

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from defkt import nn
 from defkt.errors import ConfigurationError, NumericalError
 from defkt.nn import (
     Batch,
@@ -634,46 +635,87 @@ class TestBackward:
         assert g_logits.tobytes() == g_before
         assert [a.tobytes() for entry in cache for a in entry if isinstance(a, np.ndarray)] == before
 
+    @pytest.mark.parametrize("spec", [ModelSpec.mlp(784), ModelSpec.cnn_small()], ids=["mlp", "cnn-small"])
+    def test_into_a_given_vector_writes_every_entry_with_the_fresh_bits(self, spec):
+        rng = np.random.default_rng(10)
+        params = init_params(spec, 11)
+        batch = Batch(rng.standard_normal((8, spec.input_dim)), np.ones(8, dtype=int))
+        _, cache = forward_cached(spec, params, batch)
+        g_logits = rng.standard_normal((8, spec.num_classes))
+        fresh = backward_from_cache(spec, params, cache, g_logits)
+        out = np.full(spec.param_count, np.nan)
+        assert backward_from_cache(spec, params, cache, g_logits, out) is out
+        assert out.tobytes() == fresh.tobytes()
+
 
 class TestSgdStep:
     def test_no_momentum_is_plain_sgd(self):
         params = np.array([1.0, 2.0, 3.0])
         grad = np.array([0.5, -1.0, 2.0])
-        new, _ = sgd_step(params, grad, np.zeros(3), lr=1.0, momentum=0.0)
+        new = sgd_step(params, grad, np.zeros(3), lr=1.0, momentum=0.0, out=np.empty(3))
         np.testing.assert_array_equal(new, params - grad)
 
     def test_zero_grad_zero_velocity_is_fixed_point(self):
         params = np.array([1.0, -2.0])
-        new, new_velocity = sgd_step(params, np.zeros(2), np.zeros(2), lr=0.1, momentum=0.5)
+        velocity = np.zeros(2)
+        new = sgd_step(params, np.zeros(2), velocity, lr=0.1, momentum=0.5, out=np.empty(2))
         np.testing.assert_array_equal(new, params)
-        np.testing.assert_array_equal(new_velocity, 0.0)
+        np.testing.assert_array_equal(velocity, 0.0)
 
     def test_two_steps_with_constant_gradient(self):
         # v1 = g, v2 = 0.5 g + g = 1.5 g, total displacement -lr * 2.5 g = -0.25 g
         g = np.array([2.0, -4.0])
         params, velocity = np.zeros(2), np.zeros(2)
-        params, velocity = sgd_step(params, g, velocity, lr=0.1, momentum=0.5)
-        params, velocity = sgd_step(params, g, velocity, lr=0.1, momentum=0.5)
+        params = sgd_step(params, g, velocity, lr=0.1, momentum=0.5, out=np.empty(2))
+        params = sgd_step(params, g, velocity, lr=0.1, momentum=0.5, out=params)
         np.testing.assert_allclose(params, -0.25 * g, rtol=1e-15)
 
     def test_pure(self):
+        """Only velocity and out are written; out is returned and shares memory with no other argument."""
         params = np.array([1.0, -2.0, 3.0])
         grad = np.array([0.5, 0.25, -1.0])
         velocity = np.array([0.1, -0.2, 0.3])
-        copies = [a.copy() for a in (params, grad, velocity)]
-        new, new_velocity = sgd_step(params, grad, velocity, lr=0.1, momentum=0.5)
-        for before, after in zip(copies, (params, grad, velocity)):
+        out = np.empty(3)
+        copies = [a.copy() for a in (params, grad)]
+        new = sgd_step(params, grad, velocity, lr=0.1, momentum=0.5, out=out)
+        assert new is out
+        for before, after in zip(copies, (params, grad)):
             assert before.tobytes() == after.tobytes()
-        for out in (new, new_velocity):
-            assert not any(np.shares_memory(out, a) for a in (params, grad, velocity))
+        assert velocity.tobytes() == (0.5 * np.array([0.1, -0.2, 0.3]) + grad).tobytes()
+        assert not any(np.shares_memory(out, a) for a in (params, grad, velocity))
+
+    @pytest.mark.parametrize("size", [1, nn.STEP_BLOCK - 1, nn.STEP_BLOCK, 2 * nn.STEP_BLOCK + 3])
+    def test_blocks_give_the_bits_of_the_whole_vector_expressions(self, size):
+        rng = np.random.default_rng(size)
+        params, grad, velocity = rng.standard_normal((3, size)) * np.array([[1.0], [1e-3], [1e-2]])
+        params[::7], grad[1::11] = -0.0, 1e300
+        expected_velocity = 0.5 * velocity
+        expected_velocity += grad
+        expected = params - 0.03 * expected_velocity
+        into_fresh = sgd_step(params, grad, velocity.copy(), 0.03, 0.5, out=np.empty(size))
+        in_place_velocity, in_place = velocity.copy(), params.copy()
+        sgd_step(in_place, grad, in_place_velocity, 0.03, 0.5, out=in_place)
+        assert into_fresh.tobytes() == in_place.tobytes() == expected.tobytes()
+        assert in_place_velocity.tobytes() == expected_velocity.tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_gradient_aborts_before_writing(self, bad):
+        grad = np.full(3 * nn.STEP_BLOCK, 1e300)  # its sum overflows, so the entrywise test decides
+        velocity, out = np.zeros(grad.size), np.zeros(grad.size)
+        sgd_step(np.zeros(grad.size), grad, velocity, lr=0.1, momentum=0.0, out=out)
+        grad[-1] = bad
+        velocity[:], out[:] = 1.0, 2.0
+        with pytest.raises(NumericalError):
+            sgd_step(np.zeros(grad.size), grad, velocity, lr=0.1, momentum=0.0, out=out)
+        assert (velocity == 1.0).all() and (out == 2.0).all()
 
     def test_non_finite_gradient_aborts(self):
         with pytest.raises(NumericalError):
-            sgd_step(np.zeros(2), np.array([1.0, np.nan]), np.zeros(2), lr=0.1, momentum=0.0)
+            sgd_step(np.zeros(2), np.array([1.0, np.nan]), np.zeros(2), lr=0.1, momentum=0.0, out=np.empty(2))
 
     def test_length_mismatch_raises(self):
         with pytest.raises(ConfigurationError):
-            sgd_step(np.zeros(3), np.zeros(2), np.zeros(2), lr=0.1, momentum=0.0)
+            sgd_step(np.zeros(3), np.zeros(2), np.zeros(2), lr=0.1, momentum=0.0, out=np.empty(3))
 
 
 class TestSegments:
