@@ -310,9 +310,13 @@ def spec_fingerprint(spec: ModelSpec) -> bytes:
 
 
 def save_model(path: str, spec: ModelSpec, params: np.ndarray) -> None:
-    """Write a checkpoint: u64-le length, 32-byte spec fingerprint, f64-le payload."""
+    """Write a checkpoint: u64-le length, 32-byte spec fingerprint, f64-le payload.
+
+    Written through atomic_open: a failed write keeps the file `path` held
+    and raises LoadError naming it.
+    """
     params = np.asarray(params, dtype=np.float64)
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(struct.pack("<Q", params.size))
         fh.write(spec_fingerprint(spec))
         fh.write(params.astype("<f8").tobytes())

@@ -10,7 +10,9 @@ segment averaging.
 
 The whole state trajectory is a pure function of (config, master seed):
 RNG streams are derived per (seed, purpose, round, client), so results do
-not depend on evaluation order or parallel scheduling.
+not depend on evaluation order or parallel scheduling. A sender's update
+reads only its own latest state and its own stream, so run_experiment
+may start it a round early, on the run's pool, beside the round before.
 """
 
 from __future__ import annotations
@@ -314,6 +316,19 @@ def _wrap_numerical(round_index: int, client_id: int, exc: NumericalError) -> Nu
     return NumericalError(f"round {round_index}, client {client_id}: {exc}")
 
 
+def _sender_update(
+    state: ClientState, sender_id: int, round_index: int, hyper: HyperParams, spec: ModelSpec, reduction: str
+) -> ClientState:
+    """The sender's local update for the round, on its own RNG stream; a NumericalError names the round and client."""
+    rng = derive_rng(hyper.seed, LOCAL_STREAM, round_index, sender_id)
+    try:
+        return local_update(
+            state, spec, hyper.local_batch_size, hyper.local_passes, hyper.local_lr, hyper.momentum, rng, reduction,
+        )
+    except NumericalError as exc:
+        raise _wrap_numerical(round_index, sender_id, exc) from exc
+
+
 def run_round(
     states: dict[int, ClientState],
     plan: RoundPlan,
@@ -323,6 +338,8 @@ def run_round(
     comm: CommLog | None = None,
     reduction: str = "mean",
     pool=None,
+    updates: dict[int, Task] | None = None,
+    helping=(),
 ) -> dict[int, ClientState]:
     """Execute one round and return the updated client states.
 
@@ -332,19 +349,21 @@ def run_round(
     applies the fusion strategy; under segment exchange the sender's model
     is updated too. Pairs are disjoint and RNG streams are keyed by client,
     so the pair order changes no result. Other clients are untouched.
-    Pairs run one after another; `pool` goes to fuse_defkt.
+    Pairs run one after another; `pool` goes to fuse_defkt. A sender's
+    update runs in its pair's turn, unless `updates` maps it to a task
+    (metrics.Task, run_experiment's look-ahead) already making it from its
+    state in `states`. Then the task's result is taken in that turn, and
+    while a pool thread still makes it, this thread takes over the
+    unstarted tasks of `helping`. Either way the update is _sender_update.
     """
     new_states = dict(states)
     comm = CommLog() if comm is None else comm
+    updates = updates or {}
     for sender_id, receiver_id in plan.pairs():
-        rng = derive_rng(hyper.seed, LOCAL_STREAM, plan.round_index, sender_id)
-        try:
-            sender = local_update(
-                new_states[sender_id], spec, hyper.local_batch_size, hyper.local_passes,
-                hyper.local_lr, hyper.momentum, rng, reduction,
-            )
-        except NumericalError as exc:
-            raise _wrap_numerical(plan.round_index, sender_id, exc) from exc
+        if sender_id in updates:
+            sender = updates[sender_id].result(helping)
+        else:
+            sender = _sender_update(new_states[sender_id], sender_id, plan.round_index, hyper, spec, reduction)
         receiver = new_states[receiver_id]
         n_sender, n_receiver = len(sender.data.train), len(receiver.data.train)
         if strategy is FusionStrategy.COMBO:
@@ -418,33 +437,58 @@ def run_experiment(
     record would raise are raised before round 1; an error in a pooled
     evaluation is raised when its record is collected, after the pool is
     joined.
+
+    Look-ahead: before a round of the window runs, each sender of the
+    window's next round that this round does not touch has its final state
+    for that next round, so its update goes to the pool as a task, at most
+    one round ahead. run_round takes it in the sender's turn; while a pool
+    thread still makes it, the trainer takes over queued tasks (records'
+    evaluations and look-ahead updates) rather than wait. An update goes to
+    the pool only if min(local_batch_size, largest training set) rows reach
+    the gate (metrics.pool_for); otherwise every update runs in its round.
+    Errors are raised in round order, and no task outlives the call.
     """
     check("eval_every", eval_every, at_least(1))
     states = dict(clients)
     if comm is None:
         comm = CommLog()
-    fusion_rows = 0
-    if strategy is FusionStrategy.DEFKT:
-        fusion_rows = min(hyper.mkt_batch_size, max(len(s.data.train) for s in states.values()))
-    with evaluation_pool(spec, states, test_data, fusion_rows) as pool:
+    largest_train = max(len(s.data.train) for s in states.values())
+    update_rows = min(hyper.local_batch_size, largest_train)
+    fusion_rows = min(hyper.mkt_batch_size, largest_train) if strategy is FusionStrategy.DEFKT else 0
+    with evaluation_pool(spec, states, test_data, max(update_rows, fusion_rows)) as pool:
+        update_pool = pool_for(pool, spec, update_rows)
 
         def collect(round_index: int, record: Record, scalars: int) -> MetricsRecord:
             return MetricsRecord(round_index, strategy.value, hyper.seed, *record.collect(), scalars)
 
         timeline, pending, done = [], None, 0
-        for point in [*range(0, hyper.rounds, eval_every), hyper.rounds]:
-            plans = [select_round(hyper.num_clients, hyper.senders_per_round, r, hyper.seed)
-                     for r in range(done + 1, point + 1)]
-            last_touch = {k: plan.round_index for plan in plans for pair in plan.pairs() for k in pair}
-            record = Record(pool, spec, test_data, len(states))
-            for k in sorted(states.keys() - last_touch.keys()):
-                record.add(k, states[k])
-            for plan in plans:
-                states = run_round(states, plan, strategy, hyper, spec, comm=comm, reduction=reduction, pool=pool)
-                for k in sorted(k for pair in plan.pairs() for k in pair if last_touch[k] == plan.round_index):
+        updates, ahead = {}, {}  # look-ahead updates of this round and of the next
+        try:
+            for point in [*range(0, hyper.rounds, eval_every), hyper.rounds]:
+                plans = [select_round(hyper.num_clients, hyper.senders_per_round, r, hyper.seed)
+                         for r in range(done + 1, point + 1)]
+                last_touch = {k: plan.round_index for plan in plans for pair in plan.pairs() for k in pair}
+                record = Record(pool, spec, test_data, len(states))
+                for k in sorted(states.keys() - last_touch.keys()):
                     record.add(k, states[k])
-            if pending is not None:
-                timeline.append(collect(*pending))
-            pending, done = (point, record, comm.total_scalars), point
-        timeline.append(collect(*pending))
+                for plan, following in zip(plans, [*plans[1:], None]):
+                    updates, ahead = ahead, {}
+                    if update_pool is not None and following is not None:
+                        busy = plan.senders + plan.receivers
+                        ahead = {s: Task(update_pool, _sender_update, states[s], s, following.round_index,
+                                         hyper, spec, reduction)
+                                 for s in following.senders if s not in busy}
+                    helping = [*(pending[1].tasks if pending else ()), *record.tasks,
+                               *ahead.values(), *updates.values()] if updates else ()
+                    states = run_round(states, plan, strategy, hyper, spec, comm=comm, reduction=reduction, pool=pool,
+                                       updates=updates, helping=helping)
+                    for k in sorted(k for pair in plan.pairs() for k in pair if last_touch[k] == plan.round_index):
+                        record.add(k, states[k])
+                if pending is not None:
+                    timeline.append(collect(*pending))
+                pending, done = (point, record, comm.total_scalars), point
+            timeline.append(collect(*pending))
+        finally:
+            for task in [*updates.values(), *ahead.values()]:
+                task.discard()
     return timeline, states

@@ -7,12 +7,14 @@ final, and collects later. A task's work is its rows x the model's
 multiply-adds per row (spec.macs_per_row). A run's one pool comes from
 evaluation_pool: usable CPUs - 1 threads when more than one CPU is usable
 and the largest evaluation's or training task's work reaches
-PARALLEL_EVAL_WORK. The pool also takes fuse_defkt's local-model halves
-(see federation). A task goes to the pool only if its own work reaches
-that gate; any other task, and every task of a run without a pool, is made
-as it is submitted. The collecting thread evaluates, last first, every
-pooled evaluation no pool thread has started, and the trainer takes over a
-fusion half the same way, so at most one thread per CPU computes.
+PARALLEL_EVAL_WORK. The pool also trains: fuse_defkt's local-model halves
+and run_experiment's look-ahead updates (see federation). A task goes to
+the pool only if its own work reaches that gate; any other task, and every
+task of a run without a pool, is made as it is submitted. The collecting
+thread evaluates, last first, every pooled evaluation no pool thread has
+started, and the trainer takes over a fusion half or an update the same
+way, and queued tasks while a pool thread makes the update it needs, so at
+most one thread per CPU computes.
 global_accuracy and local_accuracy are the serial reference and evaluate
 on the calling thread.
 
@@ -48,17 +50,18 @@ CSV_FIELDS = ("round", "strategy", "seed", "global_acc", "local_acc", "scalars_t
 # bits of the logits: the reference MLP's logits on 1,000 rows differ bitwise
 # between one call and two 500-row chunks. Changing it can change accuracies.
 EVAL_CHUNK_ROWS = 2048
-# Multiply-adds (rows x spec.macs_per_row) from which an evaluation or a
-# fusion half goes to the run's pool; a run whose largest task falls below
-# it opens none.
+# Multiply-adds (rows x spec.macs_per_row) from which an evaluation, a
+# fusion half or a look-ahead local update goes to the run's pool; a run
+# whose largest task falls below it opens none.
 # Sized when each call opened its own pool: with one BLAS thread on 2 cores,
 # ten threaded evaluations took 1.3x the serial time at 3e6, broke even near
 # 1e7 and took 0.7x at 2.4e7 (a reference-MLP validation set) and 0.5x at 2e8
 # (its 1,000-row test set). Below it stay hetero-sweep's 32x32 MLP (7e5 on
 # its test set), the README quick-start's validation sets (1.4e6) and
-# cnn-small on 10 rows (1.9e6) and cnn-pairs' 40-row fusion halves (7.7e6);
-# above it are the quick-start's test set (1.8e7), cnn-small on 100 rows
-# (1.9e7) and the reference MLP's 200-row fusion halves (4e7).
+# cnn-small on 10 rows (1.9e6) and cnn-pairs' 40-row fusion halves and
+# local updates (7.7e6); above it are the quick-start's test set (1.8e7),
+# cnn-small on 100 rows (1.9e7) and the reference MLP's 200-row fusion
+# halves and local updates (4e7).
 PARALLEL_EVAL_WORK = 10_000_000
 # Entries of a parameter vector in its record key (see Record).
 KEY_SAMPLES = 64
@@ -95,7 +98,8 @@ def evaluation_pool(spec: ModelSpec, states: dict, test: Dataset, training_rows:
 
     A record's input errors (a test set of the wrong width, an empty
     validation set) are raised first. training_rows is the most rows of a
-    training task the run will submit (fuse_defkt's halves), 0 for none.
+    training task the run will submit (a fusion half or a local update's
+    batch), 0 for none.
     None when one CPU is usable or no evaluation and no training task
     reaches the gate (_pooled). On exit, tasks no thread has started are
     cancelled and the pool's threads are joined.
@@ -131,12 +135,13 @@ class Task:
 
     Without a pool it is made at once. A pool thread makes it in a copy of
     the submitting thread's context, so numpy's error state (np.errstate)
-    is the submitter's. Records' evaluations and fuse_defkt's halves are
-    tasks.
+    is the submitter's. Records' evaluations, fuse_defkt's halves and
+    run_experiment's look-ahead updates are tasks. An error of a call taken
+    over is kept and raised by result(), as a pool thread's is.
     """
 
     def __init__(self, pool, fn, *args):
-        self._call = (fn, args)
+        self._call, self._error = (fn, args), None
         self._future = None if pool is None else pool.submit(contextvars.copy_context().run, self._run)
         self._value = self._run() if pool is None else None
 
@@ -144,15 +149,34 @@ class Task:
         (fn, args), self._call = self._call, None  # keep no argument once called
         return fn(*args)
 
-    def take_over(self) -> None:
-        """Make the call on this thread if no pool thread has started it."""
-        if self._future is not None and self._future.cancel():
-            self._future, self._value = None, self._run()
+    def take_over(self) -> bool:
+        """Make the call on this thread if no pool thread has started it; whether this thread made it."""
+        if self._future is None or not self._future.cancel():
+            return False
+        self._future = None
+        try:
+            self._value = self._run()
+        except Exception as exc:
+            self._error = exc
+        return True
 
-    def result(self):
-        """The call's value, made here if no pool thread has started it; an error it raised is raised here."""
+    def result(self, helping=()):
+        """The call's value, made here if no pool thread has started it; an error it raised is raised here.
+
+        While a pool thread makes it, this thread takes over, last first,
+        each task of `helping` that no pool thread has started, rather than
+        wait while work is queued.
+        """
         self.take_over()
-        return self._value if self._future is None else self._future.result()
+        for task in reversed(helping):
+            if self._future is None or self._future.done():
+                break
+            task.take_over()
+        if self._future is not None:
+            return self._future.result()
+        if self._error is not None:
+            raise self._error
+        return self._value
 
     def discard(self) -> None:
         """Cancel the call if no pool thread has started it, else wait for it; its outcome is dropped."""
@@ -169,20 +193,21 @@ class Record:
     carry the shared initialization) share a test-set task. The key is
     every step-th entry, at most KEY_SAMPLES of them; a hit must be the
     same object or equal as int64. The vectors kept to find a hit are
-    dropped once the last client is added.
+    dropped once the last client is added. `tasks` lists its tasks in
+    submission order, for a thread that helps while it waits (Task.result).
     """
 
     def __init__(self, pool, spec: ModelSpec, test: Dataset, clients: int):
         self._pool, self._spec, self._test, self._left = pool, spec, test, clients
         self._step = -(-spec.param_count // KEY_SAMPLES)
         self._seen: dict[bytes, list[tuple[np.ndarray, Task]]] | None = {}
-        self._tasks: list[Task] = []  # in submission order
+        self.tasks: list[Task] = []  # in submission order
         self._tests: dict[int, Task] = {}
         self._validations: dict[int, Task] = {}
 
     def _submit(self, params: np.ndarray, data: Rows) -> Task:
-        self._tasks.append(Task(pool_for(self._pool, self._spec, len(data)), evaluate, self._spec, params, data))
-        return self._tasks[-1]
+        self.tasks.append(Task(pool_for(self._pool, self._spec, len(data)), evaluate, self._spec, params, data))
+        return self.tasks[-1]
 
     def add(self, k: int, state) -> None:
         """Submit client k's evaluations on `state`, its state at this record."""
@@ -201,7 +226,7 @@ class Record:
 
     def collect(self) -> tuple[float, float]:
         """(global_acc, local_acc), each the mean over clients in client order."""
-        for task in reversed(self._tasks):
+        for task in reversed(self.tasks):
             task.take_over()
         return (
             float(np.mean([self._tests[k].result() for k in sorted(self._tests)])),
@@ -227,8 +252,8 @@ def local_accuracy(states: dict, spec: ModelSpec) -> float:
 
 
 @contextmanager
-def atomic_open(path):
-    """A text file that takes the place of `path` only once every write to it has succeeded.
+def atomic_open(path, mode: str = "w"):
+    """A file, text ("w") or binary ("wb"), that takes the place of `path` only once every write to it has succeeded.
 
     It is written as a temporary file in the same directory and then moved
     over `path`. On failure the temporary file is removed, `path` keeps what
@@ -237,7 +262,7 @@ def atomic_open(path):
     directory, name = os.path.split(os.path.abspath(path))
     temporary = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
     try:
-        with open(temporary, "w", newline="") as fh:
+        with open(temporary, mode, newline=None if "b" in mode else "") as fh:
             yield fh
         os.replace(temporary, path)
     except BaseException as exc:

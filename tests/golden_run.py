@@ -1,4 +1,4 @@
-"""Golden trajectory digests: tiny runs of every fusion strategy, of `reduction: sum` and on a pool, hashed.
+"""Golden trajectory digests: tiny runs of every fusion strategy, of `reduction: sum`, on a pool and on a corpus subset, hashed.
 
 Prints one JSON object: the environment key (numpy version, OpenBLAS
 runtime configuration, BLAS thread count; float64 results are bit-exact
@@ -29,7 +29,7 @@ sys.path.insert(0, str(HERE.parent / "src"))
 
 import numpy as np  # noqa: E402
 
-from defkt import metrics  # noqa: E402
+from defkt import cli, metrics  # noqa: E402
 from defkt.data import partition_iid, synth_dataset  # noqa: E402
 from defkt.federation import FusionStrategy, HyperParams, build_client_states, run_experiment  # noqa: E402
 from defkt.metrics import emit_csv  # noqa: E402
@@ -42,8 +42,10 @@ CNN = ModelSpec.cnn_small((1, 10, 10), num_classes=3)
 # local update and of mutual transfer exercise the last-batch-of-last-pass
 # path. The MLP has 53 parameters, an odd count, so combo's split point is
 # asymmetric. Options: "reduction" (default "mean"); "pooled" sends every
-# record and every fusion half to the run's pool, as on a host with two
-# usable CPUs, so its digests must equal those of the same case run inline.
+# record, every fusion half and every look-ahead update to the run's pool,
+# as on a host with two usable CPUs, so its digests must equal those of the
+# same case run inline; "subset" draws that many rows of the corpus through
+# the CLI's `subset` key (cli.load_corpus) before the shards are cut.
 CONFIGS = {
     "defkt-mlp": (FusionStrategy.DEFKT, MLP, 6, {}),
     "defkt-cnn": (FusionStrategy.DEFKT, CNN, 100, {}),
@@ -52,6 +54,9 @@ CONFIGS = {
     "defkt-mlp-sum": (FusionStrategy.DEFKT, MLP, 6, {"reduction": "sum"}),
     "defkt-cnn-pooled": (FusionStrategy.DEFKT, CNN, 100, {"pooled": True}),
     "defkt-mlp-pooled": (FusionStrategy.DEFKT, MLP, 6, {"pooled": True}),
+    "fullavg-pooled": (FusionStrategy.FULLAVG, MLP, 6, {"pooled": True}),
+    "combo-pooled": (FusionStrategy.COMBO, MLP, 6, {"pooled": True}),
+    "defkt-mlp-subset": (FusionStrategy.DEFKT, MLP, 6, {"subset": 102}),
 }
 
 
@@ -75,7 +80,7 @@ def sha256(data: bytes) -> str:
 
 @contextmanager
 def pooled_records():
-    """Every evaluation and fusion half goes to the pool (gate 0), and the host reports two usable CPUs."""
+    """Every evaluation, fusion half and look-ahead update goes to the pool (gate 0), and the host reports two usable CPUs."""
     saved = metrics.PARALLEL_EVAL_WORK, metrics.os.sched_getaffinity
     metrics.PARALLEL_EVAL_WORK, metrics.os.sched_getaffinity = 0, lambda pid: {0, 1}
     try:
@@ -91,10 +96,19 @@ def run_config(name: str, strategy: FusionStrategy, spec: ModelSpec, dims: int, 
         mkt_batch_size=6, mkt_passes=2, mkt_lr_received=0.05, mkt_lr_local=0.03,
         momentum=0.5, seed=11,
     )
-    shards = partition_iid(synth_dataset(3, 40, dims, seed=12), hyper.num_clients, seed=13)
+    if "subset" in options:
+        config = cli.resolve_config({
+            "clients": hyper.num_clients, "subset": options["subset"],
+            "synthetic": {"classes": 3, "per_class": 40, "dims": dims, "sigma": 1.0, "test_per_class": 10},
+        })
+        corpus, test = cli.load_corpus(config, 12)
+        shards = cli.make_shards(config, corpus, 13)
+    else:
+        shards = partition_iid(synth_dataset(3, 40, dims, seed=12), hyper.num_clients, seed=13)
+        test = synth_dataset(3, 10, dims, seed=14)
     clients = build_client_states(spec, shards, hyper)
     with pooled_records() if options.get("pooled") else nullcontext():
-        timeline, final = run_experiment(spec, hyper, strategy, clients, synth_dataset(3, 10, dims, seed=14),
+        timeline, final = run_experiment(spec, hyper, strategy, clients, test,
                                          eval_every=2, reduction=options.get("reduction", "mean"))
     path = out_dir / f"{name}.csv"
     emit_csv(timeline, str(path))

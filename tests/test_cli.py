@@ -285,6 +285,38 @@ class TestCheckpoints:
         with pytest.raises(LoadError, match="truncated"):
             load_model(str(path), spec)
 
+    def test_a_write_failing_mid_payload_keeps_the_old_checkpoint(self, tmp_path, monkeypatch):
+        spec = ModelSpec.mlp(5, (4,), 3)
+        path = tmp_path / "model.bin"
+        save_model(str(path), spec, init_params(spec, 1))
+        old = path.read_bytes()
+
+        class DiskFills:
+            """A file that takes the header and fingerprint, then half of the payload, and fails."""
+
+            def __init__(self, fh):
+                self._fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return self._fh.__exit__(*exc)
+
+            def write(self, data):
+                if len(data) > 32:
+                    self._fh.write(data[: len(data) // 2])
+                    raise OSError(28, "No space left on device")
+                return self._fh.write(data)
+
+        real_open = open
+        monkeypatch.setattr(metrics, "open", lambda *a, **kw: DiskFills(real_open(*a, **kw)), raising=False)
+        with pytest.raises(LoadError, match="model.bin: .*No space left on device"):
+            save_model(str(path), spec, init_params(spec, 2))
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["model.bin"]
+        np.testing.assert_array_equal(load_model(str(path), spec), init_params(spec, 1))
+
 
 def write_config(tmp_path, extra=None, **overrides):
     values = dict(TINY, **overrides)

@@ -733,10 +733,14 @@ class TestOverlappedRecords:
         training = {"forward_cached", "backward_from_cache", "sgd_step"}
         for name in training:
             monkeypatch.setattr(federation, name, probe.wrap(getattr(federation, name)))
+        updates = []  # the thread of every local update
+        monkeypatch.setattr(federation, "local_update",
+                            lambda *args: updates.append(threading.current_thread()) or local_update(*args))
         self.run(eval_every=2)
         assert probe.peak <= 2
         assert any("evaluate" in running and running & training for running in probe.together)  # a record overlapped training
         assert any(name in training and thread is not threading.main_thread() for name, thread in probe.calls)  # a half ran on the pool
+        assert any(thread is not threading.main_thread() for thread in updates)  # a look-ahead update ran on the pool
 
     def test_one_cpu_evaluates_everything_on_the_calling_thread(self, cpus, monkeypatch):
         serial, _ = self.run()
@@ -916,6 +920,19 @@ class TestRecordSchedule:
     def record_points(rounds: int, eval_every: int) -> list[int]:
         return sorted({0, rounds, *range(eval_every, rounds + 1, eval_every)})
 
+    @classmethod
+    def replayed(cls, hyper: HyperParams, strategy: FusionStrategy, eval_every: int):
+        """The serial reference: round after round, every record evaluated in place at its record point."""
+        states, comm, expected = experiment_states(hyper), CommLog(), []
+        for r in range(hyper.rounds + 1):
+            if r:
+                plan = select_round(hyper.num_clients, hyper.senders_per_round, r, hyper.seed)
+                states = run_round(states, plan, strategy, hyper, SPEC, comm=comm)
+            if r in cls.record_points(hyper.rounds, eval_every):
+                accuracies = global_accuracy(states, SPEC, cls.TEST_DATA), local_accuracy(states, SPEC)
+                expected.append(MetricsRecord(r, strategy.value, hyper.seed, *accuracies, comm.total_scalars))
+        return expected, states
+
     @pytest.mark.parametrize("strategy", list(FusionStrategy))
     @pytest.mark.parametrize("case", CASES, ids=IDS)
     def test_timeline_equals_the_serial_reference_replayed_round_by_round(self, where, case, strategy):
@@ -924,14 +941,7 @@ class TestRecordSchedule:
         timeline, final = run_experiment(
             SPEC, hyper, strategy, experiment_states(hyper), self.TEST_DATA, eval_every=eval_every
         )
-        states, comm, expected = experiment_states(hyper), CommLog(), []
-        for r in range(rounds + 1):
-            if r:
-                plan = select_round(hyper.num_clients, hyper.senders_per_round, r, hyper.seed)
-                states = run_round(states, plan, strategy, hyper, SPEC, comm=comm)
-            if r in self.record_points(rounds, eval_every):
-                accuracies = global_accuracy(states, SPEC, self.TEST_DATA), local_accuracy(states, SPEC)
-                expected.append(MetricsRecord(r, strategy.value, hyper.seed, *accuracies, comm.total_scalars))
+        expected, states = self.replayed(hyper, strategy, eval_every)
         assert timeline == expected
         assert all(final[k].params.tobytes() == states[k].params.tobytes() for k in states)
 
@@ -979,3 +989,122 @@ class TestRecordSchedule:
             last = plans[rounds].senders + plans[rounds].receivers
             assert sorted(k for kind, k in tail if kind == "client") == sorted(last)
             assert 1 <= sum(kind == "test" for kind, _ in tail) <= len(last)
+
+
+class TestSenderLookahead:
+    """A round's sender that the round before does not touch updates on the pool while that round runs."""
+
+    CASES, IDS = TestRecordSchedule.CASES, TestRecordSchedule.IDS
+
+    @pytest.fixture
+    def forced_pool(self, monkeypatch):
+        """Every update, half and evaluation reaches the gate (0) of a pool on a host with two usable CPUs."""
+        monkeypatch.setattr(metrics, "PARALLEL_EVAL_WORK", 0)
+        monkeypatch.setattr(metrics.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+    @staticmethod
+    def look_aheads(hyper: HyperParams, eval_every: int) -> list[tuple[int, int]]:
+        """(round, sender) of each update that can start a round early: the round before is in the
+        same record window and does not touch the sender."""
+        points = TestRecordSchedule.record_points(hyper.rounds, eval_every)
+        expected = []
+        for opened, point in zip(points, points[1:]):
+            for r in range(opened + 2, point + 1):
+                before = select_round(hyper.num_clients, hyper.senders_per_round, r - 1, hyper.seed)
+                plan = select_round(hyper.num_clients, hyper.senders_per_round, r, hyper.seed)
+                expected += [(r, s) for s in plan.senders if s not in before.senders + before.receivers]
+        return expected
+
+    @pytest.mark.parametrize("strategy", list(FusionStrategy))
+    @pytest.mark.parametrize("case", CASES, ids=IDS)
+    def test_pooled_look_ahead_equals_the_inline_run_and_the_replay(self, case, strategy, monkeypatch):
+        rounds, eval_every, overrides = case
+        hyper = tiny_hyper(rounds=rounds, **overrides)
+
+        def run():
+            return run_experiment(SPEC, hyper, strategy, experiment_states(hyper), TestRecordSchedule.TEST_DATA,
+                                  eval_every=eval_every)
+
+        inline, inline_final = run()
+        monkeypatch.setattr(metrics, "PARALLEL_EVAL_WORK", 0)
+        monkeypatch.setattr(metrics.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        submitted = []  # (round, sender) of each update submitted as a task
+
+        class Recording(metrics.Task):
+            def __init__(self, pool, fn, *args):
+                if fn is federation._sender_update:
+                    submitted.append((args[2], args[1]))
+                super().__init__(pool, fn, *args)
+
+        monkeypatch.setattr(federation, "Task", Recording)
+        pooled, pooled_final = run()
+        replay, replay_final = TestRecordSchedule.replayed(hyper, strategy, eval_every)
+        assert pooled == inline == replay
+        for k in replay_final:
+            assert pooled_final[k].params.tobytes() == inline_final[k].params.tobytes() == replay_final[k].params.tobytes()
+        expected = self.look_aheads(hyper, eval_every)
+        assert submitted == expected
+        assert bool(expected) == (eval_every > 1 and rounds > 1 and 2 * hyper.senders_per_round < hyper.num_clients)
+
+    def test_a_wide_pool_under_a_short_switch_interval_gives_the_inline_bits(self, monkeypatch):
+        """Five pool threads on this host's cores and thread switches every microsecond; four look-aheads."""
+        hyper = tiny_hyper(rounds=7)
+        assert len(self.look_aheads(hyper, eval_every=10)) == 4
+
+        def run():
+            return run_experiment(SPEC, hyper, FusionStrategy.DEFKT, experiment_states(hyper),
+                                  TestRecordSchedule.TEST_DATA, eval_every=10)
+
+        inline, inline_final = run()
+        monkeypatch.setattr(metrics, "PARALLEL_EVAL_WORK", 0)
+        monkeypatch.setattr(metrics.os, "sched_getaffinity", lambda pid: set(range(6)), raising=False)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runs = [run() for _ in range(3)]
+        finally:
+            sys.setswitchinterval(interval)
+        for timeline, final in runs:
+            assert timeline == inline
+            assert all(final[k].params.tobytes() == inline_final[k].params.tobytes() for k in inline_final)
+
+    def test_an_error_in_a_round_is_raised_before_the_next_rounds_pooled_one(self, forced_pool, monkeypatch):
+        """Round 4's inline update raises while round 5's update, started early on the pool, raises too."""
+        hyper = tiny_hyper(rounds=7)
+        assert (5, 4) in self.look_aheads(hyper, eval_every=10)  # round 4's pair is (3, 1)
+        seeded = {(r, k): derive_rng(hyper.seed, LOCAL_STREAM, r, k).bit_generator.state for r, k in [(4, 3), (5, 4)]}
+        started, running = threading.Event(), []
+
+        def failing(client, spec, batch_size, passes, lr, momentum, rng, reduction):
+            if rng.bit_generator.state == seeded[5, 4]:
+                assert threading.current_thread() is not threading.main_thread()
+                started.set()
+                running.append(True)
+                time.sleep(0.05)
+                running.pop()
+                raise NumericalError("round 5 diverged")
+            if rng.bit_generator.state == seeded[4, 3]:
+                assert started.wait(10)
+                raise NumericalError("round 4 diverged")
+            return local_update(client, spec, batch_size, passes, lr, momentum, rng, reduction)
+
+        monkeypatch.setattr(federation, "local_update", failing)
+        before = threading.active_count()
+        with pytest.raises(NumericalError, match="^round 4, client 3: round 4 diverged$"):
+            run_experiment(SPEC, hyper, FusionStrategy.FULLAVG, experiment_states(hyper),
+                           TestRecordSchedule.TEST_DATA, eval_every=10)
+        assert running == []
+        assert threading.active_count() == before
+
+    def test_updates_below_the_gate_stay_inline(self, monkeypatch):
+        """With the pool open for the test set only, no update is submitted as a task."""
+        hyper = tiny_hyper(rounds=7)
+        monkeypatch.setattr(metrics.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(metrics, "PARALLEL_EVAL_WORK", len(TestRecordSchedule.TEST_DATA) * SPEC.macs_per_row)
+        assert hyper.local_batch_size < len(TestRecordSchedule.TEST_DATA)
+        threads = []
+        monkeypatch.setattr(federation, "local_update",
+                            lambda *args: threads.append(threading.current_thread()) or local_update(*args))
+        run_experiment(SPEC, hyper, FusionStrategy.DEFKT, experiment_states(hyper), TestRecordSchedule.TEST_DATA,
+                       eval_every=10)
+        assert threads == [threading.main_thread()] * hyper.rounds

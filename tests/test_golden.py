@@ -47,6 +47,8 @@ def test_digests_match_stored_values():
     expected = json.loads((HERE / "golden_digests.json").read_text()).get(run["key"])
     assert run["digests"]["defkt-cnn-pooled"] == run["digests"]["defkt-cnn"]  # a pool changes no bit
     assert run["digests"]["defkt-mlp-pooled"] == run["digests"]["defkt-mlp"]
+    assert run["digests"]["fullavg-pooled"] == run["digests"]["fullavg"]
+    assert run["digests"]["combo-pooled"] == run["digests"]["combo"]
     if expected is None:
         pytest.skip(f"no golden digests stored for environment {run['key']!r}; {RECORD_HINT}")
     assert run["digests"] == expected

@@ -3,6 +3,7 @@
 import threading
 import tracemalloc
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -194,6 +195,50 @@ class TestThreadedEvaluation:
             assert pool is None
             whole_record(pool, SPEC, states, test_data).collect()
         assert threads == [threading.main_thread()] * 6
+
+
+class TestTask:
+    """A call on the pool or taken over: its value or error comes out of result(), made exactly once."""
+
+    def test_a_waiting_thread_takes_over_queued_work_before_it_blocks(self):
+        started, release, threads = threading.Event(), threading.Event(), []
+
+        def first():
+            started.set()
+            assert release.wait(10)  # only the second task releases it
+            return "first"
+
+        def second():
+            threads.append(threading.current_thread())
+            release.set()
+            return "second"
+
+        with ThreadPoolExecutor(1) as pool:
+            running = metrics.Task(pool, first)
+            assert started.wait(10)
+            queued = metrics.Task(pool, second)
+            assert running.result(helping=[queued, running]) == "first"
+            assert queued.result() == "second"
+        assert threads == [threading.main_thread()]
+
+    def test_an_error_of_a_call_taken_over_is_raised_by_result(self):
+        class Failed(Exception):
+            pass
+
+        def fail():
+            raise Failed("taken over and failed")
+
+        started, release = threading.Event(), threading.Event()
+        with ThreadPoolExecutor(1) as pool:
+            blocker = metrics.Task(pool, lambda: started.set() or release.wait(10))
+            assert started.wait(10)
+            task = metrics.Task(pool, fail)
+            assert task.take_over()
+            assert not task.take_over()
+            release.set()
+            blocker.result()
+            with pytest.raises(Failed, match="taken over and failed"):
+                task.result()
 
 
 class TestRecordKeys:
