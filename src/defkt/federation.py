@@ -29,6 +29,7 @@ from .metrics import MetricsRecord, Record, Task, evaluation_pool, pool_for
 from .nn import (
     ModelSpec,
     backward_from_cache,
+    forward,
     forward_cached,
     init_params,
     sgd_step,
@@ -172,6 +173,10 @@ class _Trainee:
     with one block), or a result allocated before the first forward
     (cnn-pairs: about 72,000, against 9,000-34,000 with it allocated at the
     first step).
+
+    forward keeps a cache only for a step that follows. Without keep
+    (fuse_defkt's skipped local step) it runs nn.forward, whose logits are
+    bitwise forward_cached's.
     """
 
     def __init__(self, params: np.ndarray, lr: float, momentum: float, scratch: np.ndarray, result=None):
@@ -180,8 +185,10 @@ class _Trainee:
         self._velocity.fill(0.0)
         self._result = result
 
-    def forward(self, spec: ModelSpec, batch) -> np.ndarray:
-        """The batch's soft predictions; the forward cache is kept for step."""
+    def forward(self, spec: ModelSpec, batch, keep: bool = True) -> np.ndarray:
+        """The batch's soft predictions; with keep, the forward cache is kept for step."""
+        if not keep:
+            return softmax(forward(spec, self.params, batch))
         logits, self._cache = forward_cached(spec, self.params, batch)
         return softmax(logits)
 
@@ -239,15 +246,18 @@ def fuse_defkt(
     simultaneous, not alternating. Returns the final received-model
     parameters, which the receiver stores in place of its own. The local
     model is discarded, so its step on the last minibatch of the last pass
-    is not taken.
+    is not taken. Its prediction on that minibatch goes through nn.forward
+    and keeps no forward cache, so a one-batch call (each of cnn-pairs'
+    fusions) never holds two caches.
 
-    So the two models' halves of a minibatch are independent once both
-    predictions are in. With a pool, the local model's half is two tasks
-    (metrics.Task), its forward and then its backward and step, while this
-    thread runs the received model's half. A half goes to the pool only if
-    its rows reach the gate (metrics.pool_for), this thread makes a task no
-    pool thread has started, and no task outlives the call. The bits are
-    those of the serial loop.
+    Because the steps are simultaneous, the two models' halves of a
+    minibatch are independent once both predictions are in. With a pool,
+    the local model's half is two tasks (metrics.Task), its forward and then
+    its backward and step, while this thread runs the received model's
+    half. A half goes to the pool only if its rows x spec.macs_per_row reach
+    the gate (metrics.pool_for), this thread makes a task no pool thread has
+    started, and no task outlives the call. The bits are those of the
+    serial loop.
     """
     scratch = np.empty((5, received.size))
     receiving = _Trainee(received, lr_received, momentum, scratch[:2])
@@ -258,11 +268,12 @@ def fuse_defkt(
         for pass_index in range(passes):
             last_pass = pass_index == passes - 1
             for count, batch in enumerate(minibatches(receiver_data.train, batch_size, rng), start=1):
-                half_pool = pool_for(pool, spec, len(batch))
-                half = Task(half_pool, teaching.forward, spec, batch)
+                local_steps = not (last_pass and count * batch_size >= n_train)
+                half_pool = pool_for(pool, len(batch) * spec.macs_per_row)
+                half = Task(half_pool, teaching.forward, spec, batch, local_steps)
                 probs_r = receiving.forward(spec, batch)
                 probs_l = half.result()
-                if not (last_pass and count * batch_size >= n_train):
+                if local_steps:
                     grad_l = mutual_loss_grad_logits(probs_l, probs_r, batch.labels, reduction)
                     half = Task(half_pool, teaching.step, spec, grad_l)
                 receiving.step(spec, mutual_loss_grad_logits(probs_r, probs_l, batch.labels, reduction))
@@ -444,8 +455,9 @@ def run_experiment(
     one round ahead. run_round takes it in the sender's turn; while a pool
     thread still makes it, the trainer takes over queued tasks (records'
     evaluations and look-ahead updates) rather than wait. An update goes to
-    the pool only if min(local_batch_size, largest training set) rows reach
-    the gate (metrics.pool_for); otherwise every update runs in its round.
+    the pool only if min(local_batch_size, largest training set) rows x
+    spec.train_macs_per_row, a training step's work, reach the gate
+    (metrics.pool_for); otherwise every update runs in its round.
     Errors are raised in round order, and no task outlives the call.
     """
     check("eval_every", eval_every, at_least(1))
@@ -453,10 +465,11 @@ def run_experiment(
     if comm is None:
         comm = CommLog()
     largest_train = max(len(s.data.train) for s in states.values())
-    update_rows = min(hyper.local_batch_size, largest_train)
+    update_work = min(hyper.local_batch_size, largest_train) * spec.train_macs_per_row
     fusion_rows = min(hyper.mkt_batch_size, largest_train) if strategy is FusionStrategy.DEFKT else 0
-    with evaluation_pool(spec, states, test_data, max(update_rows, fusion_rows)) as pool:
-        update_pool = pool_for(pool, spec, update_rows)
+    fusion_work = fusion_rows * spec.macs_per_row
+    with evaluation_pool(spec, states, test_data, max(update_work, fusion_work)) as pool:
+        update_pool = pool_for(pool, update_work)
 
         def collect(round_index: int, record: Record, scalars: int) -> MetricsRecord:
             return MetricsRecord(round_index, strategy.value, hyper.seed, *record.collect(), scalars)

@@ -3,8 +3,10 @@
 A record's evaluations (each distinct parameter vector on the shared test
 set, every client on its own validation set) are tasks that a Record
 submits client by client, as each client's state for the record becomes
-final, and collects later. A task's work is its rows x the model's
-multiply-adds per row (spec.macs_per_row). A run's one pool comes from
+final, and collects later. A task's work is its multiply-adds: an
+evaluation's or a fusion half's rows x the model's multiply-adds per row
+of a forward (spec.macs_per_row), a local update's batch rows x those of a
+training step (spec.train_macs_per_row). A run's one pool comes from
 evaluation_pool: usable CPUs - 1 threads when more than one CPU is usable
 and the largest evaluation's or training task's work reaches
 PARALLEL_EVAL_WORK. The pool also trains: fuse_defkt's local-model halves
@@ -50,18 +52,19 @@ CSV_FIELDS = ("round", "strategy", "seed", "global_acc", "local_acc", "scalars_t
 # bits of the logits: the reference MLP's logits on 1,000 rows differ bitwise
 # between one call and two 500-row chunks. Changing it can change accuracies.
 EVAL_CHUNK_ROWS = 2048
-# Multiply-adds (rows x spec.macs_per_row) from which an evaluation, a
-# fusion half or a look-ahead local update goes to the run's pool; a run
-# whose largest task falls below it opens none.
+# Multiply-adds from which an evaluation, a fusion half or a look-ahead
+# local update goes to the run's pool; a run whose largest task falls below
+# it opens none. An evaluation or a fusion half counts rows x
+# spec.macs_per_row, a local update its batch rows x spec.train_macs_per_row.
 # Sized when each call opened its own pool: with one BLAS thread on 2 cores,
 # ten threaded evaluations took 1.3x the serial time at 3e6, broke even near
 # 1e7 and took 0.7x at 2.4e7 (a reference-MLP validation set) and 0.5x at 2e8
 # (its 1,000-row test set). Below it stay hetero-sweep's 32x32 MLP (7e5 on
-# its test set), the README quick-start's validation sets (1.4e6) and
-# cnn-small on 10 rows (1.9e6) and cnn-pairs' 40-row fusion halves and
-# local updates (7.7e6); above it are the quick-start's test set (1.8e7),
-# cnn-small on 100 rows (1.9e7) and the reference MLP's 200-row fusion
-# halves and local updates (4e7).
+# its test set, 1.5e5 a local update), the README quick-start's validation
+# sets (1.4e6), cnn-small on 10 rows (1.9e6) and cnn-pairs' 40-row fusion
+# halves (7.7e6); above it are the quick-start's test set (1.8e7), cnn-small
+# on 100 rows (1.9e7), cnn-pairs' 40-row local updates (2.1e7), the
+# reference MLP's 200-row fusion halves (4e7) and its local updates (8.8e7).
 PARALLEL_EVAL_WORK = 10_000_000
 # Entries of a parameter vector in its record key (see Record).
 KEY_SAMPLES = 64
@@ -93,22 +96,22 @@ def evaluate(spec: ModelSpec, params: np.ndarray, data: Rows) -> float:
 
 
 @contextmanager
-def evaluation_pool(spec: ModelSpec, states: dict, test: Dataset, training_rows: int = 0):
+def evaluation_pool(spec: ModelSpec, states: dict, test: Dataset, training_work: int = 0):
     """Yield a pool of usable CPUs - 1 threads for the records of `states` on `test`, or None.
 
     A record's input errors (a test set of the wrong width, an empty
-    validation set) are raised first. training_rows is the most rows of a
-    training task the run will submit (a fusion half or a local update's
-    batch), 0 for none.
+    validation set) are raised first. training_work is the most
+    multiply-adds of a training task the run will submit (a fusion half or
+    a local update), 0 for none.
     None when one CPU is usable or no evaluation and no training task
-    reaches the gate (_pooled). On exit, tasks no thread has started are
+    reaches PARALLEL_EVAL_WORK. On exit, tasks no thread has started are
     cancelled and the pool's threads are joined.
     """
     check_features(spec, test.inputs)
     _check_validation_sets(states)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    largest = max(len(test), training_rows, *(len(s.data.validation) for s in states.values()))
-    if cpus < 2 or not _pooled(spec, largest):
+    rows = max([len(test), *(len(s.data.validation) for s in states.values())])
+    if cpus < 2 or max(rows * spec.macs_per_row, training_work) < PARALLEL_EVAL_WORK:
         yield None
         return
     from concurrent.futures import ThreadPoolExecutor
@@ -120,14 +123,9 @@ def evaluation_pool(spec: ModelSpec, states: dict, test: Dataset, training_rows:
         pool.shutdown(wait=True, cancel_futures=True)
 
 
-def _pooled(spec: ModelSpec, rows: int) -> bool:
-    """Whether a pass of `rows` rows is work enough for the pool (PARALLEL_EVAL_WORK)."""
-    return rows * spec.macs_per_row >= PARALLEL_EVAL_WORK
-
-
-def pool_for(pool, spec: ModelSpec, rows: int):
-    """The pool for a task of `rows` rows: `pool` if they reach the gate (_pooled), else None."""
-    return pool if pool is not None and _pooled(spec, rows) else None
+def pool_for(pool, work: int):
+    """The pool for a task of `work` multiply-adds: `pool` if it reaches PARALLEL_EVAL_WORK, else None."""
+    return pool if pool is not None and work >= PARALLEL_EVAL_WORK else None
 
 
 class Task:
@@ -206,7 +204,8 @@ class Record:
         self._validations: dict[int, Task] = {}
 
     def _submit(self, params: np.ndarray, data: Rows) -> Task:
-        self.tasks.append(Task(pool_for(self._pool, self._spec, len(data)), evaluate, self._spec, params, data))
+        work = len(data) * self._spec.macs_per_row
+        self.tasks.append(Task(pool_for(self._pool, work), evaluate, self._spec, params, data))
         return self.tasks[-1]
 
     def add(self, k: int, state) -> None:

@@ -74,10 +74,8 @@ elementwise sums as a broadcast of the C_out biases, so the same bits.
 The conv gradients rely on the order in which numpy's einsum (optimize off)
 sums, and tests/oracles.py pins both orders with loops. Both sums start at
 +0.0 and round every product on its own (no fused multiply-add). The weight
-gradient, "bpo,bpf->of" against a contiguous (B, H'*W', C_out) transpose of
-dz and the patch matrix, sums over (b, p) in row-major order. The transpose
-changes only the operand layout, not that order, so the bits are the ones
-the loop oracle gives for "bop,bpf->of" on dz itself. The input gradient,
+gradient, "bop,bpf->of" on dz itself and the patch matrix, sums over (b, p)
+in row-major order; no transposed copy of dz is made. The input gradient,
 "bop,fo->bfp" against the transposed weight matrix, sums over the output
 channels in order; its (b, C, k, k, h', w') result is then scattered into
 dx one kernel offset (di, dj) at a time, in row-major order.
@@ -189,8 +187,7 @@ class ConvLayer:
             _mask_grad(dx, mask)
         n, out_ch, out_h, out_w = dx.shape
         dz_flat = dx.reshape(n, out_ch, out_h * out_w)
-        dz_rows = np.ascontiguousarray(dz_flat.transpose(0, 2, 1))
-        np.einsum("bpo,bpf->of", dz_rows, _im2col(x, self.kernel), out=grads[0].reshape(out_ch, -1))
+        np.einsum("bop,bpf->of", dz_flat, _im2col(x, self.kernel), out=grads[0].reshape(out_ch, -1))
         dx.sum(axis=(0, 2, 3), out=grads[1])
         if not need_dx:
             return None
@@ -255,6 +252,9 @@ class ModelSpec:
     # is the most float64 entries per row of any array that stack makes (an
     # output or a patch matrix). macs_per_row counts the multiply-adds of one
     # row's forward: one per weight per output position that shares it.
+    # train_macs_per_row counts a training step's: the forward, one weight-
+    # gradient product per parameter layer and one input-gradient product per
+    # parameter layer after the first (backward_from_cache stops there).
     layout: tuple = field(init=False, repr=False, compare=False)
     param_count: int = field(init=False, repr=False, compare=False)
     input_dim: int = field(init=False, repr=False, compare=False)
@@ -262,6 +262,7 @@ class ModelSpec:
     first_dense: int = field(init=False, repr=False, compare=False)
     widest_row: int = field(init=False, repr=False, compare=False)
     macs_per_row: int = field(init=False, repr=False, compare=False)
+    train_macs_per_row: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check("num_classes", self.num_classes, at_least(2))
@@ -273,7 +274,7 @@ class ModelSpec:
         first_dense = next(i for i, layer in enumerate(self.layers) if isinstance(layer, DenseLayer))
         shape = tuple(self.input_shape)
         layout: list[tuple[slice, tuple[int, ...], slice] | None] = []
-        offset = macs = 0
+        offset = macs = first_macs = 0
         widest = math.prod(shape)
         for i, layer in enumerate(self.layers):
             shape = layer.out_shape(shape)
@@ -285,7 +286,9 @@ class ModelSpec:
                 continue
             w_shape, n_bias, fan_in, _ = shapes
             positions = math.prod(shape) // n_bias  # 1 for a dense layer
-            macs += math.prod(w_shape) * positions
+            layer_macs = math.prod(w_shape) * positions
+            macs += layer_macs
+            first_macs = first_macs or layer_macs
             if i < first_dense:
                 widest = max(widest, fan_in * positions)  # the conv layer's patch matrix
             w_end = offset + math.prod(w_shape)
@@ -298,6 +301,7 @@ class ModelSpec:
         object.__setattr__(self, "first_dense", first_dense)
         object.__setattr__(self, "widest_row", widest)
         object.__setattr__(self, "macs_per_row", macs)
+        object.__setattr__(self, "train_macs_per_row", 3 * macs - first_macs)
 
     @classmethod
     def mlp(cls, input_dim: int, hidden: tuple[int, ...] = (200, 200), num_classes: int = 10) -> "ModelSpec":

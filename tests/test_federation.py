@@ -5,6 +5,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
@@ -13,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from defkt import federation, metrics
+from defkt import federation, metrics, nn
 from defkt.data import ClientData, Dataset, synth_dataset, train_val_split
 from defkt.errors import ConfigurationError, NumericalError
 from defkt.federation import (
@@ -342,7 +343,7 @@ class TestFuseDefkt:
 
     @staticmethod
     def pooled(data: ClientData):
-        return metrics.evaluation_pool(SPEC, {}, data.train.source, len(data.train))
+        return metrics.evaluation_pool(SPEC, {}, data.train.source, len(data.train) * SPEC.macs_per_row)
 
     @staticmethod
     def slow_trainer(monkeypatch, pause: float = 0.005) -> list:
@@ -446,6 +447,60 @@ class TestFuseDefkt:
             with pytest.raises(NumericalError, match="local model's step failed"):
                 fuse_defkt(init_params(SPEC, 23), init_params(SPEC, 24), data, SPEC, 8, 1, 0.1, 0.1, 0.5,
                            derive_rng(25), pool=pool)
+
+
+class TestConvWorkingSet:
+    """At cnn-pairs' 40 training rows, a cnn-small update holds one step's working set at a time."""
+
+    SPEC = ModelSpec.cnn_small()
+    DATA = train_val_split(synth_dataset(10, 5, SPEC.input_dim, seed=1), 0.8, 2)  # 40 training rows
+    # Traced peaks at 40 rows (numpy 2.4): a local update 5.3 MB and a one-batch fusion 5.5 MB; 6.7 and
+    # 7.8 MB while the conv weight gradient copied dz and the skipped local step's forward kept its cache.
+    PEAK_BYTES = 6_000_000
+
+    @staticmethod
+    def traced_peak(call) -> int:
+        """Bytes `call` allocates at its peak beyond what was live before it, on a second call."""
+        call()  # the patch indices are derived before the count
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            call()
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    def test_a_local_update_peaks_under_6_mb(self):
+        client = ClientState(1, init_params(self.SPEC, 1), self.DATA)
+        assert len(self.DATA.train) == 40
+        peak = self.traced_peak(lambda: local_update(client, self.SPEC, 40, 1, 0.05, 0.5, derive_rng(3)))
+        assert peak < self.PEAK_BYTES
+
+    def test_a_one_batch_fusion_peaks_under_6_mb(self):
+        received, local = init_params(self.SPEC, 1), init_params(self.SPEC, 2)
+        peak = self.traced_peak(lambda: fuse_defkt(received, local, self.DATA, self.SPEC, 40, 1, 0.05, 0.05, 0.5,
+                                                   derive_rng(4)))
+        assert peak < self.PEAK_BYTES
+
+    @pytest.mark.parametrize("batch_size, passes", [(40, 1), (16, 2)], ids=["one-batch", "three-batches-two-passes"])
+    def test_only_a_forward_that_a_step_follows_is_cached(self, monkeypatch, batch_size, passes):
+        """forward_cached runs twice per minibatch, but once on the last, whose local step is skipped;
+        the result's bytes are those of caching every forward."""
+        received, local = init_params(self.SPEC, 5), init_params(self.SPEC, 6)
+
+        def fuse():
+            return fuse_defkt(received, local, self.DATA, self.SPEC, batch_size, passes, 0.05, 0.02, 0.5,
+                              derive_rng(7))
+
+        with monkeypatch.context() as patched:
+            patched.setattr(federation, "forward", lambda *args: nn.forward_cached(*args)[0])
+            caching_every_forward = fuse()
+        calls = []
+        monkeypatch.setattr(federation, "forward_cached", lambda *args: calls.append(1) or nn.forward_cached(*args))
+        out = fuse()
+        batches = passes * -(-len(self.DATA.train) // batch_size)
+        assert len(calls) == 2 * batches - 1
+        assert out.tobytes() == caching_every_forward.tobytes()
 
 
 def _mkt_oracle(w_received, w_local, data, spec, batch_size, passes, lr_r, lr_l, momentum, rng):
@@ -1100,11 +1155,37 @@ class TestSenderLookahead:
         """With the pool open for the test set only, no update is submitted as a task."""
         hyper = tiny_hyper(rounds=7)
         monkeypatch.setattr(metrics.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        monkeypatch.setattr(metrics, "PARALLEL_EVAL_WORK", len(TestRecordSchedule.TEST_DATA) * SPEC.macs_per_row)
-        assert hyper.local_batch_size < len(TestRecordSchedule.TEST_DATA)
+        monkeypatch.setattr(metrics, "PARALLEL_EVAL_WORK", hyper.local_batch_size * SPEC.train_macs_per_row + 1)
+        assert len(TestRecordSchedule.TEST_DATA) * SPEC.macs_per_row >= metrics.PARALLEL_EVAL_WORK
         threads = []
         monkeypatch.setattr(federation, "local_update",
                             lambda *args: threads.append(threading.current_thread()) or local_update(*args))
         run_experiment(SPEC, hyper, FusionStrategy.DEFKT, experiment_states(hyper), TestRecordSchedule.TEST_DATA,
                        eval_every=10)
         assert threads == [threading.main_thread()] * hyper.rounds
+
+    def test_a_cnn_small_update_reaches_the_default_gate_by_a_training_steps_work(self, monkeypatch):
+        """A 40-row cnn-small update is below the gate by its forward's work and above it by a training step's,
+        so with two usable CPUs it trains on the pool; the run is bitwise the one-CPU run."""
+        spec = ModelSpec.cnn_small()
+        hyper = tiny_hyper(num_clients=6, rounds=4, local_batch_size=40, mkt_batch_size=40)
+        data = synth_dataset(10, 30, spec.input_dim, seed=1)
+        shards = [data.subset(np.arange(i, len(data), 6)) for i in range(6)]  # 50 rows each, 40 to train on
+        test = synth_dataset(10, 2, spec.input_dim, seed=2)
+        assert 40 * spec.macs_per_row < metrics.PARALLEL_EVAL_WORK <= 40 * spec.train_macs_per_row
+        assert self.look_aheads(hyper, eval_every=10)
+
+        def run(cpus: int):
+            monkeypatch.setattr(metrics.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+            states = build_client_states(spec, shards, hyper)
+            assert {len(state.data.train) for state in states.values()} == {40}
+            return run_experiment(spec, hyper, FusionStrategy.DEFKT, states, test, eval_every=10)
+
+        inline, inline_final = run(1)
+        threads = []
+        monkeypatch.setattr(federation, "local_update",
+                            lambda *args: threads.append(threading.current_thread()) or local_update(*args))
+        pooled, pooled_final = run(2)
+        assert any(thread is not threading.main_thread() for thread in threads)
+        assert pooled == inline
+        assert all(pooled_final[k].params.tobytes() == inline_final[k].params.tobytes() for k in inline_final)

@@ -129,6 +129,21 @@ class TestMacsPerRow:
     def test_matches_hand_count(self, spec, macs):
         assert spec.macs_per_row == macs
 
+    @pytest.mark.parametrize(
+        "spec, macs",
+        [
+            # the forward, each layer's weight gradient (the forward again) and the input gradients of
+            # the layers after the first: 2*198,800 + (200*200 + 200*10)
+            (ModelSpec.mlp(784), 439_600),
+            (ModelSpec.mlp(20, (32, 32), 4), 4_736),  # 2*1,792 + (32*32 + 32*4)
+            (ModelSpec.cnn_small(), 527_520),  # 2*192,064 + conv2's 11*11*16*72 + the head's 400*10
+            (POOL_FIRST, 648),  # 2*312 + the head's 8*3; the conv layer is the first with parameters
+        ],
+        ids=["reference-mlp", "mlp-20-32-32-4", "cnn-small", "pool-first"],
+    )
+    def test_training_step_matches_hand_count(self, spec, macs):
+        assert spec.train_macs_per_row == macs
+
     def test_conv_stack_bounds(self):
         # the conv stack ends at the first dense layer; its widest row is conv2's (11*11, 8*9) patch matrix
         cnn = ModelSpec.cnn_small()
@@ -138,8 +153,11 @@ class TestMacsPerRow:
 
     def test_derived_fields_stay_out_of_repr_and_equality(self):
         spec = ModelSpec.cnn_small()
-        assert "macs_per_row" not in repr(spec) and "widest_row" not in repr(spec)
+        assert not any(name in repr(spec) for name in ("macs_per_row", "train_macs_per_row", "widest_row"))
         assert spec == ModelSpec.cnn_small() and hash(spec) == hash(ModelSpec.cnn_small())
+        other = ModelSpec.cnn_small()
+        object.__setattr__(other, "train_macs_per_row", 0)
+        assert spec == other and hash(spec) == hash(other)
 
 
 class TestModelSpec:
@@ -400,12 +418,12 @@ class TestMaxPool:
 class TestConvGradients:
     @pytest.mark.parametrize(
         "in_ch, k, rows, h, w",
-        [(1, 2, 2, 5, 7), (1, 3, 3, 8, 6), (3, 2, 2, 6, 9), (3, 3, 1, 7, 5), (8, 3, 40, 13, 13)],
-        ids=["c1-k2", "c1-k3", "c3-k2", "c3-k3-one-row", "cnn-small-conv2"],
+        [(1, 2, 2, 5, 7), (1, 3, 3, 8, 6), (3, 2, 2, 6, 9), (3, 3, 1, 7, 5), (1, 3, 40, 28, 28), (8, 3, 40, 13, 13)],
+        ids=["c1-k2", "c1-k3", "c3-k2", "c3-k3-one-row", "cnn-small-conv1", "cnn-small-conv2"],
     )
     def test_gradients_bitwise_equal_loop_oracles(self, in_ch, k, rows, h, w):
         rng = np.random.default_rng(in_ch * 100 + k * 10 + rows)
-        out_ch = 16 if in_ch == 8 else 4
+        out_ch = {(1, 28): 8, (8, 13): 16}.get((in_ch, h), 4)  # cnn-small's conv1 and conv2 widths
         layer = ConvLayer(in_ch, out_ch, k)
         weights = rng.standard_normal((out_ch, in_ch, k, k))
         weights[0, 0] = -0.0
