@@ -12,7 +12,8 @@ The whole state trajectory is a pure function of (config, master seed):
 RNG streams are derived per (seed, purpose, round, client), so results do
 not depend on evaluation order or parallel scheduling. A sender's update
 reads only its own latest state and its own stream, so run_experiment
-may start it a round early, on the run's pool, beside the round before.
+starts it on the run's pool as soon as that state is final, at most a
+round early, beside the pairs before it.
 """
 
 from __future__ import annotations
@@ -340,6 +341,39 @@ def _sender_update(
         raise _wrap_numerical(round_index, sender_id, exc) from exc
 
 
+def _fuse_pair(
+    states: dict[int, ClientState], sender_id: int, receiver_id: int, sender: ClientState, round_index: int,
+    strategy: FusionStrategy, hyper: HyperParams, spec: ModelSpec, comm: CommLog, reduction: str, pool,
+) -> None:
+    """A pair's turn once `sender` holds the sender's updated state: it transmits, the receiver fuses, and both
+    clients' new states are stored in `states`."""
+    receiver = states[receiver_id]
+    n_sender, n_receiver = len(sender.data.train), len(receiver.data.train)
+    if strategy is FusionStrategy.COMBO:
+        _, trailing = split_segments(sender.params)
+        leading, _ = split_segments(receiver.params)
+        comm.record(Message(sender_id, receiver_id, "trailing-segment", trailing))
+        comm.record(Message(receiver_id, sender_id, "leading-segment", leading))
+        sender_params, fused = fuse_combo(sender.params, receiver.params, n_sender, n_receiver)
+        sender = replace(sender, params=sender_params)
+    elif strategy is FusionStrategy.FULLAVG:
+        comm.record(Message(sender_id, receiver_id, "params", sender.params))
+        fused = fuse_fullavg(sender.params, receiver.params, n_sender, n_receiver)
+    else:
+        comm.record(Message(sender_id, receiver_id, "params", sender.params))
+        rng = derive_rng(hyper.seed, MKT_STREAM, round_index, receiver_id)
+        try:
+            fused = fuse_defkt(
+                sender.params, receiver.params, receiver.data, spec,
+                hyper.mkt_batch_size, hyper.mkt_passes,
+                hyper.mkt_lr_received, hyper.mkt_lr_local, hyper.momentum, rng, reduction, pool,
+            )
+        except NumericalError as exc:
+            raise _wrap_numerical(round_index, receiver_id, exc) from exc
+    states[sender_id] = sender
+    states[receiver_id] = replace(receiver, params=fused)
+
+
 def run_round(
     states: dict[int, ClientState],
     plan: RoundPlan,
@@ -349,57 +383,25 @@ def run_round(
     comm: CommLog | None = None,
     reduction: str = "mean",
     pool=None,
-    updates: dict[int, Task] | None = None,
-    helping=(),
 ) -> dict[int, ClientState]:
-    """Execute one round and return the updated client states.
+    """Execute one round and return the updated client states: the serial one-round reference.
 
-    Each pair in turn: the sender runs its local update and stores the
-    fine-tuned model, transmits it (only its trailing segment under segment
-    exchange, answered by the receiver's leading segment), and the receiver
-    applies the fusion strategy; under segment exchange the sender's model
-    is updated too. Pairs are disjoint and RNG streams are keyed by client,
-    so the pair order changes no result. Other clients are untouched.
-    Pairs run one after another; `pool` goes to fuse_defkt. A sender's
-    update runs in its pair's turn, unless `updates` maps it to a task
-    (metrics.Task, run_experiment's look-ahead) already making it from its
-    state in `states`. Then the task's result is taken in that turn, and
-    while a pool thread still makes it, this thread takes over the
-    unstarted tasks of `helping`. Either way the update is _sender_update.
+    Each pair in turn: the sender runs its local update (_sender_update)
+    and stores the fine-tuned model, transmits it (only its trailing
+    segment under segment exchange, answered by the receiver's leading
+    segment), and the receiver applies the fusion strategy; under segment
+    exchange the sender's model is updated too (_fuse_pair). Pairs are
+    disjoint and RNG streams are keyed by client, so the pair order changes
+    no result. Other clients are untouched. Pairs run one after another;
+    `pool` goes to fuse_defkt. run_experiment runs the same two steps pair
+    by pair, with its sender updates started early.
     """
     new_states = dict(states)
     comm = CommLog() if comm is None else comm
-    updates = updates or {}
     for sender_id, receiver_id in plan.pairs():
-        if sender_id in updates:
-            sender = updates[sender_id].result(helping)
-        else:
-            sender = _sender_update(new_states[sender_id], sender_id, plan.round_index, hyper, spec, reduction)
-        receiver = new_states[receiver_id]
-        n_sender, n_receiver = len(sender.data.train), len(receiver.data.train)
-        if strategy is FusionStrategy.COMBO:
-            _, trailing = split_segments(sender.params)
-            leading, _ = split_segments(receiver.params)
-            comm.record(Message(sender_id, receiver_id, "trailing-segment", trailing))
-            comm.record(Message(receiver_id, sender_id, "leading-segment", leading))
-            sender_params, fused = fuse_combo(sender.params, receiver.params, n_sender, n_receiver)
-            sender = replace(sender, params=sender_params)
-        elif strategy is FusionStrategy.FULLAVG:
-            comm.record(Message(sender_id, receiver_id, "params", sender.params))
-            fused = fuse_fullavg(sender.params, receiver.params, n_sender, n_receiver)
-        else:
-            comm.record(Message(sender_id, receiver_id, "params", sender.params))
-            rng = derive_rng(hyper.seed, MKT_STREAM, plan.round_index, receiver_id)
-            try:
-                fused = fuse_defkt(
-                    sender.params, receiver.params, receiver.data, spec,
-                    hyper.mkt_batch_size, hyper.mkt_passes,
-                    hyper.mkt_lr_received, hyper.mkt_lr_local, hyper.momentum, rng, reduction, pool,
-                )
-            except NumericalError as exc:
-                raise _wrap_numerical(plan.round_index, receiver_id, exc) from exc
-        new_states[sender_id] = sender
-        new_states[receiver_id] = replace(receiver, params=fused)
+        sender = _sender_update(new_states[sender_id], sender_id, plan.round_index, hyper, spec, reduction)
+        _fuse_pair(new_states, sender_id, receiver_id, sender, plan.round_index, strategy, hyper, spec, comm,
+                   reduction, pool)
     return new_states
 
 
@@ -435,30 +437,39 @@ def run_experiment(
     eval_every rounds, and at the final round. Returns the metrics
     timeline and the final client states.
 
-    When a record's window of rounds (previous record, this record] opens,
-    its round plans are drawn (select_round is a pure function of the
-    round). A client is added to the record (see metrics.Record) as soon
-    as its state for the record is final: when the window opens if no round
-    of the window touches it, else right after the last round that does.
-    Its evaluations go to one pool opened for the run, which also takes
-    fuse_defkt's local-model halves, and training goes straight on; the
-    record is collected at the next record point or after the final round.
-    So the final record waits only on the last round's pairs. The timeline
-    is bitwise that of evaluating each record in place. Input errors a
-    record would raise are raised before round 1; an error in a pooled
-    evaluation is raised when its record is collected, after the pool is
-    joined.
+    Rounds run pair by pair, as in run_round. select_round is a pure
+    function of the round, and each round's plan is drawn once, in round
+    order: when a record's window of rounds (previous record, this record]
+    opens, its plans and the next round's are drawn. A client is added to
+    the record (see metrics.Record) as soon as its state for the record is
+    final: when the window opens if no round of the window touches it, else
+    right after the last pair that does. Its evaluations go to one pool
+    opened for the run, which also takes fuse_defkt's local-model halves,
+    and training goes straight on; the record is collected at the next
+    record point or after the final round. So the final record waits only
+    on the last round's pairs. The timeline is bitwise that of evaluating
+    each record in place. Input errors a record would raise are raised
+    before round 1; an error in a pooled evaluation is raised when its
+    record is collected, after the pool is joined.
 
-    Look-ahead: before a round of the window runs, each sender of the
-    window's next round that this round does not touch has its final state
-    for that next round, so its update goes to the pool as a task, at most
-    one round ahead. run_round takes it in the sender's turn; while a pool
-    thread still makes it, the trainer takes over queued tasks (records'
-    evaluations and look-ahead updates) rather than wait. An update goes to
-    the pool only if min(local_batch_size, largest training set) rows x
-    spec.train_macs_per_row, a training step's work, reach the gate
-    (metrics.pool_for); otherwise every update runs in its round.
-    Errors are raised in round order, and no task outlives the call.
+    Look-ahead: a sender's update for round t reads only its state for
+    round t and its own stream, so it goes to the pool as a task once that
+    state is final and round t-1 has started: at the start of the run for
+    round 1, at the start of round t-1 if that round does not touch the
+    sender, else right after the sender's pair in round t-1, ahead of that
+    pair's record evaluations. Plans are drawn a round past each record
+    window for this, so look-ahead crosses windows, and at most 2Q updates
+    are outstanding. Where a round opens a record's window, the run's start
+    included, the evaluations of the clients added then go first (ahead of
+    the initial record, round 1's updates ran beside each other and raised
+    cnn-pairs' peak memory). The task is taken in the sender's turn; while
+    a pool thread still makes it, the trainer takes over queued tasks
+    rather than wait: the other updates, oldest first, then records'
+    evaluations. Updates go to the pool only if min(local_batch_size,
+    largest training set) rows x spec.train_macs_per_row, a training step's
+    work, reach the gate (metrics.pool_for); otherwise each runs in its
+    turn. Errors are raised in round and pair order, and no task outlives
+    the call.
     """
     check("eval_every", eval_every, at_least(1))
     states = dict(clients)
@@ -470,38 +481,54 @@ def run_experiment(
     fusion_work = fusion_rows * spec.macs_per_row
     with evaluation_pool(spec, states, test_data, max(update_work, fusion_work)) as pool:
         update_pool = pool_for(pool, update_work)
+        plans = [RoundPlan(0, (), ())]  # plans[r] is round r's plan; the run's start is a round 0 that touches no one
+
+        def draw(through: int) -> None:
+            for r in range(len(plans), min(through, hyper.rounds) + 1):
+                plans.append(select_round(hyper.num_clients, hyper.senders_per_round, r, hyper.seed))
+
+        updates = {}  # sender -> the task making its next update, in submission order
+
+        def look_ahead(plan: RoundPlan, ready) -> None:
+            """Submit the updates of the round after `plan` whose senders `ready` holds, in that round's order."""
+            if update_pool is not None and plan.round_index < hyper.rounds:
+                following = plans[plan.round_index + 1]
+                for s in following.senders:
+                    if ready(s):
+                        updates[s] = Task(update_pool, _sender_update, states[s], s, following.round_index,
+                                          hyper, spec, reduction)
 
         def collect(round_index: int, record: Record, scalars: int) -> MetricsRecord:
             return MetricsRecord(round_index, strategy.value, hyper.seed, *record.collect(), scalars)
 
         timeline, pending, done = [], None, 0
-        updates, ahead = {}, {}  # look-ahead updates of this round and of the next
-        try:
-            for point in [*range(0, hyper.rounds, eval_every), hyper.rounds]:
-                plans = [select_round(hyper.num_clients, hyper.senders_per_round, r, hyper.seed)
-                         for r in range(done + 1, point + 1)]
-                last_touch = {k: plan.round_index for plan in plans for pair in plan.pairs() for k in pair}
-                record = Record(pool, spec, test_data, len(states))
-                for k in sorted(states.keys() - last_touch.keys()):
-                    record.add(k, states[k])
-                for plan, following in zip(plans, [*plans[1:], None]):
-                    updates, ahead = ahead, {}
-                    if update_pool is not None and following is not None:
-                        busy = plan.senders + plan.receivers
-                        ahead = {s: Task(update_pool, _sender_update, states[s], s, following.round_index,
-                                         hyper, spec, reduction)
-                                 for s in following.senders if s not in busy}
-                    helping = [*(pending[1].tasks if pending else ()), *record.tasks,
-                               *ahead.values(), *updates.values()] if updates else ()
-                    states = run_round(states, plan, strategy, hyper, spec, comm=comm, reduction=reduction, pool=pool,
-                                       updates=updates, helping=helping)
-                    for k in sorted(k for pair in plan.pairs() for k in pair if last_touch[k] == plan.round_index):
+        for point in [*range(0, hyper.rounds, eval_every), hyper.rounds]:
+            draw(point + 1)
+            window = plans[done + 1:point + 1]
+            last_touch = {k: plan.round_index for plan in window for pair in plan.pairs() for k in pair}
+            record = Record(pool, spec, test_data, len(states))
+            for k in sorted(states.keys() - last_touch.keys()):
+                record.add(k, states[k])
+            if pending is None:  # the run's start, behind the initial record's evaluations
+                look_ahead(plans[0], lambda s: True)
+            for plan in window:
+                busy = plan.senders + plan.receivers
+                look_ahead(plan, lambda s: s not in busy)
+                for pair in plan.pairs():
+                    sender_id, receiver_id = pair
+                    if sender_id in updates:
+                        task = updates.pop(sender_id)
+                        sender = task.result([*(pending[1].tasks if pending else ()), *record.tasks,
+                                              *reversed(updates.values())])
+                    else:
+                        sender = _sender_update(states[sender_id], sender_id, plan.round_index, hyper, spec, reduction)
+                    _fuse_pair(states, sender_id, receiver_id, sender, plan.round_index, strategy, hyper, spec, comm,
+                               reduction, pool)
+                    look_ahead(plan, lambda s: s in pair)
+                    for k in sorted(k for k in pair if last_touch[k] == plan.round_index):
                         record.add(k, states[k])
-                if pending is not None:
-                    timeline.append(collect(*pending))
-                pending, done = (point, record, comm.total_scalars), point
-            timeline.append(collect(*pending))
-        finally:
-            for task in [*updates.values(), *ahead.values()]:
-                task.discard()
+            if pending is not None:
+                timeline.append(collect(*pending))
+            pending, done = (point, record, comm.total_scalars), point
+        timeline.append(collect(*pending))
     return timeline, states

@@ -10,13 +10,14 @@ training step (spec.train_macs_per_row). A run's one pool comes from
 evaluation_pool: usable CPUs - 1 threads when more than one CPU is usable
 and the largest evaluation's or training task's work reaches
 PARALLEL_EVAL_WORK. The pool also trains: fuse_defkt's local-model halves
-and run_experiment's look-ahead updates (see federation). A task goes to
-the pool only if its own work reaches that gate; any other task, and every
-task of a run without a pool, is made as it is submitted. The collecting
-thread evaluates, last first, every pooled evaluation no pool thread has
-started, and the trainer takes over a fusion half or an update the same
-way, and queued tasks while a pool thread makes the update it needs, so at
-most one thread per CPU computes.
+and run_experiment's look-ahead updates, each sender's submitted as soon as
+its state for its round is final (see federation). The pool takes tasks in
+submission order. A task goes to the pool only if its own work reaches
+that gate; any other task, and every task of a run without a pool, is made
+as it is submitted. The collecting thread evaluates, last first, every
+pooled evaluation no pool thread has started, and the trainer takes over a
+fusion half or an update the same way, and queued tasks while a pool
+thread makes the update it needs, so at most one thread per CPU computes.
 global_accuracy and local_accuracy are the serial reference and evaluate
 on the calling thread.
 

@@ -19,6 +19,7 @@ from defkt.data import ClientData, Dataset, synth_dataset, train_val_split
 from defkt.errors import ConfigurationError, NumericalError
 from defkt.federation import (
     LOCAL_STREAM,
+    MKT_STREAM,
     ClientState,
     CommLog,
     FusionStrategy,
@@ -688,7 +689,7 @@ class TestBuildClientStates:
 
 
 def experiment_states(hyper: HyperParams) -> dict[int, ClientState]:
-    data = synth_dataset(3, 40, 6, seed=1)
+    data = synth_dataset(3, 10 * hyper.num_clients, 6, seed=1)
     shards = [data.subset(np.arange(i * 30, (i + 1) * 30)) for i in range(hyper.num_clients)]
     return build_client_states(SPEC, shards, hyper)
 
@@ -919,21 +920,23 @@ class TestOverlappedRecords:
         hyper = tiny_hyper(rounds=7)
         clients = experiment_states(hyper)
         initial = {id(c.params) for c in clients.values()}  # kept alive by `clients`
-        replaced = []  # (round, weakref) of each non-initial vector a round replaced
+        replaced = []  # (round, weakref) of each non-initial vector a pair replaced
         checked = []
+        fuse_pair = federation._fuse_pair
 
-        def tracking(states, plan, *args, **kwargs):
-            for round_index, ref in replaced:
-                assert eventually(lambda: ref() is None), f"vector replaced in round {round_index} still alive"
-                checked.append(round_index)
-            new_states = run_round(states, plan, *args, **kwargs)
+        def tracking(states, sender_id, receiver_id, sender, round_index, *args):
+            for replaced_in, ref in replaced:
+                if replaced_in < round_index:
+                    assert eventually(lambda: ref() is None), f"vector replaced in round {replaced_in} still alive"
+                    checked.append(replaced_in)
+            before = {k: states[k].params for k in (sender_id, receiver_id)}
+            fuse_pair(states, sender_id, receiver_id, sender, round_index, *args)
             replaced.extend(
-                (plan.round_index, weakref.ref(states[k].params))
-                for k in states if new_states[k].params is not states[k].params and id(states[k].params) not in initial
+                (round_index, weakref.ref(params))
+                for k, params in before.items() if states[k].params is not params and id(params) not in initial
             )
-            return new_states
 
-        monkeypatch.setattr(federation, "run_round", tracking)
+        monkeypatch.setattr(federation, "_fuse_pair", tracking)
         run_experiment(SPEC, hyper, FusionStrategy.FULLAVG, clients, self.TEST_DATA, eval_every=3)
         assert 4 in checked  # a vector of pending record 3, replaced in round 4, was seen dead
 
@@ -941,7 +944,8 @@ class TestOverlappedRecords:
         cpus(2)
         probe = ComputeProbe()
         monkeypatch.setattr(metrics, "evaluate", probe.wrap(evaluate))
-        monkeypatch.setattr(federation, "run_round", probe.wrap(run_round))
+        for name in ("_sender_update", "_fuse_pair"):
+            monkeypatch.setattr(federation, name, probe.wrap(getattr(federation, name)))
         hyper = tiny_hyper()
         wide = synth_dataset(3, 20, 7, seed=2)
         with pytest.raises(ConfigurationError, match="batch has 7 input features, model expects 6"):
@@ -959,9 +963,11 @@ class TestRecordSchedule:
 
     TEST_DATA = synth_dataset(3, 20, 6, seed=2)
     # (rounds, eval_every, overrides): Q=1 of K=4 with records every round, every third round
-    # and only at the ends; a run of no rounds; and 2Q = K, where every round touches every client
-    CASES = [(7, 1, {}), (7, 3, {}), (7, 10, {}), (0, 3, {}), (7, 3, {"senders_per_round": 2})]
-    IDS = ["every-1", "every-3", "above-rounds", "no-rounds", "2q-is-k"]
+    # and only at the ends; a run of no rounds; 2Q = K, where every round touches every client;
+    # and Q=2 of K=6, where a round leaves some of the next round's senders free
+    CASES = [(7, 1, {}), (7, 3, {}), (7, 10, {}), (0, 3, {}), (7, 3, {"senders_per_round": 2}),
+             (7, 2, {"num_clients": 6, "senders_per_round": 2})]
+    IDS = ["every-1", "every-3", "above-rounds", "no-rounds", "2q-is-k", "k6-q2"]
 
     @pytest.fixture(params=["inline", "pooled"])
     def where(self, request, monkeypatch):
@@ -1001,53 +1007,74 @@ class TestRecordSchedule:
         assert all(final[k].params.tobytes() == states[k].params.tobytes() for k in states)
 
     @pytest.mark.parametrize("case", CASES, ids=IDS)
-    def test_each_client_is_evaluated_right_after_the_last_round_of_the_window_that_touches_it(
-        self, case, monkeypatch
-    ):
+    def test_each_client_is_evaluated_right_after_the_last_pair_of_the_window_that_touches_it(self, case, monkeypatch):
         rounds, eval_every, overrides = case
         hyper = tiny_hyper(rounds=rounds, **overrides)
         clients = experiment_states(hyper)
         owner = {id(c.data.validation): k for k, c in clients.items()}
-        log = []  # ("round", r) per run_round; ("client", k) per validation evaluation; ("test", None) per test one
+        # ("pair", (r, sender, receiver)) per pair; ("client", k) per validation evaluation; ("test", None) per test one
+        log = []
+        fuse_pair = federation._fuse_pair
 
-        def logged_round(states, plan, *args, **kwargs):
-            log.append(("round", plan.round_index))
-            return run_round(states, plan, *args, **kwargs)
+        def logged_pair(states, sender_id, receiver_id, sender, round_index, *args):
+            log.append(("pair", (round_index, sender_id, receiver_id)))
+            fuse_pair(states, sender_id, receiver_id, sender, round_index, *args)
 
         def logged_evaluate(spec, params, data):
             log.append(("client", owner[id(data)]) if id(data) in owner else ("test", None))
             return evaluate(spec, params, data)
 
-        monkeypatch.setattr(federation, "run_round", logged_round)
+        monkeypatch.setattr(federation, "_fuse_pair", logged_pair)
         monkeypatch.setattr(metrics, "evaluate", logged_evaluate)
         run_experiment(SPEC, hyper, FusionStrategy.FULLAVG, clients, self.TEST_DATA, eval_every=eval_every)
 
         plans = {
             r: select_round(hyper.num_clients, hyper.senders_per_round, r, hyper.seed) for r in range(1, rounds + 1)
         }
+        assert [value for kind, value in log if kind == "pair"] == [
+            (r, *pair) for r in range(1, rounds + 1) for pair in plans[r].pairs()
+        ]
         points = self.record_points(rounds, eval_every)
         records = {k: 0 for k in clients}  # records each client was evaluated for so far
-        done = 0  # rounds run so far
+        last = None  # the last pair run so far
         for kind, value in log:
-            if kind == "round":
-                done = value
+            if kind == "pair":
+                last = value
             elif kind == "client":
                 i = records[value]
                 opened = points[i - 1] if i else 0  # the record's window is (opened, points[i]]
                 window = range(opened + 1, points[i] + 1)
-                touches = [r for r in window if value in plans[r].senders + plans[r].receivers]
-                assert done == max(touches, default=opened), f"client {value} for record {points[i]}"
+                touches = [(r, *pair) for r in window for pair in plans[r].pairs() if value in pair]
+                if touches:
+                    assert last == touches[-1], f"client {value} for record {points[i]}"
+                else:  # evaluated when the window opens, after the last pair before it
+                    assert (last[0] if last else 0) == opened, f"client {value} for record {points[i]}"
                 records[value] += 1
         assert records == {k: len(points) for k in clients}
         if rounds:
-            tail = log[log.index(("round", rounds)) + 1:]
-            last = plans[rounds].senders + plans[rounds].receivers
-            assert sorted(k for kind, k in tail if kind == "client") == sorted(last)
-            assert 1 <= sum(kind == "test" for kind, _ in tail) <= len(last)
+            first_pair = (rounds, *plans[rounds].pairs()[0])
+            tail = log[log.index(("pair", first_pair)) + 1:]
+            touched = plans[rounds].senders + plans[rounds].receivers
+            assert sorted(k for kind, k in tail if kind == "client") == sorted(touched)
+            assert 1 <= sum(kind == "test" for kind, _ in tail) <= len(touched)
+
+    @pytest.mark.parametrize("eval_every", [1, 3, 10])
+    def test_select_round_is_called_once_per_round_in_round_order(self, where, eval_every, monkeypatch):
+        hyper = tiny_hyper(rounds=7)
+        drawn = []
+
+        def counted(num_clients, senders_per_round, round_index, master_seed):
+            drawn.append(round_index)
+            return select_round(num_clients, senders_per_round, round_index, master_seed)
+
+        monkeypatch.setattr(federation, "select_round", counted)
+        run_experiment(SPEC, hyper, FusionStrategy.DEFKT, experiment_states(hyper), self.TEST_DATA,
+                       eval_every=eval_every)
+        assert drawn == list(range(1, hyper.rounds + 1))
 
 
 class TestSenderLookahead:
-    """A round's sender that the round before does not touch updates on the pool while that round runs."""
+    """A sender's update goes to the pool once its state for its round is final and the round before has started."""
 
     CASES, IDS = TestRecordSchedule.CASES, TestRecordSchedule.IDS
 
@@ -1058,16 +1085,23 @@ class TestSenderLookahead:
         monkeypatch.setattr(metrics.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
 
     @staticmethod
-    def look_aheads(hyper: HyperParams, eval_every: int) -> list[tuple[int, int]]:
-        """(round, sender) of each update that can start a round early: the round before is in the
-        same record window and does not touch the sender."""
-        points = TestRecordSchedule.record_points(hyper.rounds, eval_every)
-        expected = []
-        for opened, point in zip(points, points[1:]):
-            for r in range(opened + 2, point + 1):
-                before = select_round(hyper.num_clients, hyper.senders_per_round, r - 1, hyper.seed)
-                plan = select_round(hyper.num_clients, hyper.senders_per_round, r, hyper.seed)
-                expected += [(r, s) for s in plan.senders if s not in before.senders + before.receivers]
+    def plans(hyper: HyperParams) -> list[RoundPlan]:
+        """Each round's plan, indexed by round; round 0 is the run's start and touches no one."""
+        return [RoundPlan(0, (), ())] + [
+            select_round(hyper.num_clients, hyper.senders_per_round, r, hyper.seed) for r in range(1, hyper.rounds + 1)
+        ]
+
+    @classmethod
+    def look_aheads(cls, hyper: HyperParams) -> list[tuple[int, int]]:
+        """(round, sender) of each update in submission order. Round r+1's sender updates at the start of
+        round r if round r does not touch it, else right after its pair in round r; the order within a
+        batch is round r+1's. Record windows do not matter."""
+        plans, expected = cls.plans(hyper), []
+        for plan, following in zip(plans, plans[1:]):
+            r = following.round_index
+            expected += [(r, s) for s in following.senders if s not in plan.senders + plan.receivers]
+            for pair in plan.pairs():
+                expected += [(r, s) for s in following.senders if s in pair]
         return expected
 
     @pytest.mark.parametrize("strategy", list(FusionStrategy))
@@ -1083,28 +1117,45 @@ class TestSenderLookahead:
         inline, inline_final = run()
         monkeypatch.setattr(metrics, "PARALLEL_EVAL_WORK", 0)
         monkeypatch.setattr(metrics.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        submitted = []  # (round, sender) of each update submitted as a task
+        submitted, kinds = [], []  # (round, sender) of each update submitted as a task; each task's kind
 
         class Recording(metrics.Task):
             def __init__(self, pool, fn, *args):
                 if fn is federation._sender_update:
                     submitted.append((args[2], args[1]))
+                kinds.append("update" if fn is federation._sender_update else
+                             "evaluation" if fn is metrics.evaluate else "half")
                 super().__init__(pool, fn, *args)
 
         monkeypatch.setattr(federation, "Task", Recording)
+        monkeypatch.setattr(metrics, "Task", Recording)
         pooled, pooled_final = run()
         replay, replay_final = TestRecordSchedule.replayed(hyper, strategy, eval_every)
         assert pooled == inline == replay
         for k in replay_final:
             assert pooled_final[k].params.tobytes() == inline_final[k].params.tobytes() == replay_final[k].params.tobytes()
-        expected = self.look_aheads(hyper, eval_every)
+        expected = self.look_aheads(hyper)
         assert submitted == expected
-        assert bool(expected) == (eval_every > 1 and rounds > 1 and 2 * hyper.senders_per_round < hyper.num_clients)
+        assert sorted(expected) == sorted((r, s) for r in range(1, rounds + 1) for s in self.plans(hyper)[r].senders)
+        assert bool(expected) == (rounds > 0)
+        if rounds:  # round 1's updates go behind the initial record's evaluations, one a client at least
+            first = kinds.index("update")
+            assert set(kinds[:first]) == {"evaluation"} and first >= hyper.num_clients
+
+    def test_the_k6_q2_case_has_free_and_busy_next_round_senders_in_a_round(self):
+        """Some round leaves one of the next round's senders free (started at its start) and holds the other
+        in a pair (started after that pair), and some such pair is a round's first pair."""
+        (rounds, _, overrides), = [case for case, name in zip(self.CASES, self.IDS) if name == "k6-q2"]
+        plans = self.plans(tiny_hyper(rounds=rounds, **overrides))
+        busy = [[s in plan.senders + plan.receivers for s in following.senders]
+                for plan, following in zip(plans[1:], plans[2:])]
+        assert [True, False] in busy or [False, True] in busy
+        assert any(set(following.senders) & set(plan.pairs()[0]) for plan, following in zip(plans[1:], plans[2:]))
 
     def test_a_wide_pool_under_a_short_switch_interval_gives_the_inline_bits(self, monkeypatch):
-        """Five pool threads on this host's cores and thread switches every microsecond; four look-aheads."""
+        """Five pool threads on this host's cores and thread switches every microsecond; seven look-aheads."""
         hyper = tiny_hyper(rounds=7)
-        assert len(self.look_aheads(hyper, eval_every=10)) == 4
+        assert len(self.look_aheads(hyper)) == 7
 
         def run():
             return run_experiment(SPEC, hyper, FusionStrategy.DEFKT, experiment_states(hyper),
@@ -1123,33 +1174,68 @@ class TestSenderLookahead:
             assert timeline == inline
             assert all(final[k].params.tobytes() == inline_final[k].params.tobytes() for k in inline_final)
 
-    def test_an_error_in_a_round_is_raised_before_the_next_rounds_pooled_one(self, forced_pool, monkeypatch):
-        """Round 4's inline update raises while round 5's update, started early on the pool, raises too."""
-        hyper = tiny_hyper(rounds=7)
-        assert (5, 4) in self.look_aheads(hyper, eval_every=10)  # round 4's pair is (3, 1)
-        seeded = {(r, k): derive_rng(hyper.seed, LOCAL_STREAM, r, k).bit_generator.state for r, k in [(4, 3), (5, 4)]}
-        started, running = threading.Event(), []
+    @staticmethod
+    def fail_in_order(monkeypatch, hyper: HyperParams, fusion: tuple[int, int], update: tuple[int, int]) -> None:
+        """In a defkt run, the update (round, client) `update`, started early on a pool thread, raises, and the
+        fusion (round, receiver) `fusion` of an earlier round raises while that update runs; the fusion's
+        error is the one raised, and no task is left running.
 
-        def failing(client, spec, batch_size, passes, lr, momentum, rng, reduction):
-            if rng.bit_generator.state == seeded[5, 4]:
-                assert threading.current_thread() is not threading.main_thread()
-                started.set()
+        The update's submission waits until a pool thread has started it, so the trainer cannot take it
+        over, and the update runs until the fusion raises."""
+        fusing = derive_rng(hyper.seed, MKT_STREAM, *fusion).bit_generator.state
+        updating = derive_rng(hyper.seed, LOCAL_STREAM, *update).bit_generator.state
+        started, raised, running, threads = threading.Event(), threading.Event(), [], []
+
+        class Started(metrics.Task):
+            def __init__(self, pool, fn, *args):
+                super().__init__(pool, fn, *args)
+                if fn is federation._sender_update and (args[2], args[1]) == update:
+                    assert started.wait(10)
+
+        def failing_update(client, spec, batch_size, passes, lr, momentum, rng, reduction):
+            if rng.bit_generator.state == updating:
+                threads.append(threading.current_thread())
                 running.append(True)
+                started.set()
+                raised.wait(10)
                 time.sleep(0.05)
                 running.pop()
-                raise NumericalError("round 5 diverged")
-            if rng.bit_generator.state == seeded[4, 3]:
-                assert started.wait(10)
-                raise NumericalError("round 4 diverged")
+                raise NumericalError("update diverged")
             return local_update(client, spec, batch_size, passes, lr, momentum, rng, reduction)
 
-        monkeypatch.setattr(federation, "local_update", failing)
+        def failing_fusion(received, local, data, spec, batch_size, passes, lr_r, lr_l, momentum, rng, *rest):
+            if rng.bit_generator.state == fusing:
+                assert started.is_set() and running == [True]
+                raised.set()
+                raise NumericalError("fusion diverged")
+            return fuse_defkt(received, local, data, spec, batch_size, passes, lr_r, lr_l, momentum, rng, *rest)
+
+        monkeypatch.setattr(federation, "Task", Started)
+        monkeypatch.setattr(federation, "local_update", failing_update)
+        monkeypatch.setattr(federation, "fuse_defkt", failing_fusion)
         before = threading.active_count()
-        with pytest.raises(NumericalError, match="^round 4, client 3: round 4 diverged$"):
-            run_experiment(SPEC, hyper, FusionStrategy.FULLAVG, experiment_states(hyper),
+        with pytest.raises(NumericalError, match=f"^round {fusion[0]}, client {fusion[1]}: fusion diverged$"):
+            run_experiment(SPEC, hyper, FusionStrategy.DEFKT, experiment_states(hyper),
                            TestRecordSchedule.TEST_DATA, eval_every=10)
+        assert raised.is_set()
+        assert len(threads) == 1 and threads[0] is not threading.main_thread()
         assert running == []
         assert threading.active_count() == before
+
+    def test_an_error_in_a_round_is_raised_before_the_next_rounds_pooled_one(self, forced_pool, monkeypatch):
+        """Round 4's fusion raises while round 5's update, started at round 4's start, raises too."""
+        hyper = tiny_hyper(rounds=7)
+        plans = self.plans(hyper)
+        assert (plans[4].senders, plans[4].receivers, plans[5].senders) == ((3,), (1,), (4,))
+        self.fail_in_order(monkeypatch, hyper, fusion=(4, 1), update=(5, 4))
+
+    def test_a_pairs_error_is_raised_before_an_update_submitted_after_the_pair_before(self, forced_pool, monkeypatch):
+        """At Q=2, round r+1's update submitted right after round r's first pair raises, and round r's second
+        pair raises while it runs: the second pair's error is raised."""
+        hyper = tiny_hyper(rounds=7, num_clients=6, senders_per_round=2)
+        plans = self.plans(hyper)
+        r, s = next((r, s) for r in range(1, hyper.rounds) for s in plans[r + 1].senders if s in plans[r].pairs()[0])
+        self.fail_in_order(monkeypatch, hyper, fusion=(r, plans[r].receivers[1]), update=(r + 1, s))
 
     def test_updates_below_the_gate_stay_inline(self, monkeypatch):
         """With the pool open for the test set only, no update is submitted as a task."""
@@ -1173,7 +1259,7 @@ class TestSenderLookahead:
         shards = [data.subset(np.arange(i, len(data), 6)) for i in range(6)]  # 50 rows each, 40 to train on
         test = synth_dataset(10, 2, spec.input_dim, seed=2)
         assert 40 * spec.macs_per_row < metrics.PARALLEL_EVAL_WORK <= 40 * spec.train_macs_per_row
-        assert self.look_aheads(hyper, eval_every=10)
+        assert self.look_aheads(hyper)
 
         def run(cpus: int):
             monkeypatch.setattr(metrics.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
