@@ -35,11 +35,12 @@ from pathlib import Path
 
 import numpy as np
 
+from . import blas
 from .data import SPLIT_MIN_ROWS, Dataset, DatasetView, Rows, label_counts, load_idx, partition, synth_dataset
 from .errors import NONNEGATIVE_FINITE, SEED, ConfigurationError, DefktError, LoadError, Rule, at_least, check, one_of
 from .federation import FusionStrategy, HyperParams, build_client_states, run_experiment
 from .metrics import atomic_open, emit_csv, evaluate
-from .nn import ModelSpec, param_count, segment_cut
+from .nn import ModelSpec, segment_cut
 from .seeding import derive_rng, derive_seed
 
 DATASETS = ("mnist", "fashion-mnist", "synthetic")
@@ -335,8 +336,8 @@ def load_model(path: str, spec: ModelSpec) -> np.ndarray:
                 raise LoadError(f"{path}: truncated fingerprint")
             if fingerprint != spec_fingerprint(spec):
                 raise LoadError(f"{path}: model fingerprint does not match the configured architecture")
-            if length != param_count(spec):
-                raise LoadError(f"{path}: parameter count {length} != expected {param_count(spec)}")
+            if length != spec.param_count:
+                raise LoadError(f"{path}: parameter count {length} != expected {spec.param_count}")
             payload = fh.read(8 * length)
             if len(payload) != 8 * length:
                 raise LoadError(f"{path}: truncated payload")
@@ -350,7 +351,7 @@ def load_model(path: str, spec: ModelSpec) -> np.ndarray:
 # ------------------------------- subcommands ------------------------------- #
 
 def _metadata(hyper: RunConfig, strategy: FusionStrategy, spec: ModelSpec) -> dict:
-    total = param_count(spec)
+    total = spec.param_count
     meta = asdict(hyper)
     meta.update(strategy=strategy.value, param_count=total, segment_split_index=segment_cut(total))
     return meta
@@ -458,7 +459,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand with one BLAS thread (blas.pin), so its bits do not depend on the host's CPU count."""
     args = build_parser().parse_args(argv)
+    blas.pin()
     try:
         config = parse_config(args)
         if args.command == "run":

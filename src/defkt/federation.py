@@ -437,39 +437,30 @@ def run_experiment(
     eval_every rounds, and at the final round. Returns the metrics
     timeline and the final client states.
 
-    Rounds run pair by pair, as in run_round. select_round is a pure
-    function of the round, and each round's plan is drawn once, in round
-    order: when a record's window of rounds (previous record, this record]
-    opens, its plans and the next round's are drawn. A client is added to
-    the record (see metrics.Record) as soon as its state for the record is
-    final: when the window opens if no round of the window touches it, else
-    right after the last pair that does. Its evaluations go to one pool
-    opened for the run, which also takes fuse_defkt's local-model halves,
-    and training goes straight on; the record is collected at the next
-    record point or after the final round. So the final record waits only
-    on the last round's pairs. The timeline is bitwise that of evaluating
-    each record in place. Input errors a record would raise are raised
-    before round 1; an error in a pooled evaluation is raised when its
-    record is collected, after the pool is joined.
+    Every round's plan is drawn first, once and in round order, and each
+    round's pairs run in turn as in run_round. A record's evaluations
+    (metrics.Record), fuse_defkt's local-model halves and the senders'
+    updates are tasks on one pool opened for the run. A task reads a
+    client's state only once it is final, by one rule: round 0 is the run's
+    start and touches no one; when round t opens, the record whose window
+    (rounds t to the next record point) starts there adds the clients that
+    window leaves untouched, then the round-(t+1) updates of senders that
+    round t leaves free are submitted; after each pair of round t, its
+    clients' round-(t+1) updates are submitted, then the record adds those
+    of its clients whose last touch in the window is round t. So an update
+    runs at most a round ahead (at most 2Q are outstanding), and a record
+    is collected once the next window has run, or after the final round.
 
-    Look-ahead: a sender's update for round t reads only its state for
-    round t and its own stream, so it goes to the pool as a task once that
-    state is final and round t-1 has started: at the start of the run for
-    round 1, at the start of round t-1 if that round does not touch the
-    sender, else right after the sender's pair in round t-1, ahead of that
-    pair's record evaluations. Plans are drawn a round past each record
-    window for this, so look-ahead crosses windows, and at most 2Q updates
-    are outstanding. Where a round opens a record's window, the run's start
-    included, the evaluations of the clients added then go first (ahead of
-    the initial record, round 1's updates ran beside each other and raised
-    cnn-pairs' peak memory). The task is taken in the sender's turn; while
-    a pool thread still makes it, the trainer takes over queued tasks
-    rather than wait: the other updates, oldest first, then records'
-    evaluations. Updates go to the pool only if min(local_batch_size,
-    largest training set) rows x spec.train_macs_per_row, a training step's
-    work, reach the gate (metrics.pool_for); otherwise each runs in its
-    turn. Errors are raised in round and pair order, and no task outlives
-    the call.
+    A sender's update is taken in its turn; while a pool thread still makes
+    it, the trainer takes over queued tasks rather than wait: the other
+    updates, oldest first, then records' evaluations. Updates go to the
+    pool only if min(local_batch_size, largest training set) rows x
+    spec.train_macs_per_row, a training step's work, reach the gate
+    (metrics.pool_for); otherwise each runs in its turn. The timeline is
+    bitwise that of evaluating each record in place. Input errors a record
+    would raise are raised before round 1, an error in a pooled evaluation
+    when its record is collected, and errors in round and pair order; no
+    task outlives the call.
     """
     check("eval_every", eval_every, at_least(1))
     states = dict(clients)
@@ -479,56 +470,46 @@ def run_experiment(
     update_work = min(hyper.local_batch_size, largest_train) * spec.train_macs_per_row
     fusion_rows = min(hyper.mkt_batch_size, largest_train) if strategy is FusionStrategy.DEFKT else 0
     fusion_work = fusion_rows * spec.macs_per_row
+    points = [*range(0, hyper.rounds, eval_every), hyper.rounds]
+    plans = [RoundPlan(0, (), ())]  # plans[t] is round t's plan; round 0 is the run's start and touches no one
+    plans += [select_round(hyper.num_clients, hyper.senders_per_round, t, hyper.seed)
+              for t in range(1, hyper.rounds + 1)]
+    timeline, pending = [], []  # pending: (round, record, scalars) of each record not yet collected
+    updates = {}  # sender -> the task making its next update, in submission order
     with evaluation_pool(spec, states, test_data, max(update_work, fusion_work)) as pool:
         update_pool = pool_for(pool, update_work)
-        plans = [RoundPlan(0, (), ())]  # plans[r] is round r's plan; the run's start is a round 0 that touches no one
 
-        def draw(through: int) -> None:
-            for r in range(len(plans), min(through, hyper.rounds) + 1):
-                plans.append(select_round(hyper.num_clients, hyper.senders_per_round, r, hyper.seed))
+        def submit_update(s: int) -> None:
+            """Submit sender s's update for round t + 1 (t is the round that runs)."""
+            updates[s] = Task(update_pool, _sender_update, states[s], s, t + 1, hyper, spec, reduction)
 
-        updates = {}  # sender -> the task making its next update, in submission order
-
-        def look_ahead(plan: RoundPlan, ready) -> None:
-            """Submit the updates of the round after `plan` whose senders `ready` holds, in that round's order."""
-            if update_pool is not None and plan.round_index < hyper.rounds:
-                following = plans[plan.round_index + 1]
-                for s in following.senders:
-                    if ready(s):
-                        updates[s] = Task(update_pool, _sender_update, states[s], s, following.round_index,
-                                          hyper, spec, reduction)
-
-        def collect(round_index: int, record: Record, scalars: int) -> MetricsRecord:
-            return MetricsRecord(round_index, strategy.value, hyper.seed, *record.collect(), scalars)
-
-        timeline, pending, done = [], None, 0
-        for point in [*range(0, hyper.rounds, eval_every), hyper.rounds]:
-            draw(point + 1)
-            window = plans[done + 1:point + 1]
-            last_touch = {k: plan.round_index for plan in window for pair in plan.pairs() for k in pair}
-            record = Record(pool, spec, test_data, len(states))
-            for k in sorted(states.keys() - last_touch.keys()):
-                record.add(k, states[k])
-            if pending is None:  # the run's start, behind the initial record's evaluations
-                look_ahead(plans[0], lambda s: True)
-            for plan in window:
-                busy = plan.senders + plan.receivers
-                look_ahead(plan, lambda s: s not in busy)
-                for pair in plan.pairs():
-                    sender_id, receiver_id = pair
-                    if sender_id in updates:
-                        task = updates.pop(sender_id)
-                        sender = task.result([*(pending[1].tasks if pending else ()), *record.tasks,
-                                              *reversed(updates.values())])
-                    else:
-                        sender = _sender_update(states[sender_id], sender_id, plan.round_index, hyper, spec, reduction)
-                    _fuse_pair(states, sender_id, receiver_id, sender, plan.round_index, strategy, hyper, spec, comm,
-                               reduction, pool)
-                    look_ahead(plan, lambda s: s in pair)
-                    for k in sorted(k for k in pair if last_touch[k] == plan.round_index):
-                        record.add(k, states[k])
-            if pending is not None:
-                timeline.append(collect(*pending))
-            pending, done = (point, record, comm.total_scalars), point
-        timeline.append(collect(*pending))
+        for t, plan in enumerate(plans):
+            if t == 0 or t - 1 in points:  # a record's window, rounds t to the next record point, opens
+                window = plans[t:next(p for p in points if p >= t) + 1]
+                last_touch = {k: r.round_index for r in window for k in r.senders + r.receivers}
+                record = Record(pool, spec, test_data, len(states))
+                for k in sorted(states.keys() - last_touch.keys()):
+                    record.add(k, states[k])
+            following = plans[t + 1].senders if update_pool is not None and t < hyper.rounds else ()
+            for s in following:
+                if s not in plan.senders + plan.receivers:
+                    submit_update(s)
+            for pair in plan.pairs():
+                sender_id, receiver_id = pair
+                if sender_id in updates:
+                    helping = [task for _, before, _ in pending for task in before.tasks]
+                    sender = updates.pop(sender_id).result([*helping, *record.tasks, *reversed(updates.values())])
+                else:
+                    sender = _sender_update(states[sender_id], sender_id, t, hyper, spec, reduction)
+                _fuse_pair(states, sender_id, receiver_id, sender, t, strategy, hyper, spec, comm, reduction, pool)
+                for s in following:
+                    if s in pair:
+                        submit_update(s)
+                for k in sorted(k for k in pair if last_touch[k] == t):
+                    record.add(k, states[k])
+            if t in points:  # the record is complete: the one before it is collected, and at the end this one too
+                pending.append((t, record, comm.total_scalars))
+                while len(pending) > (t < hyper.rounds):
+                    r, done, scalars = pending.pop(0)
+                    timeline.append(MetricsRecord(r, strategy.value, hyper.seed, *done.collect(), scalars))
     return timeline, states

@@ -13,11 +13,8 @@ environment:
 
 from __future__ import annotations
 
-import ctypes
-import glob
 import hashlib
 import json
-import os
 import sys
 import tempfile
 from contextlib import contextmanager, nullcontext
@@ -27,9 +24,7 @@ HERE = Path(__file__).resolve().parent
 GOLDEN_FILE = HERE / "golden_digests.json"
 sys.path.insert(0, str(HERE.parent / "src"))
 
-import numpy as np  # noqa: E402
-
-from defkt import cli, metrics  # noqa: E402
+from defkt import blas, cli, metrics  # noqa: E402
 from defkt.data import partition_iid, synth_dataset  # noqa: E402
 from defkt.federation import FusionStrategy, HyperParams, build_client_states, run_experiment  # noqa: E402
 from defkt.metrics import emit_csv  # noqa: E402
@@ -61,17 +56,8 @@ CONFIGS = {
 
 
 def environment_key() -> str:
-    """What decides float64 bits: numpy build, OpenBLAS runtime kernel, BLAS thread count."""
-    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
-    runtime = f"{blas.get('name')} {blas.get('version')}"
-    for lib_path in glob.glob(str(Path(np.__file__).parent.parent / "numpy.libs" / "libscipy_openblas*.so*")):
-        try:
-            get_config = ctypes.CDLL(lib_path).scipy_openblas_get_config64_
-        except (OSError, AttributeError):
-            continue
-        get_config.restype = ctypes.c_char_p
-        runtime = get_config().decode()
-    return f"numpy {np.__version__}; {runtime}; OPENBLAS_NUM_THREADS={os.environ.get('OPENBLAS_NUM_THREADS')}"
+    """What decides float64 bits: numpy build, OpenBLAS runtime kernel, BLAS thread count (defkt.blas)."""
+    return blas.environment_key()
 
 
 def sha256(data: bytes) -> str:

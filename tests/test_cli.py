@@ -733,3 +733,55 @@ class TestImportCost:
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["False", "False"]
+
+
+class TestBlasThreads:
+    """`defkt run` pins one BLAS thread itself, so an unpinned run on a multi-core host gives the pinned bytes."""
+
+    # the reference MLP (784-200-200-10) on a small surrogate corpus: its 48-row batches are products
+    # OpenBLAS splits over two threads, which changes final parameters, though not accuracies, at this size
+    REFERENCE = {
+        "dataset": "synthetic", "clients": 10, "senders": 1, "lr": 0.01, "momentum": 0.5, "batch_b1": 200,
+        "batch_b2": 200, "hidden": [200, 200], "eval_every": 1, "rounds": 3,
+        "synthetic": {"classes": 10, "per_class": 60, "dims": 784, "sigma": 0.1, "test_per_class": 10},
+    }
+    # `defkt run` through cli.main, printing the environment key before it to stderr and, after each run,
+    # the key and the final parameters' digests, which no output file holds
+    RUN = (
+        "import hashlib, json, sys\n"
+        "from defkt import blas, cli\n"
+        "print(blas.environment_key(), file=sys.stderr)\n"
+        "run_experiment = cli.run_experiment\n"
+        "def digests(*args, **kwargs):\n"
+        "    timeline, states = run_experiment(*args, **kwargs)\n"
+        "    print(blas.environment_key())\n"
+        "    print(json.dumps([hashlib.sha256(states[k].params.tobytes()).hexdigest() for k in sorted(states)]))\n"
+        "    return timeline, states\n"
+        "cli.run_experiment = digests\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n"
+    )
+
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                        reason="needs two usable CPUs: with one, OpenBLAS starts one thread whatever the environment")
+    def test_an_unpinned_run_gives_the_pinned_bytes(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(self.REFERENCE))
+        src = str(Path(defkt.__file__).resolve().parents[1])
+        unset = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+        base = {k: v for k, v in os.environ.items() if k not in unset}
+        base["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        runs = {}
+        for name, env in (("unpinned", base), ("pinned", dict(base, OPENBLAS_NUM_THREADS="1"))):
+            (tmp_path / name).mkdir()
+            proc = subprocess.run(
+                [sys.executable, "-c", self.RUN, "run", "--config", str(config), "--out", "out", "--strategy", "all"],
+                cwd=tmp_path / name, capture_output=True, text=True, env=env, timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr
+            files = {path.name: path.read_bytes() for path in sorted((tmp_path / name / "out").iterdir())}
+            runs[name] = proc.stdout, files, proc.stderr
+        (stdout, files, imported), (pinned_stdout, pinned_files, _) = runs["unpinned"], runs["pinned"]
+        assert not imported.strip().endswith("OPENBLAS_NUM_THREADS=1"), imported  # importing defkt pins nothing
+        assert stdout.count("OPENBLAS_NUM_THREADS=1\n") == 3  # every run ran pinned
+        assert len(files) == 6 and files == pinned_files
+        assert stdout == pinned_stdout

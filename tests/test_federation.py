@@ -1,12 +1,15 @@
 """Protocol tests: round selection, local updates, the three fusions, full runs."""
 
+import functools
 import os
+import random
 import subprocess
 import sys
 import threading
 import time
 import tracemalloc
 import weakref
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from pathlib import Path
@@ -39,6 +42,7 @@ from defkt.metrics import MetricsRecord, evaluate, global_accuracy, local_accura
 from defkt.nn import Batch, ModelSpec, forward, init_params, param_count, sgd_step
 from defkt.seeding import derive_rng
 
+import schedules
 from oracles import ComputeProbe, RecordingLog, backward, combo_by_formula, fullavg_by_formula, whole_record
 
 
@@ -1104,33 +1108,83 @@ class TestSenderLookahead:
                 expected += [(r, s) for s in following.senders if s in pair]
         return expected
 
+    @classmethod
+    def task_order(cls, hyper: HyperParams, strategy: FusionStrategy, eval_every: int) -> list[tuple]:
+        """(kind, round, client) of each task in submission order, with every task pooled, from the plans alone.
+
+        When round t opens, the record whose window starts there (rounds t to the next record point;
+        round 0 is the run's start and touches no one) adds the clients that window leaves untouched,
+        then the round-(t + 1) updates of senders that round t leaves free go. After each pair of
+        round t (whose defkt fusion submits its halves, "half", t, receiver), its clients' round-(t + 1)
+        updates go, then the record adds those of its clients whose last touch in the window is round t.
+        Adding client k for the record of round p submits ("test", p, k), unless k still holds the
+        initial vector and a client added before it to that record does too, then ("validation", p, k)."""
+        plans, points = cls.plans(hyper), TestRecordSchedule.record_points(hyper.rounds, eval_every)
+        order, touched = [], set()  # the clients some pair has touched so far
+
+        def add(k: int) -> None:
+            if k in touched or not initial_tested:
+                order.append(("test", point, k))
+            order.append(("validation", point, k))
+
+        for t, plan in enumerate(plans):
+            if t == 0 or t - 1 in points:
+                point = min(p for p in points if p >= t)
+                last_touch = {k: r for r in range(t, point + 1) for k in plans[r].senders + plans[r].receivers}
+                initial_tested = False
+                for k in sorted(set(range(1, hyper.num_clients + 1)) - last_touch.keys()):
+                    add(k)
+                    initial_tested = initial_tested or k not in touched
+            following = plans[t + 1].senders if t < hyper.rounds else ()
+            order += [("update", t + 1, s) for s in following if s not in plan.senders + plan.receivers]
+            for pair in plan.pairs():
+                order += [("half", t, pair[1])] if strategy is FusionStrategy.DEFKT else []
+                touched.update(pair)
+                order += [("update", t + 1, s) for s in following if s in pair]
+                for k in sorted(k for k in pair if last_touch[k] == t):
+                    add(k)
+        return order
+
     @pytest.mark.parametrize("strategy", list(FusionStrategy))
     @pytest.mark.parametrize("case", CASES, ids=IDS)
     def test_pooled_look_ahead_equals_the_inline_run_and_the_replay(self, case, strategy, monkeypatch):
         rounds, eval_every, overrides = case
         hyper = tiny_hyper(rounds=rounds, **overrides)
 
-        def run():
-            return run_experiment(SPEC, hyper, strategy, experiment_states(hyper), TestRecordSchedule.TEST_DATA,
-                                  eval_every=eval_every)
+        def run(clients):
+            return run_experiment(SPEC, hyper, strategy, clients, TestRecordSchedule.TEST_DATA, eval_every=eval_every)
 
-        inline, inline_final = run()
+        inline, inline_final = run(experiment_states(hyper))
+        replay, replay_final = TestRecordSchedule.replayed(hyper, strategy, eval_every)
         monkeypatch.setattr(metrics, "PARALLEL_EVAL_WORK", 0)
         monkeypatch.setattr(metrics.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        submitted, kinds = [], []  # (round, sender) of each update submitted as a task; each task's kind
+        submitted = []  # (round, sender) of each update submitted as a task
+        log = []  # (kind, round, client) of each task; evaluations' rounds are filled in below
+        clients = experiment_states(hyper)
+        owner = {id(c.data.validation): k for k, c in clients.items()}
+        fusing = [None]  # (round, receiver) of the pair whose fusion runs
+        fuse_pair = federation._fuse_pair
+
+        def logged_pair(states, sender_id, receiver_id, sender, round_index, *args):
+            fusing[0] = round_index, receiver_id
+            fuse_pair(states, sender_id, receiver_id, sender, round_index, *args)
 
         class Recording(metrics.Task):
             def __init__(self, pool, fn, *args):
                 if fn is federation._sender_update:
                     submitted.append((args[2], args[1]))
-                kinds.append("update" if fn is federation._sender_update else
-                             "evaluation" if fn is metrics.evaluate else "half")
+                    log.append(("update", args[2], args[1]))
+                elif fn is metrics.evaluate:
+                    data = id(args[2])
+                    log.append(("validation", None, owner[data]) if data in owner else ("test", None, None))
+                else:
+                    log.append(("half", *fusing[0]))
                 super().__init__(pool, fn, *args)
 
         monkeypatch.setattr(federation, "Task", Recording)
         monkeypatch.setattr(metrics, "Task", Recording)
-        pooled, pooled_final = run()
-        replay, replay_final = TestRecordSchedule.replayed(hyper, strategy, eval_every)
+        monkeypatch.setattr(federation, "_fuse_pair", logged_pair)
+        pooled, pooled_final = run(clients)
         assert pooled == inline == replay
         for k in replay_final:
             assert pooled_final[k].params.tobytes() == inline_final[k].params.tobytes() == replay_final[k].params.tobytes()
@@ -1138,9 +1192,21 @@ class TestSenderLookahead:
         assert submitted == expected
         assert sorted(expected) == sorted((r, s) for r in range(1, rounds + 1) for s in self.plans(hyper)[r].senders)
         assert bool(expected) == (rounds > 0)
+        kinds = ["evaluation" if kind in ("test", "validation") else kind for kind, _, _ in log]
         if rounds:  # round 1's updates go behind the initial record's evaluations, one a client at least
             first = kinds.index("update")
             assert set(kinds[:first]) == {"evaluation"} and first >= hyper.num_clients
+        # each evaluation's record is the client's next record point; a test-set task's client is that of the
+        # validation task submitted right after it; a fusion's halves are one entry
+        points, records, tasks = TestRecordSchedule.record_points(rounds, eval_every), Counter(), []
+        for i, (kind, r, k) in enumerate(log):
+            if kind == "validation":
+                r, records[k] = points[records[k]], records[k] + 1
+            elif kind == "test":
+                _, _, k = log[i + 1]
+                r = points[records[k]]
+            tasks += [] if tasks and kind == "half" and tasks[-1] == (kind, r, k) else [(kind, r, k)]
+        assert tasks == self.task_order(hyper, strategy, eval_every)
 
     def test_the_k6_q2_case_has_free_and_busy_next_round_senders_in_a_round(self):
         """Some round leaves one of the next round's senders free (started at its start) and holds the other
@@ -1275,3 +1341,77 @@ class TestSenderLookahead:
         assert any(thread is not threading.main_thread() for thread in threads)
         assert pooled == inline
         assert all(pooled_final[k].params.tobytes() == inline_final[k].params.tobytes() for k in inline_final)
+
+
+class TestScheduleExplorer:
+    """Seeded pool schedules (tests/schedules.py) give the inline run's timeline and bits, or its error.
+
+    The inline run's timeline and bits are also the serial reference's, replayed round by round.
+
+    Every case also leaves no task behind and reaches at least one of the task states the
+    explorer counts: a queued task taken over, a held task waited on with tasks queued, or a
+    task finished before its result was asked for.
+    """
+
+    SEEDS = range(20)
+    ERROR_SEEDS = range(100)
+
+    @staticmethod
+    def run(hyper: HyperParams, strategy: FusionStrategy, eval_every: int):
+        timeline, final = run_experiment(SPEC, hyper, strategy, experiment_states(hyper),
+                                         TestRecordSchedule.TEST_DATA, eval_every=eval_every)
+        return timeline, [final[k].params.tobytes() for k in sorted(final)]
+
+    @staticmethod
+    def explored(monkeypatch, run, seed: int, inline) -> None:
+        exploration = schedules.explore(monkeypatch, run, seed)
+        assert exploration.outcome == inline, f"seed {seed}, schedule {exploration.schedule}"
+        assert len(exploration.pools) == 1 and exploration.pools[0].idle()
+        assert any(exploration.reached()[state] for state in schedules.STATES), f"seed {seed} reached no state"
+
+    @pytest.mark.parametrize("strategy", list(FusionStrategy))
+    @pytest.mark.parametrize("case", TestRecordSchedule.CASES, ids=TestRecordSchedule.IDS)
+    def test_every_schedule_gives_the_inline_timeline_and_bits(self, case, strategy, monkeypatch):
+        rounds, eval_every, overrides = case
+        hyper = tiny_hyper(rounds=rounds, **overrides)
+        run = functools.partial(self.run, hyper, strategy, eval_every)
+        timeline, states = TestRecordSchedule.replayed(hyper, strategy, eval_every)
+        replay = "value", (timeline, [states[k].params.tobytes() for k in sorted(states)])
+        assert schedules.outcome(run) == replay
+        for seed in self.SEEDS:
+            self.explored(monkeypatch, run, seed, replay)
+
+    @staticmethod
+    def failing(monkeypatch, hyper: HyperParams, seed: int) -> None:
+        """The fusion of a seeded pair of a seeded round r raises, and so do both updates of round r + 1.
+
+        So the inline run raises the fusion's error, while the round-(r + 1) updates that a pooled run starts
+        or takes over during round r raise too."""
+        plans, rng = TestSenderLookahead.plans(hyper), random.Random(seed)
+        r = rng.randrange(1, hyper.rounds)
+        fusions = {repr(derive_rng(hyper.seed, MKT_STREAM, r, rng.choice(plans[r].receivers)).bit_generator.state)}
+        updates = {repr(derive_rng(hyper.seed, LOCAL_STREAM, r + 1, s).bit_generator.state)
+                   for s in plans[r + 1].senders}
+
+        def failing_update(client, spec, batch_size, passes, lr, momentum, rng, reduction):
+            if repr(rng.bit_generator.state) in updates:
+                raise NumericalError("update diverged")
+            return local_update(client, spec, batch_size, passes, lr, momentum, rng, reduction)
+
+        def failing_fusion(received, local, data, spec, batch_size, passes, lr_r, lr_l, momentum, rng, *rest):
+            if repr(rng.bit_generator.state) in fusions:
+                raise NumericalError("fusion diverged")
+            return fuse_defkt(received, local, data, spec, batch_size, passes, lr_r, lr_l, momentum, rng, *rest)
+
+        monkeypatch.setattr(federation, "local_update", failing_update)
+        monkeypatch.setattr(federation, "fuse_defkt", failing_fusion)
+
+    @pytest.mark.parametrize("seed", ERROR_SEEDS)
+    def test_every_schedule_raises_the_inline_runs_error(self, seed, monkeypatch):
+        hyper = tiny_hyper(rounds=7, num_clients=6, senders_per_round=2, seed=seed)
+        self.failing(monkeypatch, hyper, seed)
+        run = functools.partial(self.run, hyper, FusionStrategy.DEFKT, 10)
+        inline = schedules.outcome(run)
+        kind, (error, message) = inline
+        assert kind == "error" and error is NumericalError and message.endswith("fusion diverged")
+        self.explored(monkeypatch, run, seed, inline)
