@@ -350,15 +350,17 @@ def load_model(path: str, spec: ModelSpec) -> np.ndarray:
 
 # ------------------------------- subcommands ------------------------------- #
 
-def _metadata(hyper: RunConfig, strategy: FusionStrategy, spec: ModelSpec) -> dict:
+def _metadata(hyper: RunConfig, strategy: FusionStrategy, spec: ModelSpec, final: dict) -> dict:
+    """The run's settings and the sha256 of each client's final parameters, in client order."""
     total = spec.param_count
     meta = asdict(hyper)
-    meta.update(strategy=strategy.value, param_count=total, segment_split_index=segment_cut(total))
+    meta.update(strategy=strategy.value, param_count=total, segment_split_index=segment_cut(total),
+                final_params_sha256=[hashlib.sha256(final[k].params.tobytes()).hexdigest() for k in sorted(final)])
     return meta
 
 
 def runs(config: RunConfig):
-    """Yield (hyper, strategy, spec, timeline) for each run of `config`, in (seed, strategy) order.
+    """Yield (hyper, strategy, spec, timeline, final states) for each run of `config`, in (seed, strategy) order.
 
     Each seed's corpus, spec and shards are built once and shared by its strategies.
     `run_experiment` is called through this module's name, so a caller may wrap it.
@@ -371,11 +373,11 @@ def runs(config: RunConfig):
         hyper = config.hyper_for(seed)
         for strategy in strategies:
             states = build_client_states(spec, shards, hyper)
-            timeline, _ = run_experiment(
+            timeline, final = run_experiment(
                 spec, hyper, strategy, states, test,
                 eval_every=config.eval_every, reduction=config.reduction,
             )
-            yield hyper, strategy, spec, timeline
+            yield hyper, strategy, spec, timeline, final
 
 
 def cmd_run(config: RunConfig) -> int:
@@ -390,11 +392,11 @@ def cmd_run(config: RunConfig) -> int:
     except OSError as exc:
         raise LoadError(f"{out}: {exc}") from exc
     with np.errstate(all="ignore"):
-        for hyper, strategy, spec, timeline in runs(config):
+        for hyper, strategy, spec, timeline, states in runs(config):
             csv_path = out / f"{strategy.value}_{hyper.seed}.csv"
             emit_csv(timeline, str(csv_path))
             with atomic_open(out / f"{strategy.value}_{hyper.seed}.meta.json") as fh:
-                json.dump(_metadata(hyper, strategy, spec), fh, indent=2, sort_keys=True)
+                json.dump(_metadata(hyper, strategy, spec, states), fh, indent=2, sort_keys=True)
             final = timeline[-1]
             print(
                 f"{strategy.value} seed={hyper.seed}: rounds={final.round} "

@@ -176,7 +176,11 @@ def synth_dataset(
     labels = np.empty(num_classes * per_class, dtype=np.int64)
     for c in range(num_classes):
         block = slice(c * per_class, (c + 1) * per_class)
-        inputs[block] = means[c] + sigma * rng.standard_normal((per_class, dims))
+        # sigma * z + mean, bitwise mean + sigma * z. z is drawn into a temporary, not into the
+        # block: freeing one that large raises glibc's mmap and trim thresholds above a parameter
+        # vector, which keeps training's vectors in the heap (ROADMAP item 13).
+        np.multiply(sigma, rng.standard_normal((per_class, dims)), out=inputs[block])
+        inputs[block] += means[c]
         labels[block] = c + 1
     return Dataset(inputs, labels, num_classes)
 

@@ -170,10 +170,7 @@ class _Trainee:
 
     Both placements keep glibc from trimming the heap's top between calls,
     which made each call fault its vectors afresh: separate vectors freed
-    together (ref-defkt's round window: about 107,000 faults, against 14,000
-    with one block), or a result allocated before the first forward
-    (cnn-pairs: about 72,000, against 9,000-34,000 with it allocated at the
-    first step).
+    together, or a result allocated before the first forward.
 
     forward keeps a cache only for a step that follows. Without keep
     (fuse_defkt's skipped local step) it runs nn.forward, whose logits are

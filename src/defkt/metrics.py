@@ -57,15 +57,9 @@ EVAL_CHUNK_ROWS = 2048
 # local update goes to the run's pool; a run whose largest task falls below
 # it opens none. An evaluation or a fusion half counts rows x
 # spec.macs_per_row, a local update its batch rows x spec.train_macs_per_row.
-# Sized when each call opened its own pool: with one BLAS thread on 2 cores,
-# ten threaded evaluations took 1.3x the serial time at 3e6, broke even near
-# 1e7 and took 0.7x at 2.4e7 (a reference-MLP validation set) and 0.5x at 2e8
-# (its 1,000-row test set). Below it stay hetero-sweep's 32x32 MLP (7e5 on
-# its test set, 1.5e5 a local update), the README quick-start's validation
-# sets (1.4e6), cnn-small on 10 rows (1.9e6) and cnn-pairs' 40-row fusion
-# halves (7.7e6); above it are the quick-start's test set (1.8e7), cnn-small
-# on 100 rows (1.9e7), cnn-pairs' 40-row local updates (2.1e7), the
-# reference MLP's 200-row fusion halves (4e7) and its local updates (8.8e7).
+# Below it a threaded task costs more than it saves, so hetero-sweep's 32x32
+# MLP and cnn-pairs' fusion halves stay inline (ROADMAP item 1 lists what
+# falls on each side).
 PARALLEL_EVAL_WORK = 10_000_000
 # Entries of a parameter vector in its record key (see Record).
 KEY_SAMPLES = 64

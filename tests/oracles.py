@@ -11,8 +11,9 @@ import time
 
 import numpy as np
 
-from defkt.data import Dataset
+from defkt.data import Dataset, class_means
 from defkt.federation import CommLog
+from defkt.seeding import derive_rng
 
 
 def central_difference(f, x: np.ndarray, coords, h: float = 1e-5) -> dict[int, float]:
@@ -62,6 +63,14 @@ def row_multiset(dataset) -> list[bytes]:
     return sorted(
         rows.inputs[i].tobytes() + int(rows.labels[i]).to_bytes(8, "little") for i in range(len(rows))
     )
+
+
+def synth_by_formula(num_classes: int, per_class: int, dims: int, seed: int, sigma: float):
+    """synth_dataset's (inputs, labels) by its per-class formula, on the same derive_rng(seed) stream."""
+    rng, means = derive_rng(seed), class_means(num_classes, dims)
+    blocks = [means[c] + sigma * rng.standard_normal((per_class, dims)) for c in range(num_classes)]
+    labels = [c + 1 for c in range(num_classes) for _ in range(per_class)]
+    return np.concatenate(blocks), np.array(labels, dtype=np.int64)
 
 
 def copying_subset(dataset: Dataset, indices) -> Dataset:

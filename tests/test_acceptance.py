@@ -318,7 +318,7 @@ def test_criterion_7_noniid_ordering_and_stability():
         }
     )
     stats = {}
-    for hyper, strategy, _, timeline in runs(config):
+    for hyper, strategy, _, timeline, _ in runs(config):
         window = np.array([r.global_acc for r in timeline[-20:]])
         stats.setdefault(hyper.seed, {})[strategy] = (float(window.mean()), float(window.std()))
     mean_wins = 0
@@ -351,7 +351,7 @@ def test_criterion_7_noniid_ordering_and_stability():
 def run_learning_sanity(config, label: str):
     finals = {}
     gaps = {}
-    for _, strategy, _, timeline in runs(config):
+    for _, strategy, _, timeline, _ in runs(config):
         final = timeline[-1]
         finals[strategy.value] = final.global_acc
         gaps[strategy.value] = abs(final.global_acc - final.local_acc)

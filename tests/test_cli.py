@@ -2,6 +2,7 @@
 
 import argparse
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -16,7 +17,7 @@ import pytest
 import yaml
 
 import defkt
-from defkt import metrics
+from defkt import cli, metrics
 from defkt.cli import (
     _IDX_NAMES,
     _KEYS,
@@ -359,6 +360,29 @@ class TestCmdRun:
         assert meta["seed"] == 5
         assert meta["strategy"] == "combo"
 
+    def test_metadata_names_the_final_parameters(self, tmp_path, monkeypatch):
+        """final_params_sha256 is the sha256 of each final state's float64 bytes, in client order."""
+        config = write_config(tmp_path, seeds=[2, 3])
+        finals = []
+        run_experiment = cli.run_experiment
+
+        def keep(*args, **kwargs):
+            timeline, states = run_experiment(*args, **kwargs)
+            finals.append(states)
+            return timeline, states
+
+        monkeypatch.setattr(cli, "run_experiment", keep)
+        out = tmp_path / "runs"
+        assert main(["run", "--config", config, "--out", str(out)]) == 0
+        names = [f"{s}_{seed}" for seed in (2, 3) for s in ("defkt", "fullavg", "combo")]
+        assert len(finals) == len(names)
+        for name, states in zip(names, finals):
+            meta = json.loads((out / f"{name}.meta.json").read_text())
+            want = [hashlib.sha256(states[k].params.tobytes()).hexdigest() for k in sorted(states)]
+            assert meta["final_params_sha256"] == want
+        assert len({tuple(json.loads((out / f"{n}.meta.json").read_text())["final_params_sha256"])
+                    for n in names}) == len(names)
+
     def test_csv_strategy_and_seed_columns(self, tmp_path):
         config = write_config(tmp_path, strategy="fullavg", seeds=[9])
         out = tmp_path / "runs"
@@ -685,7 +709,7 @@ class TestSharedStartAcrossStrategies:
         sa = build_client_states(spec, shards_a, config.hyper_for(6))
         sb = build_client_states(spec, shards_b, config.hyper_for(6))
         np.testing.assert_array_equal(sa[1].params, sb[1].params)
-        starts = [timeline[0] for *_, timeline in runs(config)]
+        starts = [timeline[0] for *_, timeline, _ in runs(config)]
         assert [r.strategy for r in starts] == ["defkt", "fullavg", "combo"]
         assert len({(r.round, r.global_acc, r.local_acc, r.scalars_transmitted) for r in starts}) == 1
 
@@ -745,19 +769,18 @@ class TestBlasThreads:
         "batch_b2": 200, "hidden": [200, 200], "eval_every": 1, "rounds": 3,
         "synthetic": {"classes": 10, "per_class": 60, "dims": 784, "sigma": 0.1, "test_per_class": 10},
     }
-    # `defkt run` through cli.main, printing the environment key before it to stderr and, after each run,
-    # the key and the final parameters' digests, which no output file holds
+    # `defkt run` through cli.main, printing the environment key before it to stderr and after each run;
+    # each run's .meta.json holds its final parameters' digests, so comparing the files compares those too
     RUN = (
-        "import hashlib, json, sys\n"
+        "import sys\n"
         "from defkt import blas, cli\n"
         "print(blas.environment_key(), file=sys.stderr)\n"
         "run_experiment = cli.run_experiment\n"
-        "def digests(*args, **kwargs):\n"
-        "    timeline, states = run_experiment(*args, **kwargs)\n"
+        "def keyed(*args, **kwargs):\n"
+        "    result = run_experiment(*args, **kwargs)\n"
         "    print(blas.environment_key())\n"
-        "    print(json.dumps([hashlib.sha256(states[k].params.tobytes()).hexdigest() for k in sorted(states)]))\n"
-        "    return timeline, states\n"
-        "cli.run_experiment = digests\n"
+        "    return result\n"
+        "cli.run_experiment = keyed\n"
         "sys.exit(cli.main(sys.argv[1:]))\n"
     )
 

@@ -25,7 +25,7 @@ from defkt.metrics import evaluate
 from defkt.nn import ModelSpec, init_params
 from defkt.seeding import derive_rng
 
-from oracles import copying_subset, label_histogram, row_multiset
+from oracles import copying_subset, label_histogram, row_multiset, synth_by_formula
 
 
 def idx_image_bytes(images: np.ndarray) -> bytes:
@@ -123,6 +123,19 @@ class TestSynthDataset:
         dists = ((data.inputs[:, None, :] - means[None, :, :]) ** 2).sum(axis=2)
         predicted = dists.argmin(axis=1) + 1
         np.testing.assert_array_equal(predicted, data.labels)
+
+    @pytest.mark.parametrize("num_classes, per_class, dims, sigma", [
+        (10, 600, 784, 0.1),  # the reference corpus
+        (4, 9, 6, 0.0),
+        (3, 8, 1, 1.0),
+        (5, 1, 7, 0.5),
+    ], ids=["reference", "sigma-0", "dims-1", "per-class-1"])
+    def test_rows_are_the_per_class_formula_bit_for_bit(self, num_classes, per_class, dims, sigma):
+        data = synth_dataset(num_classes, per_class, dims, seed=11, sigma=sigma)
+        inputs, labels = synth_by_formula(num_classes, per_class, dims, 11, sigma)
+        assert data.inputs.dtype == inputs.dtype and data.inputs.shape == inputs.shape
+        assert data.inputs.tobytes() == inputs.tobytes()
+        np.testing.assert_array_equal(data.labels, labels)
 
     def test_means_are_distinct_when_classes_exceed_dims(self):
         means = class_means(7, 3)

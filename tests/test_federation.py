@@ -1406,6 +1406,15 @@ class TestScheduleExplorer:
         monkeypatch.setattr(federation, "local_update", failing_update)
         monkeypatch.setattr(federation, "fuse_defkt", failing_fusion)
 
+    def test_waits_on_running_updates_reach_later_rounds(self, monkeypatch):
+        """The trainer waits on a running update with work queued after round 2 too, not only behind the initial record."""
+        hyper = tiny_hyper(rounds=7, num_clients=6, senders_per_round=2)
+        run = functools.partial(self.run, hyper, FusionStrategy.DEFKT, 10)
+        rounds = Counter()
+        for seed in self.SEEDS:
+            rounds += schedules.explore(monkeypatch, run, seed).helped_rounds()
+        assert len([r for r in rounds if r >= 3]) >= 3, rounds
+
     @pytest.mark.parametrize("seed", ERROR_SEEDS)
     def test_every_schedule_raises_the_inline_runs_error(self, seed, monkeypatch):
         hyper = tiny_hyper(rounds=7, num_clients=6, senders_per_round=2, seed=seed)
