@@ -35,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import blas
+from . import __version__, blas
 from .data import SPLIT_MIN_ROWS, Dataset, DatasetView, Rows, label_counts, load_idx, partition, synth_dataset
 from .errors import NONNEGATIVE_FINITE, SEED, ConfigurationError, DefktError, LoadError, Rule, at_least, check, one_of
 from .federation import FusionStrategy, HyperParams, build_client_states, run_experiment
@@ -351,11 +351,13 @@ def load_model(path: str, spec: ModelSpec) -> np.ndarray:
 # ------------------------------- subcommands ------------------------------- #
 
 def _metadata(hyper: RunConfig, strategy: FusionStrategy, spec: ModelSpec, final: dict) -> dict:
-    """The run's settings and the sha256 of each client's final parameters, in client order."""
+    """The run's settings, the sha256 of each client's final parameters in client order, and what decided their
+    bits: the environment key (blas.environment_key) and the package version."""
     total = spec.param_count
     meta = asdict(hyper)
     meta.update(strategy=strategy.value, param_count=total, segment_split_index=segment_cut(total),
-                final_params_sha256=[hashlib.sha256(final[k].params.tobytes()).hexdigest() for k in sorted(final)])
+                final_params_sha256=[hashlib.sha256(final[k].params.tobytes()).hexdigest() for k in sorted(final)],
+                environment_key=blas.environment_key(), version=__version__)
     return meta
 
 

@@ -12,8 +12,8 @@ The whole state trajectory is a pure function of (config, master seed):
 RNG streams are derived per (seed, purpose, round, client), so results do
 not depend on evaluation order or parallel scheduling. A sender's update
 reads only its own latest state and its own stream, so run_experiment
-starts it on the run's pool as soon as that state is final, at most a
-round early, beside the pairs before it.
+submits it as soon as that state is final, at most a round early: on the
+run's pool it trains beside the pairs before it.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 from .data import ClientData, Dataset, Rows, minibatches, train_val_split
 from .errors import NONNEGATIVE_FINITE, SEED, UNIT_INTERVAL, ConfigurationError, NumericalError, Rule, at_least, check
 from .losses import cross_entropy_grad_logits, mutual_loss_grad_logits, softmax
-from .metrics import MetricsRecord, Record, Task, evaluation_pool, pool_for
+from .metrics import MetricsRecord, Record, Task, evaluation_pool
 from .nn import (
     ModelSpec,
     backward_from_cache,
@@ -249,13 +249,12 @@ def fuse_defkt(
     fusions) never holds two caches.
 
     Because the steps are simultaneous, the two models' halves of a
-    minibatch are independent once both predictions are in. With a pool,
-    the local model's half is two tasks (metrics.Task), its forward and then
-    its backward and step, while this thread runs the received model's
-    half. A half goes to the pool only if its rows x spec.macs_per_row reach
-    the gate (metrics.pool_for), this thread makes a task no pool thread has
-    started, and no task outlives the call. The bits are those of the
-    serial loop.
+    minibatch are independent once both predictions are in. The local
+    model's half is two tasks (metrics.Task) of rows x spec.macs_per_row
+    each, its forward and then its backward and step, while this thread
+    runs the received model's half; on `pool` when they reach the gate.
+    This thread makes a task no pool thread has started, and no task
+    outlives the call. The bits are those of the serial loop.
     """
     scratch = np.empty((5, received.size))
     receiving = _Trainee(received, lr_received, momentum, scratch[:2])
@@ -267,13 +266,13 @@ def fuse_defkt(
             last_pass = pass_index == passes - 1
             for count, batch in enumerate(minibatches(receiver_data.train, batch_size, rng), start=1):
                 local_steps = not (last_pass and count * batch_size >= n_train)
-                half_pool = pool_for(pool, len(batch) * spec.macs_per_row)
-                half = Task(half_pool, teaching.forward, spec, batch, local_steps)
+                work = len(batch) * spec.macs_per_row
+                half = Task(pool, work, teaching.forward, spec, batch, local_steps)
                 probs_r = receiving.forward(spec, batch)
                 probs_l = half.result()
                 if local_steps:
                     grad_l = mutual_loss_grad_logits(probs_l, probs_r, batch.labels, reduction)
-                    half = Task(half_pool, teaching.step, spec, grad_l)
+                    half = Task(pool, work, teaching.step, spec, grad_l)
                 receiving.step(spec, mutual_loss_grad_logits(probs_r, probs_l, batch.labels, reduction))
                 half.result()  # the local step, or the forward again when the step is skipped
     finally:
@@ -437,48 +436,43 @@ def run_experiment(
     Every round's plan is drawn first, once and in round order, and each
     round's pairs run in turn as in run_round. A record's evaluations
     (metrics.Record), fuse_defkt's local-model halves and the senders'
-    updates are tasks on one pool opened for the run. A task reads a
-    client's state only once it is final, by one rule: round 0 is the run's
-    start and touches no one; when round t opens, the record whose window
-    (rounds t to the next record point) starts there adds the clients that
-    window leaves untouched, then the round-(t+1) updates of senders that
-    round t leaves free are submitted; after each pair of round t, its
-    clients' round-(t+1) updates are submitted, then the record adds those
-    of its clients whose last touch in the window is round t. So an update
-    runs at most a round ahead (at most 2Q are outstanding), and a record
-    is collected once the next window has run, or after the final round.
+    updates are tasks (metrics.Task), each on the run's pool (if
+    evaluation_pool opens one) when its own work reaches the gate. A task
+    reads a client's state only once it is final, by one rule: round 0 is
+    the run's start and touches no one; when round t opens, the record
+    whose window (rounds t to the next record point) starts there adds the
+    clients that window leaves untouched, then the round-(t+1) updates of
+    senders that round t leaves free are submitted; after each pair of
+    round t, its clients' round-(t+1) updates are submitted, then the
+    record adds those of its clients whose last touch in the window is
+    round t. So an update runs at most a round ahead (at most 2Q are
+    outstanding), and a record is collected once the next window has run,
+    or after the final round.
 
     A sender's update is taken in its turn; while a pool thread still makes
     it, the trainer takes over queued tasks rather than wait: the other
-    updates, oldest first, then records' evaluations. Updates go to the
-    pool only if min(local_batch_size, largest training set) rows x
-    spec.train_macs_per_row, a training step's work, reach the gate
-    (metrics.pool_for); otherwise each runs in its turn. The timeline is
+    updates, oldest first, then records' evaluations. The timeline is
     bitwise that of evaluating each record in place. Input errors a record
-    would raise are raised before round 1, an error in a pooled evaluation
-    when its record is collected, and errors in round and pair order; no
-    task outlives the call.
+    would raise are raised before round 1; any task's error is raised when
+    its result is taken, so errors come in round and pair order; no task
+    outlives the call.
     """
     check("eval_every", eval_every, at_least(1))
     states = dict(clients)
     if comm is None:
         comm = CommLog()
-    largest_train = max(len(s.data.train) for s in states.values())
-    update_work = min(hyper.local_batch_size, largest_train) * spec.train_macs_per_row
-    fusion_rows = min(hyper.mkt_batch_size, largest_train) if strategy is FusionStrategy.DEFKT else 0
-    fusion_work = fusion_rows * spec.macs_per_row
     points = [*range(0, hyper.rounds, eval_every), hyper.rounds]
     plans = [RoundPlan(0, (), ())]  # plans[t] is round t's plan; round 0 is the run's start and touches no one
     plans += [select_round(hyper.num_clients, hyper.senders_per_round, t, hyper.seed)
               for t in range(1, hyper.rounds + 1)]
     timeline, pending = [], []  # pending: (round, record, scalars) of each record not yet collected
     updates = {}  # sender -> the task making its next update, in submission order
-    with evaluation_pool(spec, states, test_data, max(update_work, fusion_work)) as pool:
-        update_pool = pool_for(pool, update_work)
+    with evaluation_pool(spec, states, test_data) as pool:
 
         def submit_update(s: int) -> None:
             """Submit sender s's update for round t + 1 (t is the round that runs)."""
-            updates[s] = Task(update_pool, _sender_update, states[s], s, t + 1, hyper, spec, reduction)
+            work = min(hyper.local_batch_size, len(states[s].data.train)) * spec.train_macs_per_row
+            updates[s] = Task(pool, work, _sender_update, states[s], s, t + 1, hyper, spec, reduction)
 
         for t, plan in enumerate(plans):
             if t == 0 or t - 1 in points:  # a record's window, rounds t to the next record point, opens
@@ -487,17 +481,14 @@ def run_experiment(
                 record = Record(pool, spec, test_data, len(states))
                 for k in sorted(states.keys() - last_touch.keys()):
                     record.add(k, states[k])
-            following = plans[t + 1].senders if update_pool is not None and t < hyper.rounds else ()
+            following = plans[t + 1].senders if t < hyper.rounds else ()
             for s in following:
                 if s not in plan.senders + plan.receivers:
                     submit_update(s)
             for pair in plan.pairs():
                 sender_id, receiver_id = pair
-                if sender_id in updates:
-                    helping = [task for _, before, _ in pending for task in before.tasks]
-                    sender = updates.pop(sender_id).result([*helping, *record.tasks, *reversed(updates.values())])
-                else:
-                    sender = _sender_update(states[sender_id], sender_id, t, hyper, spec, reduction)
+                helping = [task for _, before, _ in pending for task in before.tasks]
+                sender = updates.pop(sender_id).result([*helping, *record.tasks, *reversed(updates.values())])
                 _fuse_pair(states, sender_id, receiver_id, sender, t, strategy, hyper, spec, comm, reduction, pool)
                 for s in following:
                     if s in pair:

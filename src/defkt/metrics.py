@@ -1,20 +1,18 @@
 """Model evaluation, accuracy aggregates over clients, CSV emission.
 
-A record's evaluations (each distinct parameter vector on the shared test
+A record's evaluations (each distinct vector object on the shared test
 set, every client on its own validation set) are tasks that a Record
 submits client by client, as each client's state for the record becomes
 final, and collects later. A task's work is its multiply-adds: an
 evaluation's or a fusion half's rows x the model's multiply-adds per row
 of a forward (spec.macs_per_row), a local update's batch rows x those of a
-training step (spec.train_macs_per_row). A run's one pool comes from
-evaluation_pool: usable CPUs - 1 threads when more than one CPU is usable
-and the largest evaluation's or training task's work reaches
-PARALLEL_EVAL_WORK. The pool also trains: fuse_defkt's local-model halves
-and run_experiment's look-ahead updates, each sender's submitted as soon as
-its state for its round is final (see federation). The pool takes tasks in
-submission order. A task goes to the pool only if its own work reaches
-that gate; any other task, and every task of a run without a pool, is made
-as it is submitted. The collecting thread evaluates, last first, every
+training step (spec.train_macs_per_row). Task applies the one gate: a task
+goes to the run's pool only if there is one and its own work reaches
+PARALLEL_EVAL_WORK; any other task is made as it is submitted. Either way
+its value or error comes out of result(). A run's one pool comes from
+evaluation_pool. The pool also trains: fuse_defkt's local-model halves and
+run_experiment's look-ahead updates (see federation). It takes tasks in
+submission order. The collecting thread evaluates, last first, every
 pooled evaluation no pool thread has started, and the trainer takes over a
 fusion half or an update the same way, and queued tasks while a pool
 thread makes the update it needs, so at most one thread per CPU computes.
@@ -27,12 +25,9 @@ purity contract in nn), and each mean sums the per-client list in client
 order, whatever order the clients were added in. A task drops its vector
 once evaluated.
 
-Clients of one record with bitwise-identical vectors share one test-set
-evaluation. No vector is copied to find them: the key is a strided sample
-of at most KEY_SAMPLES entries, and a key hit is confirmed bitwise
-(identity, or equality as int64), so vectors that differ anywhere, even in
-a zero's sign, never share. A record keeps the vectors it compares against
-only until its last client is added.
+Clients of one record that hold the same vector object share one test-set
+evaluation. A record holds each vector it has seen until its last client
+is added, so no object id is reused meanwhile.
 """
 
 from __future__ import annotations
@@ -53,16 +48,12 @@ CSV_FIELDS = ("round", "strategy", "seed", "global_acc", "local_acc", "scalars_t
 # bits of the logits: the reference MLP's logits on 1,000 rows differ bitwise
 # between one call and two 500-row chunks. Changing it can change accuracies.
 EVAL_CHUNK_ROWS = 2048
-# Multiply-adds from which an evaluation, a fusion half or a look-ahead
-# local update goes to the run's pool; a run whose largest task falls below
-# it opens none. An evaluation or a fusion half counts rows x
-# spec.macs_per_row, a local update its batch rows x spec.train_macs_per_row.
-# Below it a threaded task costs more than it saves, so hetero-sweep's 32x32
-# MLP and cnn-pairs' fusion halves stay inline (ROADMAP item 1 lists what
-# falls on each side).
+# Multiply-adds from which a task (an evaluation, a fusion half or a local
+# update) goes to the run's pool; a run none of whose tasks can reach it
+# opens none. Below it a threaded task costs more than it saves, so
+# hetero-sweep's 32x32 MLP and cnn-pairs' fusion halves stay inline
+# (ROADMAP item 1 lists what falls on each side).
 PARALLEL_EVAL_WORK = 10_000_000
-# Entries of a parameter vector in its record key (see Record).
-KEY_SAMPLES = 64
 
 
 @dataclass(frozen=True)
@@ -91,22 +82,22 @@ def evaluate(spec: ModelSpec, params: np.ndarray, data: Rows) -> float:
 
 
 @contextmanager
-def evaluation_pool(spec: ModelSpec, states: dict, test: Dataset, training_work: int = 0):
-    """Yield a pool of usable CPUs - 1 threads for the records of `states` on `test`, or None.
+def evaluation_pool(spec: ModelSpec, states: dict, test: Dataset):
+    """Yield a pool of usable CPUs - 1 threads for a run of `states` on `test`, or None.
 
     A record's input errors (a test set of the wrong width, an empty
-    validation set) are raised first. training_work is the most
-    multiply-adds of a training task the run will submit (a fusion half or
-    a local update), 0 for none.
-    None when one CPU is usable or no evaluation and no training task
-    reaches PARALLEL_EVAL_WORK. On exit, tasks no thread has started are
+    validation set) are raised first. None when one CPU is usable or the
+    largest dataset a task reads (the test set, a validation or a training
+    set) x spec.train_macs_per_row, which bounds every task's work, falls
+    below PARALLEL_EVAL_WORK. The pool starts no thread before a task
+    reaches the gate (Task). On exit, tasks no thread has started are
     cancelled and the pool's threads are joined.
     """
     check_features(spec, test.inputs)
     _check_validation_sets(states)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    rows = max([len(test), *(len(s.data.validation) for s in states.values())])
-    if cpus < 2 or max(rows * spec.macs_per_row, training_work) < PARALLEL_EVAL_WORK:
+    rows = max([len(test), *(len(d) for s in states.values() for d in (s.data.train, s.data.validation))])
+    if cpus < 2 or rows * spec.train_macs_per_row < PARALLEL_EVAL_WORK:
         yield None
         return
     from concurrent.futures import ThreadPoolExecutor
@@ -118,39 +109,39 @@ def evaluation_pool(spec: ModelSpec, states: dict, test: Dataset, training_work:
         pool.shutdown(wait=True, cancel_futures=True)
 
 
-def pool_for(pool, work: int):
-    """The pool for a task of `work` multiply-adds: `pool` if it reaches PARALLEL_EVAL_WORK, else None."""
-    return pool if pool is not None and work >= PARALLEL_EVAL_WORK else None
-
-
 class Task:
-    """One call fn(*args), made once: by a pool thread, or by the thread that takes it over if none started it.
+    """One call fn(*args) of `work` multiply-adds, made once; its value, or the error it raised, comes out of result().
 
-    Without a pool it is made at once. A pool thread makes it in a copy of
-    the submitting thread's context, so numpy's error state (np.errstate)
-    is the submitter's. Records' evaluations, fuse_defkt's halves and
-    run_experiment's look-ahead updates are tasks. An error of a call taken
-    over is kept and raised by result(), as a pool thread's is.
+    With a pool and work at or above PARALLEL_EVAL_WORK the call is
+    submitted to the pool and made by a pool thread, or by the thread that
+    takes it over if none has started it; otherwise it is made at once, on
+    the submitting thread. A pool thread makes it in a copy of the
+    submitting thread's context, so numpy's error state (np.errstate) is
+    the submitter's. Records' evaluations, fuse_defkt's halves and
+    run_experiment's look-ahead updates are tasks.
     """
 
-    def __init__(self, pool, fn, *args):
-        self._call, self._error = (fn, args), None
-        self._future = None if pool is None else pool.submit(contextvars.copy_context().run, self._run)
-        self._value = self._run() if pool is None else None
+    def __init__(self, pool, work: int, fn, *args):
+        self._call, self._value, self._error, self._future = (fn, args), None, None, None
+        if pool is not None and work >= PARALLEL_EVAL_WORK:
+            self._future = pool.submit(contextvars.copy_context().run, self._run)
+        else:
+            self._run()
 
-    def _run(self):
-        (fn, args), self._call = self._call, None  # keep no argument once called
-        return fn(*args)
+    def _run(self) -> None:
+        """Make the call and keep its value or error, wherever it runs; keep no argument once called."""
+        (fn, args), self._call = self._call, None
+        try:
+            self._value = fn(*args)
+        except Exception as exc:
+            self._error = exc
 
     def take_over(self) -> bool:
         """Make the call on this thread if no pool thread has started it; whether this thread made it."""
         if self._future is None or not self._future.cancel():
             return False
         self._future = None
-        try:
-            self._value = self._run()
-        except Exception as exc:
-            self._error = exc
+        self._run()
         return True
 
     def result(self, helping=()):
@@ -160,13 +151,12 @@ class Task:
         each task of `helping` that no pool thread has started, rather than
         wait while work is queued.
         """
-        self.take_over()
-        for task in reversed(helping):
-            if self._future is None or self._future.done():
-                break
-            task.take_over()
-        if self._future is not None:
-            return self._future.result()
+        if self._future is not None and not self.take_over():
+            for task in reversed(helping):
+                if self._future.done():
+                    break
+                task.take_over()
+            self._future.result()
         if self._error is not None:
             raise self._error
         return self._value
@@ -181,38 +171,30 @@ class Record:
     """One record's evaluations, taken client by client: add(k, state) for each of `clients` clients, then collect().
 
     Adding a client submits its test-set task, unless a client added
-    before holds a bitwise-identical vector, and its validation task.
-    Clients with identical vectors (common early in a run, when most still
-    carry the shared initialization) share a test-set task. The key is
-    every step-th entry, at most KEY_SAMPLES of them; a hit must be the
-    same object or equal as int64. The vectors kept to find a hit are
-    dropped once the last client is added. `tasks` lists its tasks in
+    before holds the same vector object (common early in a run, when most
+    clients still hold the shared initial vector), and its validation task.
+    The record holds each vector it has seen until its last client is
+    added, so no id is reused meanwhile. `tasks` lists its tasks in
     submission order, for a thread that helps while it waits (Task.result).
     """
 
     def __init__(self, pool, spec: ModelSpec, test: Dataset, clients: int):
         self._pool, self._spec, self._test, self._left = pool, spec, test, clients
-        self._step = -(-spec.param_count // KEY_SAMPLES)
-        self._seen: dict[bytes, list[tuple[np.ndarray, Task]]] | None = {}
+        self._seen: dict[int, tuple[np.ndarray, Task]] | None = {}  # id -> (the vector, its test-set task)
         self.tasks: list[Task] = []  # in submission order
         self._tests: dict[int, Task] = {}
         self._validations: dict[int, Task] = {}
 
     def _submit(self, params: np.ndarray, data: Rows) -> Task:
-        work = len(data) * self._spec.macs_per_row
-        self.tasks.append(Task(pool_for(self._pool, work), evaluate, self._spec, params, data))
+        self.tasks.append(Task(self._pool, len(data) * self._spec.macs_per_row, evaluate, self._spec, params, data))
         return self.tasks[-1]
 
     def add(self, k: int, state) -> None:
         """Submit client k's evaluations on `state`, its state at this record."""
-        params = state.params
-        bits = params.view(np.int64)
-        candidates = self._seen.setdefault(params[::self._step].tobytes(), [])
-        task = next((t for v, t in candidates if v is params or np.array_equal(v.view(np.int64), bits)), None)
-        if task is None:
-            task = self._submit(params, self._test)
-            candidates.append((params, task))
-        self._tests[k] = task
+        params, key = state.params, id(state.params)
+        if key not in self._seen:
+            self._seen[key] = params, self._submit(params, self._test)
+        self._tests[k] = self._seen[key][1]
         self._validations[k] = self._submit(params, state.data.validation)
         self._left -= 1
         if self._left == 0:

@@ -39,8 +39,10 @@ CNN = ModelSpec.cnn_small((1, 10, 10), num_classes=3)
 # asymmetric. Options: "reduction" (default "mean"); "pooled" sends every
 # record, every fusion half and every look-ahead update to the run's pool,
 # as on a host with two usable CPUs, so its digests must equal those of the
-# same case run inline; "subset" draws that many rows of the corpus through
-# the CLI's `subset` key (cli.load_corpus) before the shards are cut.
+# same case run inline (inline runs look ahead too: each update is made on
+# the trainer as soon as its sender's state is final); "subset" draws that
+# many rows of the corpus through the CLI's `subset` key (cli.load_corpus)
+# before the shards are cut.
 CONFIGS = {
     "defkt-mlp": (FusionStrategy.DEFKT, MLP, 6, {}),
     "defkt-cnn": (FusionStrategy.DEFKT, CNN, 100, {}),

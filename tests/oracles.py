@@ -370,3 +370,10 @@ def whole_record(pool, spec, states: dict, test: Dataset):
     for k in sorted(states):
         record.add(k, states[k])
     return record
+
+
+def count_thread_starts(monkeypatch) -> list:
+    """Keeps every thread started from now on, in start order, for the rest of the test."""
+    started, start = [], threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread) or start(thread))
+    return started

@@ -17,7 +17,7 @@ import pytest
 import yaml
 
 import defkt
-from defkt import cli, metrics
+from defkt import blas, cli, metrics
 from defkt.cli import (
     _IDX_NAMES,
     _KEYS,
@@ -382,6 +382,18 @@ class TestCmdRun:
             assert meta["final_params_sha256"] == want
         assert len({tuple(json.loads((out / f"{n}.meta.json").read_text())["final_params_sha256"])
                     for n in names}) == len(names)
+
+    def test_metadata_names_what_decided_its_bits(self, tmp_path):
+        """The run's environment key and the package version, and no timing: a repeat writes the same file."""
+        config = write_config(tmp_path, strategy="fullavg", seeds=[4])
+        out, metas = tmp_path / "runs", []
+        for _ in range(2):
+            assert main(["run", "--config", config, "--out", str(out)]) == 0
+            metas.append((out / "fullavg_4.meta.json").read_bytes())
+        meta = json.loads(metas[0])
+        assert meta["environment_key"] == blas.environment_key()
+        assert meta["version"] == defkt.__version__
+        assert metas[0] == metas[1]
 
     def test_csv_strategy_and_seed_columns(self, tmp_path):
         config = write_config(tmp_path, strategy="fullavg", seeds=[9])

@@ -43,7 +43,15 @@ from defkt.nn import Batch, ModelSpec, forward, init_params, param_count, sgd_st
 from defkt.seeding import derive_rng
 
 import schedules
-from oracles import ComputeProbe, RecordingLog, backward, combo_by_formula, fullavg_by_formula, whole_record
+from oracles import (
+    ComputeProbe,
+    RecordingLog,
+    backward,
+    combo_by_formula,
+    count_thread_starts,
+    fullavg_by_formula,
+    whole_record,
+)
 
 
 SPEC = ModelSpec.mlp(6, (5,), 3)
@@ -348,7 +356,7 @@ class TestFuseDefkt:
 
     @staticmethod
     def pooled(data: ClientData):
-        return metrics.evaluation_pool(SPEC, {}, data.train.source, len(data.train) * SPEC.macs_per_row)
+        return metrics.evaluation_pool(SPEC, {}, data.train.source)
 
     @staticmethod
     def slow_trainer(monkeypatch, pause: float = 0.005) -> list:
@@ -812,19 +820,13 @@ class TestOverlappedRecords:
         assert set(probe.threads) == {threading.main_thread()}
         assert threading.active_count() == before
 
-    @staticmethod
-    def count_thread_starts(monkeypatch) -> list:
-        started, start = [], threading.Thread.start
-        monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread) or start(thread))
-        return started
-
     def test_no_thread_starts_when_every_evaluation_is_below_the_gate(self, cpus, monkeypatch):
-        """The test set is the largest evaluation; one multiply-add short of the gate, no pool opens."""
+        """The test set is the largest evaluation; one multiply-add short of the gate, no thread starts."""
         serial, _ = self.run()
         cpus(2)
         monkeypatch.setattr(metrics, "PARALLEL_EVAL_WORK", len(self.TEST_DATA) * SPEC.macs_per_row + 1)
         assert max(len(s.data.validation) for s in experiment_states(tiny_hyper()).values()) < len(self.TEST_DATA)
-        started = self.count_thread_starts(monkeypatch)
+        started = count_thread_starts(monkeypatch)
         assert self.run()[0] == serial
         assert started == []
 
@@ -866,7 +868,7 @@ class TestOverlappedRecords:
         cpus(2)
         monkeypatch.setattr(metrics, "PARALLEL_EVAL_WORK", len(test) * spec.macs_per_row)
         assert len(test) * spec.param_count < metrics.PARALLEL_EVAL_WORK
-        started = self.count_thread_starts(monkeypatch)
+        started = count_thread_starts(monkeypatch)
         assert run() == serial
         assert started
 
@@ -1145,19 +1147,13 @@ class TestSenderLookahead:
                     add(k)
         return order
 
-    @pytest.mark.parametrize("strategy", list(FusionStrategy))
-    @pytest.mark.parametrize("case", CASES, ids=IDS)
-    def test_pooled_look_ahead_equals_the_inline_run_and_the_replay(self, case, strategy, monkeypatch):
-        rounds, eval_every, overrides = case
-        hyper = tiny_hyper(rounds=rounds, **overrides)
+    @staticmethod
+    def logged_run(monkeypatch, hyper: HyperParams, strategy: FusionStrategy, eval_every: int):
+        """The run's timeline and final states, the (round, sender) of each update submitted as a task, and the
+        (kind, round, client) of each task in submission order.
 
-        def run(clients):
-            return run_experiment(SPEC, hyper, strategy, clients, TestRecordSchedule.TEST_DATA, eval_every=eval_every)
-
-        inline, inline_final = run(experiment_states(hyper))
-        replay, replay_final = TestRecordSchedule.replayed(hyper, strategy, eval_every)
-        monkeypatch.setattr(metrics, "PARALLEL_EVAL_WORK", 0)
-        monkeypatch.setattr(metrics.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        Each evaluation's record is the client's next record point; a test-set task's client is that of the
+        validation task submitted right after it; a fusion's halves are one entry."""
         submitted = []  # (round, sender) of each update submitted as a task
         log = []  # (kind, round, client) of each task; evaluations' rounds are filled in below
         clients = experiment_states(hyper)
@@ -1170,7 +1166,7 @@ class TestSenderLookahead:
             fuse_pair(states, sender_id, receiver_id, sender, round_index, *args)
 
         class Recording(metrics.Task):
-            def __init__(self, pool, fn, *args):
+            def __init__(self, pool, work, fn, *args):
                 if fn is federation._sender_update:
                     submitted.append((args[2], args[1]))
                     log.append(("update", args[2], args[1]))
@@ -1179,12 +1175,35 @@ class TestSenderLookahead:
                     log.append(("validation", None, owner[data]) if data in owner else ("test", None, None))
                 else:
                     log.append(("half", *fusing[0]))
-                super().__init__(pool, fn, *args)
+                super().__init__(pool, work, fn, *args)
 
-        monkeypatch.setattr(federation, "Task", Recording)
-        monkeypatch.setattr(metrics, "Task", Recording)
-        monkeypatch.setattr(federation, "_fuse_pair", logged_pair)
-        pooled, pooled_final = run(clients)
+        with monkeypatch.context() as patch:
+            patch.setattr(federation, "Task", Recording)
+            patch.setattr(metrics, "Task", Recording)
+            patch.setattr(federation, "_fuse_pair", logged_pair)
+            timeline, final = run_experiment(SPEC, hyper, strategy, clients, TestRecordSchedule.TEST_DATA,
+                                             eval_every=eval_every)
+        points, records, tasks = TestRecordSchedule.record_points(hyper.rounds, eval_every), Counter(), []
+        for i, (kind, r, k) in enumerate(log):
+            if kind == "validation":
+                r, records[k] = points[records[k]], records[k] + 1
+            elif kind == "test":
+                _, _, k = log[i + 1]
+                r = points[records[k]]
+            tasks += [] if tasks and kind == "half" and tasks[-1] == (kind, r, k) else [(kind, r, k)]
+        return timeline, final, submitted, log, tasks
+
+    @pytest.mark.parametrize("strategy", list(FusionStrategy))
+    @pytest.mark.parametrize("case", CASES, ids=IDS)
+    def test_pooled_look_ahead_equals_the_inline_run_and_the_replay(self, case, strategy, monkeypatch):
+        rounds, eval_every, overrides = case
+        hyper = tiny_hyper(rounds=rounds, **overrides)
+        inline, inline_final = run_experiment(SPEC, hyper, strategy, experiment_states(hyper),
+                                              TestRecordSchedule.TEST_DATA, eval_every=eval_every)
+        replay, replay_final = TestRecordSchedule.replayed(hyper, strategy, eval_every)
+        monkeypatch.setattr(metrics, "PARALLEL_EVAL_WORK", 0)
+        monkeypatch.setattr(metrics.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        pooled, pooled_final, submitted, log, tasks = self.logged_run(monkeypatch, hyper, strategy, eval_every)
         assert pooled == inline == replay
         for k in replay_final:
             assert pooled_final[k].params.tobytes() == inline_final[k].params.tobytes() == replay_final[k].params.tobytes()
@@ -1196,17 +1215,24 @@ class TestSenderLookahead:
         if rounds:  # round 1's updates go behind the initial record's evaluations, one a client at least
             first = kinds.index("update")
             assert set(kinds[:first]) == {"evaluation"} and first >= hyper.num_clients
-        # each evaluation's record is the client's next record point; a test-set task's client is that of the
-        # validation task submitted right after it; a fusion's halves are one entry
-        points, records, tasks = TestRecordSchedule.record_points(rounds, eval_every), Counter(), []
-        for i, (kind, r, k) in enumerate(log):
-            if kind == "validation":
-                r, records[k] = points[records[k]], records[k] + 1
-            elif kind == "test":
-                _, _, k = log[i + 1]
-                r = points[records[k]]
-            tasks += [] if tasks and kind == "half" and tasks[-1] == (kind, r, k) else [(kind, r, k)]
         assert tasks == self.task_order(hyper, strategy, eval_every)
+
+    @pytest.mark.parametrize("strategy", list(FusionStrategy))
+    @pytest.mark.parametrize("case", CASES, ids=IDS)
+    def test_one_usable_cpu_makes_the_pooled_runs_tasks_in_its_order(self, case, strategy, monkeypatch):
+        """With no pool every update is a task too, submitted as soon as its state is final and made then,
+        on the trainer: the one-CPU run's task log is the pooled run's."""
+        rounds, eval_every, overrides = case
+        hyper = tiny_hyper(rounds=rounds, **overrides)
+        monkeypatch.setattr(metrics, "PARALLEL_EVAL_WORK", 0)
+        monkeypatch.setattr(metrics.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        threads = []
+        monkeypatch.setattr(federation, "local_update",
+                            lambda *args: threads.append(threading.current_thread()) or local_update(*args))
+        _, _, submitted, _, tasks = self.logged_run(monkeypatch, hyper, strategy, eval_every)
+        assert submitted == self.look_aheads(hyper)
+        assert tasks == self.task_order(hyper, strategy, eval_every)
+        assert threads == [threading.main_thread()] * len(submitted)
 
     def test_the_k6_q2_case_has_free_and_busy_next_round_senders_in_a_round(self):
         """Some round leaves one of the next round's senders free (started at its start) and holds the other
@@ -1253,8 +1279,8 @@ class TestSenderLookahead:
         started, raised, running, threads = threading.Event(), threading.Event(), [], []
 
         class Started(metrics.Task):
-            def __init__(self, pool, fn, *args):
-                super().__init__(pool, fn, *args)
+            def __init__(self, pool, work, fn, *args):
+                super().__init__(pool, work, fn, *args)
                 if fn is federation._sender_update and (args[2], args[1]) == update:
                     assert started.wait(10)
 
@@ -1304,7 +1330,7 @@ class TestSenderLookahead:
         self.fail_in_order(monkeypatch, hyper, fusion=(r, plans[r].receivers[1]), update=(r + 1, s))
 
     def test_updates_below_the_gate_stay_inline(self, monkeypatch):
-        """With the pool open for the test set only, no update is submitted as a task."""
+        """With the pool open for the test set only, every update is made on the trainer."""
         hyper = tiny_hyper(rounds=7)
         monkeypatch.setattr(metrics.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         monkeypatch.setattr(metrics, "PARALLEL_EVAL_WORK", hyper.local_batch_size * SPEC.train_macs_per_row + 1)

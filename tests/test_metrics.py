@@ -4,6 +4,7 @@ import threading
 import tracemalloc
 import weakref
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from defkt.metrics import (
 )
 from defkt.nn import Batch, ModelSpec, forward, init_params, param_count
 
-from oracles import ComputeProbe, accuracy_by_loop, whole_record
+from oracles import ComputeProbe, accuracy_by_loop, count_thread_starts, whole_record
 
 
 SPEC = ModelSpec.mlp(6, (5,), 3)
@@ -159,11 +160,13 @@ class TestThreadedEvaluation:
 
     def test_global_accuracy_with_partially_shared_models(self, probe):
         test_data = synth_dataset(3, 20, 6, seed=9)
-        states = {k: client_with(seed, data_seed=k) for k, seed in zip(range(1, 6), (5, 6, 5, 7, 6))}
+        vectors = {seed: init_params(SPEC, seed) for seed in (5, 6, 7)}
+        states = {k: replace(client_with(seed, data_seed=k), params=vectors[seed])
+                  for k, seed in zip(range(1, 6), (5, 6, 5, 7, 6))}
         serial = float(np.mean([evaluate(SPEC, states[k].params, test_data) for k in sorted(states)]))
         global_acc, _ = self.pooled_record(states, test_data)
         assert global_acc == serial
-        assert len(probe.threads) == 3 + 5  # a test evaluation per distinct vector, a validation per client
+        assert len(probe.threads) == 3 + 5  # a test evaluation per vector object, a validation per client
         self.assert_one_thread_per_cpu(probe)
 
     def test_local_accuracy(self, probe):
@@ -184,16 +187,17 @@ class TestThreadedEvaluation:
         assert probe.threads == []
 
     def test_small_evaluations_stay_on_the_calling_thread(self, monkeypatch):
-        """No pool when a validation set falls below the gate, even if the test set reaches it."""
+        """No thread starts when every evaluation falls below the gate, even if the pool opens."""
         threads = []
         monkeypatch.setattr(metrics, "evaluate", lambda *a: threads.append(threading.current_thread()) or 0.5)
         monkeypatch.setattr(metrics.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         states = {k: client_with(k, data_seed=k) for k in (1, 2, 3)}
         test_data = synth_dataset(3, 20, 6, seed=9)
         monkeypatch.setattr(metrics, "PARALLEL_EVAL_WORK", len(test_data) * SPEC.param_count)
+        started = count_thread_starts(monkeypatch)
         with metrics.evaluation_pool(SPEC, states, test_data) as pool:
-            assert pool is None
             whole_record(pool, SPEC, states, test_data).collect()
+        assert started == []
         assert threads == [threading.main_thread()] * 6
 
 
@@ -214,9 +218,9 @@ class TestTask:
             return "second"
 
         with ThreadPoolExecutor(1) as pool:
-            running = metrics.Task(pool, first)
+            running = metrics.Task(pool, metrics.PARALLEL_EVAL_WORK, first)
             assert started.wait(10)
-            queued = metrics.Task(pool, second)
+            queued = metrics.Task(pool, metrics.PARALLEL_EVAL_WORK, second)
             assert running.result(helping=[queued, running]) == "first"
             assert queued.result() == "second"
         assert threads == [threading.main_thread()]
@@ -230,9 +234,9 @@ class TestTask:
 
         started, release = threading.Event(), threading.Event()
         with ThreadPoolExecutor(1) as pool:
-            blocker = metrics.Task(pool, lambda: started.set() or release.wait(10))
+            blocker = metrics.Task(pool, metrics.PARALLEL_EVAL_WORK, lambda: started.set() or release.wait(10))
             assert started.wait(10)
-            task = metrics.Task(pool, fail)
+            task = metrics.Task(pool, metrics.PARALLEL_EVAL_WORK, fail)
             assert task.take_over()
             assert not task.take_over()
             release.set()
@@ -240,11 +244,34 @@ class TestTask:
             with pytest.raises(Failed, match="taken over and failed"):
                 task.result()
 
+    @pytest.mark.parametrize("pooled", [False, True], ids=["no-pool", "below-the-gate"])
+    def test_an_inline_calls_error_is_raised_by_result_not_at_submission(self, pooled, monkeypatch):
+        """Below the gate, or with no pool, the call is made once, at submission, and its error kept for result()."""
+        class Failed(Exception):
+            pass
+
+        calls = []
+
+        def fail():
+            calls.append(threading.current_thread())
+            raise Failed("made inline and failed")
+
+        started = count_thread_starts(monkeypatch)
+        with ThreadPoolExecutor(1) as pool:
+            task = metrics.Task(pool if pooled else None, metrics.PARALLEL_EVAL_WORK - 1, fail)
+            assert calls == [threading.main_thread()]
+            assert not task.take_over()
+            for _ in range(2):
+                with pytest.raises(Failed, match="made inline and failed"):
+                    task.result()
+        assert calls == [threading.main_thread()]
+        assert started == []
+
 
 class TestRecordKeys:
-    """Test-set slots: bitwise-identical vectors share one, any other pair of vectors does not."""
+    """Test-set slots: clients holding the same vector object share one, a bitwise copy gets its own."""
 
-    SPEC = ModelSpec.mlp(20, (8,), 3)  # 195 parameters: the key samples every 4th
+    SPEC = ModelSpec.mlp(20, (8,), 3)
 
     def slots(self, vectors):
         data = train_val_split(synth_dataset(3, 12, 20, seed=1), seed=2)
@@ -254,36 +281,9 @@ class TestRecordKeys:
         distinct = list(dict.fromkeys(tests))  # the test-set tasks in the order they were submitted
         return [distinct.index(task) for task in tests]
 
-    def test_copies_share_a_slot_in_first_seen_order(self):
+    def test_the_same_object_shares_a_slot_and_a_copy_gets_its_own(self):
         a, b = init_params(self.SPEC, 1), init_params(self.SPEC, 2)
-        assert self.slots([a, b, a.copy(), b, a]) == [0, 1, 0, 1, 0]
-
-    def test_vectors_equal_on_the_key_sample_but_not_elsewhere_get_separate_slots(self):
-        a = init_params(self.SPEC, 1)
-        step = -(-self.SPEC.param_count // metrics.KEY_SAMPLES)
-        assert step > 1
-        b, c = a.copy(), a.copy()
-        b[1] += 1.0
-        c[-1] = np.nextafter(c[-1], np.inf)
-        assert b[::step].tobytes() == a[::step].tobytes() == c[::step].tobytes()
-        assert self.slots([a, b, c, b.copy()]) == [0, 1, 2, 1]
-
-    @pytest.mark.parametrize("sampled", [True, False], ids=["on-the-sample", "off-the-sample"])
-    def test_vectors_differing_only_in_a_zeros_sign_get_separate_slots(self, sampled):
-        a = init_params(self.SPEC, 1)
-        zero = self.SPEC.param_count - 1 if not sampled else 0
-        a[zero] = 0.0
-        b = a.copy()
-        b[zero] = -0.0
-        assert np.array_equal(a, b)  # equal as numbers
-        step = -(-self.SPEC.param_count // metrics.KEY_SAMPLES)
-        assert (zero % step == 0) == sampled
-        assert self.slots([a, b, a.copy(), b.copy()]) == [0, 1, 0, 1]
-
-    def test_bitwise_identical_nans_share_a_slot(self):
-        a = init_params(self.SPEC, 1)
-        a[3] = np.nan
-        assert self.slots([a, a.copy()]) == [0, 0]
+        assert self.slots([a, b, a.copy(), b, a]) == [0, 1, 2, 1, 0]
 
     def test_a_record_keeps_no_vector_once_its_last_client_is_added(self):
         data = train_val_split(synth_dataset(3, 12, 20, seed=1), seed=2)
@@ -296,14 +296,16 @@ class TestRecordKeys:
             del params  # evaluated inline, so only the record's comparison table can still hold it
             assert [ref() is None for ref in refs] == [k == 3] * k
 
-    def test_a_record_copies_no_vector(self):
+    def test_a_record_copies_no_vector(self, monkeypatch):
         """Submitting a record of ten distinct reference-MLP vectors allocates less than one vector."""
         import tracemalloc
         from concurrent.futures import Future
 
         class HeldPool:  # takes tasks and starts none, so only the submission is measured
-            def submit(self, fn):
+            def submit(self, fn, *args):
                 return Future()
+
+        monkeypatch.setattr(metrics, "PARALLEL_EVAL_WORK", 0)  # every evaluation goes to the held pool
 
         spec = ModelSpec.mlp(784)
         data = train_val_split(synth_dataset(3, 4, 784, seed=1), seed=2)
