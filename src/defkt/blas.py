@@ -11,14 +11,16 @@ library is not found, a run stays unpinned and environment_key says so.
 from __future__ import annotations
 
 import ctypes
+import functools
 import glob
 from pathlib import Path
 
 import numpy as np
 
 
+@functools.cache
 def _openblas():
-    """numpy's bundled OpenBLAS (libscipy_openblas), or None."""
+    """numpy's bundled OpenBLAS (libscipy_openblas), or None; looked up once per process."""
     for path in sorted(glob.glob(str(Path(np.__file__).parent.parent / "numpy.libs" / "libscipy_openblas*.so*"))):
         try:
             lib = ctypes.CDLL(path)
@@ -33,12 +35,11 @@ def _openblas():
     return None
 
 
-def pin() -> str:
-    """Set OpenBLAS to one thread, if its library is found; return environment_key()."""
+def pin() -> None:
+    """Set OpenBLAS to one thread, if its library is found."""
     lib = _openblas()
     if lib is not None:
         lib.scipy_openblas_set_num_threads64_(1)
-    return environment_key()
 
 
 def environment_key() -> str:

@@ -364,19 +364,19 @@ def _metadata(hyper: RunConfig, strategy: FusionStrategy, spec: ModelSpec, final
 def runs(config: RunConfig):
     """Yield (hyper, strategy, spec, timeline, final states) for each run of `config`, in (seed, strategy) order.
 
-    Each seed's corpus, spec and shards are built once and shared by its strategies.
+    Each seed's corpus, spec and client states are built once and shared by its strategies: run_experiment
+    replaces states in its own copy of the dict and writes no state's vector (the purity contract in nn).
     `run_experiment` is called through this module's name, so a caller may wrap it.
     """
     strategies = list(FusionStrategy) if config.strategy == "all" else [FusionStrategy(config.strategy)]
     for seed in config.seeds:
         corpus, test = load_corpus(config, seed)
         spec = model_spec(config, corpus)
-        shards = make_shards(config, corpus, seed)
         hyper = config.hyper_for(seed)
+        clients = build_client_states(spec, make_shards(config, corpus, seed), hyper)
         for strategy in strategies:
-            states = build_client_states(spec, shards, hyper)
             timeline, final = run_experiment(
-                spec, hyper, strategy, states, test,
+                spec, hyper, strategy, clients, test,
                 eval_every=config.eval_every, reduction=config.reduction,
             )
             yield hyper, strategy, spec, timeline, final

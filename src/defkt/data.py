@@ -1,9 +1,10 @@
 """Dataset loading, client partitioning, train/validation splitting, minibatching.
 
-Datasets hold (N, d) float64 inputs and (N,) int64 labels in 1..C.
-IDX image files are scaled to [0, 1] by dividing by 255 and their raw
-0-based labels are shifted up by one. All partitioners are conservative:
-the multiset union of the client shards equals the source dataset.
+A Dataset is an nn.Batch with a class count: (N, d) float64 inputs and
+(N,) int64 labels in 1..C. IDX image files are scaled to [0, 1] by
+dividing by 255 and their raw 0-based labels are shifted up by one. All
+partitioners are conservative: the multiset union of the client shards
+equals the source dataset.
 
 A subset is a DatasetView: the source Dataset and an index array, with no
 row copied. Client shards, their train/validation splits and a config's
@@ -18,6 +19,7 @@ place.
 from __future__ import annotations
 
 import gzip
+import math
 import struct
 from dataclasses import dataclass
 from typing import Iterator
@@ -33,25 +35,15 @@ IDX_LABEL_MAGIC = 0x00000801
 
 
 @dataclass
-class Dataset:
-    """Labeled samples: inputs (N, d), labels (N,) in 1..num_classes."""
+class Dataset(Batch):
+    """Labeled samples: a Batch whose labels lie in 1..num_classes."""
 
-    inputs: np.ndarray
-    labels: np.ndarray
     num_classes: int
 
     def __post_init__(self):
-        self.inputs = np.asarray(self.inputs, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
-        if self.inputs.ndim != 2 or self.inputs.shape[0] < 1:
-            raise ConfigurationError("dataset inputs must be a nonempty (N, d) matrix")
-        if self.labels.shape != (self.inputs.shape[0],):
-            raise ConfigurationError("dataset labels must match the number of samples")
+        super().__post_init__()
         if self.labels.min() < 1 or self.labels.max() > self.num_classes:
             raise ConfigurationError(f"labels must lie in 1..{self.num_classes}")
-
-    def __len__(self) -> int:
-        return self.inputs.shape[0]
 
     def subset(self, indices: np.ndarray) -> "DatasetView":
         """Rows `indices`, in that order, as a view that copies no row."""
@@ -120,6 +112,18 @@ def _open_maybe_gzip(path: str):
     return gzip.open(path, "rb") if gzipped else open(path, "rb")
 
 
+def _read_idx(path: str, magic: int, dims: int) -> tuple[tuple[int, ...], np.ndarray]:
+    """One big-endian IDX file of unsigned bytes: its `dims` sizes and its payload, flat."""
+    try:
+        with _open_maybe_gzip(path) as fh:
+            found, *sizes = struct.unpack(f">{1 + dims}I", _read_exact(fh, 4 * (1 + dims), path))
+            if found != magic:
+                raise LoadError(f"{path}: bad magic number 0x{found:08x}")
+            return tuple(sizes), np.frombuffer(_read_exact(fh, math.prod(sizes), path), dtype=np.uint8)
+    except OSError as exc:
+        raise LoadError(f"{path}: {exc}") from exc
+
+
 def load_idx(images_path: str, labels_path: str, num_classes: int | None = None) -> Dataset:
     """Load a big-endian IDX image/label file pair.
 
@@ -127,22 +131,8 @@ def load_idx(images_path: str, labels_path: str, num_classes: int | None = None)
     1-based. Gzipped files are detected and decompressed transparently.
     """
     images_path, labels_path = str(images_path), str(labels_path)
-    try:
-        with _open_maybe_gzip(images_path) as fh:
-            magic, count, rows, cols = struct.unpack(">IIII", _read_exact(fh, 16, images_path))
-            if magic != IDX_IMAGE_MAGIC:
-                raise LoadError(f"{images_path}: bad magic number 0x{magic:08x}")
-            pixels = np.frombuffer(_read_exact(fh, count * rows * cols, images_path), dtype=np.uint8)
-    except OSError as exc:
-        raise LoadError(f"{images_path}: {exc}") from exc
-    try:
-        with _open_maybe_gzip(labels_path) as fh:
-            magic, label_count = struct.unpack(">II", _read_exact(fh, 8, labels_path))
-            if magic != IDX_LABEL_MAGIC:
-                raise LoadError(f"{labels_path}: bad magic number 0x{magic:08x}")
-            raw_labels = np.frombuffer(_read_exact(fh, label_count, labels_path), dtype=np.uint8)
-    except OSError as exc:
-        raise LoadError(f"{labels_path}: {exc}") from exc
+    (count, rows, cols), pixels = _read_idx(images_path, IDX_IMAGE_MAGIC, 3)
+    (label_count,), raw_labels = _read_idx(labels_path, IDX_LABEL_MAGIC, 1)
     if label_count != count:
         raise LoadError(
             f"{labels_path}: label count {label_count} does not match image count {count} in {images_path}"
@@ -231,15 +221,16 @@ def partition(
     return partition_noniid(data, num_clients, classes_per_client, seed)
 
 
-SPLIT_MIN_ROWS = 5  # the fewest rows train_val_split takes: 4 to train and 1 to validate at 0.8
+TRAIN_FRACTION = 0.8  # of a client's rows, to train; the rest validate
+SPLIT_MIN_ROWS = 5  # the fewest rows train_val_split takes: 4 to train and 1 to validate at TRAIN_FRACTION
 
 
-def train_val_split(data: Rows, fraction: float = 0.8, seed: int = 0) -> ClientData:
-    """Seeded shuffle, first floor(fraction*N) samples to train, rest to validation."""
+def train_val_split(data: Rows, seed: int) -> ClientData:
+    """Seeded shuffle, first floor(TRAIN_FRACTION*N) samples to train, rest to validation."""
     check("samples to split", len(data), at_least(SPLIT_MIN_ROWS))
     rng = derive_rng(seed)
     order = rng.permutation(len(data))
-    n_train = int(fraction * len(data))
+    n_train = int(TRAIN_FRACTION * len(data))
     return ClientData(
         train=data.subset(order[:n_train]),
         validation=data.subset(order[n_train:]),

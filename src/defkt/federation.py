@@ -99,9 +99,8 @@ class HyperParams:
 
 @dataclass
 class ClientState:
-    """One client: id, current model parameters, private data."""
+    """One client's current model parameters and private data; its id is its key in a run's states."""
 
-    client_id: int
     params: np.ndarray
     data: ClientData
 
@@ -378,7 +377,6 @@ def run_round(
     spec: ModelSpec,
     comm: CommLog | None = None,
     reduction: str = "mean",
-    pool=None,
 ) -> dict[int, ClientState]:
     """Execute one round and return the updated client states: the serial one-round reference.
 
@@ -388,8 +386,8 @@ def run_round(
     segment), and the receiver applies the fusion strategy; under segment
     exchange the sender's model is updated too (_fuse_pair). Pairs are
     disjoint and RNG streams are keyed by client, so the pair order changes
-    no result. Other clients are untouched. Pairs run one after another;
-    `pool` goes to fuse_defkt. run_experiment runs the same two steps pair
+    no result. Other clients are untouched. Pairs run one after another,
+    all on the calling thread. run_experiment runs the same two steps pair
     by pair, with its sender updates started early.
     """
     new_states = dict(states)
@@ -397,7 +395,7 @@ def run_round(
     for sender_id, receiver_id in plan.pairs():
         sender = _sender_update(new_states[sender_id], sender_id, plan.round_index, hyper, spec, reduction)
         _fuse_pair(new_states, sender_id, receiver_id, sender, plan.round_index, strategy, hyper, spec, comm,
-                   reduction, pool)
+                   reduction, None)
     return new_states
 
 
@@ -412,8 +410,8 @@ def build_client_states(
     shared = init_params(spec, derive_seed(hyper.seed, INIT_STREAM))
     states: dict[int, ClientState] = {}
     for k, shard in enumerate(shards, start=1):
-        split = train_val_split(shard, 0.8, derive_seed(hyper.seed, SPLIT_STREAM, k))
-        states[k] = ClientState(client_id=k, params=shared, data=split)
+        split = train_val_split(shard, derive_seed(hyper.seed, SPLIT_STREAM, k))
+        states[k] = ClientState(params=shared, data=split)
     return states
 
 
@@ -425,7 +423,6 @@ def run_experiment(
     test_data: Dataset,
     eval_every: int = 10,
     reduction: str = "mean",
-    comm: CommLog | None = None,
 ) -> tuple[list[MetricsRecord], dict[int, ClientState]]:
     """Run `hyper.rounds` rounds, evaluating on a schedule.
 
@@ -458,9 +455,7 @@ def run_experiment(
     outlives the call.
     """
     check("eval_every", eval_every, at_least(1))
-    states = dict(clients)
-    if comm is None:
-        comm = CommLog()
+    states, comm = dict(clients), CommLog()
     points = [*range(0, hyper.rounds, eval_every), hyper.rounds]
     plans = [RoundPlan(0, (), ())]  # plans[t] is round t's plan; round 0 is the run's start and touches no one
     plans += [select_round(hyper.num_clients, hyper.senders_per_round, t, hyper.seed)

@@ -1,23 +1,10 @@
 """Model evaluation, accuracy aggregates over clients, CSV emission.
 
-A record's evaluations (each distinct vector object on the shared test
-set, every client on its own validation set) are tasks that a Record
-submits client by client, as each client's state for the record becomes
-final, and collects later. A task's work is its multiply-adds: an
-evaluation's or a fusion half's rows x the model's multiply-adds per row
-of a forward (spec.macs_per_row), a local update's batch rows x those of a
-training step (spec.train_macs_per_row). Task applies the one gate: a task
-goes to the run's pool only if there is one and its own work reaches
-PARALLEL_EVAL_WORK; any other task is made as it is submitted. Either way
-its value or error comes out of result(). A run's one pool comes from
-evaluation_pool. The pool also trains: fuse_defkt's local-model halves and
-run_experiment's look-ahead updates (see federation). It takes tasks in
-submission order. The collecting thread evaluates, last first, every
-pooled evaluation no pool thread has started, and the trainer takes over a
-fusion half or an update the same way, and queued tasks while a pool
-thread makes the update it needs, so at most one thread per CPU computes.
-global_accuracy and local_accuracy are the serial reference and evaluate
-on the calling thread.
+A run's accuracies are taken by records (Record): every client's model is
+evaluated on the shared test set and on its own validation set, each
+evaluation a task (Task) made inline or on the run's one pool
+(evaluation_pool). global_accuracy and local_accuracy are the serial
+reference and evaluate on the calling thread.
 
 The accuracies are bitwise those of a plain loop: each evaluation is one
 single-threaded forward (one BLAS thread) on vectors nothing writes (the
@@ -25,9 +12,9 @@ purity contract in nn), and each mean sums the per-client list in client
 order, whatever order the clients were added in. A task drops its vector
 once evaluated.
 
-Clients of one record that hold the same vector object share one test-set
-evaluation. A record holds each vector it has seen until its last client
-is added, so no object id is reused meanwhile.
+A timeline is written as one CSV row per record, ordered by round, with
+the columns CSV_FIELDS (emit_csv), and read back by read_csv. Files are
+written through atomic_open, so a failed write leaves the old file.
 """
 
 from __future__ import annotations
@@ -85,13 +72,15 @@ def evaluate(spec: ModelSpec, params: np.ndarray, data: Rows) -> float:
 def evaluation_pool(spec: ModelSpec, states: dict, test: Dataset):
     """Yield a pool of usable CPUs - 1 threads for a run of `states` on `test`, or None.
 
-    A record's input errors (a test set of the wrong width, an empty
-    validation set) are raised first. None when one CPU is usable or the
-    largest dataset a task reads (the test set, a validation or a training
-    set) x spec.train_macs_per_row, which bounds every task's work, falls
-    below PARALLEL_EVAL_WORK. The pool starts no thread before a task
-    reaches the gate (Task). On exit, tasks no thread has started are
-    cancelled and the pool's threads are joined.
+    The run's own thread is the last computing one: it makes each task it
+    waits on that no pool thread has started (Task.result). A record's
+    input errors (a test set of the wrong width, an empty validation set)
+    are raised first. None when one CPU is usable or the largest dataset a
+    task reads (the test set, a validation or a training set) x
+    spec.train_macs_per_row, which bounds every task's work, falls below
+    PARALLEL_EVAL_WORK. The pool starts no thread before a task reaches the
+    gate (Task). On exit, tasks no thread has started are cancelled and the
+    pool's threads are joined.
     """
     check_features(spec, test.inputs)
     _check_validation_sets(states)
@@ -112,13 +101,18 @@ def evaluation_pool(spec: ModelSpec, states: dict, test: Dataset):
 class Task:
     """One call fn(*args) of `work` multiply-adds, made once; its value, or the error it raised, comes out of result().
 
+    Records' evaluations, fuse_defkt's halves and run_experiment's
+    look-ahead updates are tasks. The work of an evaluation or a fusion
+    half is its rows x the model's multiply-adds per row of a forward
+    (spec.macs_per_row), that of a local update its batch rows x those of a
+    training step (spec.train_macs_per_row).
+
     With a pool and work at or above PARALLEL_EVAL_WORK the call is
     submitted to the pool and made by a pool thread, or by the thread that
     takes it over if none has started it; otherwise it is made at once, on
     the submitting thread. A pool thread makes it in a copy of the
     submitting thread's context, so numpy's error state (np.errstate) is
-    the submitter's. Records' evaluations, fuse_defkt's halves and
-    run_experiment's look-ahead updates are tasks.
+    the submitter's.
     """
 
     def __init__(self, pool, work: int, fn, *args):
@@ -201,7 +195,10 @@ class Record:
             self._seen = None
 
     def collect(self) -> tuple[float, float]:
-        """(global_acc, local_acc), each the mean over clients in client order."""
+        """(global_acc, local_acc), each the mean over clients in client order.
+
+        Each task no pool thread has started is made here first, last first.
+        """
         for task in reversed(self.tasks):
             task.take_over()
         return (

@@ -340,7 +340,7 @@ class ModelSpec:
 
 @dataclass
 class Batch:
-    """A minibatch: inputs (B, d) float64, labels (B,) integers in 1..C."""
+    """A minibatch, or with a class count a data.Dataset: inputs (B, d) float64, labels (B,) integers in 1..C."""
 
     inputs: np.ndarray
     labels: np.ndarray
@@ -349,9 +349,9 @@ class Batch:
         self.inputs = np.asarray(self.inputs, dtype=np.float64)
         self.labels = np.asarray(self.labels, dtype=np.int64)
         if self.inputs.ndim != 2 or self.inputs.shape[0] < 1:
-            raise ConfigurationError("batch inputs must be a (B, d) matrix with B >= 1")
+            raise ConfigurationError("inputs must be a (B, d) matrix with B >= 1")
         if self.labels.shape != (self.inputs.shape[0],):
-            raise ConfigurationError("batch labels must match the input batch dimension")
+            raise ConfigurationError("labels must match the number of input rows")
 
     def __len__(self) -> int:
         return self.inputs.shape[0]

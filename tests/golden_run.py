@@ -57,11 +57,6 @@ CONFIGS = {
 }
 
 
-def environment_key() -> str:
-    """What decides float64 bits: numpy build, OpenBLAS runtime kernel, BLAS thread count (defkt.blas)."""
-    return blas.environment_key()
-
-
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -109,7 +104,7 @@ def run_config(name: str, strategy: FusionStrategy, spec: ModelSpec, dims: int, 
 def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         digests = {name: run_config(name, *config, Path(tmp)) for name, config in CONFIGS.items()}
-    key = environment_key()
+    key = blas.environment_key()
     if "--record" in argv:
         stored = json.loads(GOLDEN_FILE.read_text()) if GOLDEN_FILE.is_file() else {}
         stored[key] = digests

@@ -1,6 +1,7 @@
 """CLI tests: config resolution, run/inspect/eval subcommands, exit codes."""
 
 import argparse
+import ctypes
 import dataclasses
 import hashlib
 import json
@@ -394,6 +395,26 @@ class TestCmdRun:
         assert meta["environment_key"] == blas.environment_key()
         assert meta["version"] == defkt.__version__
         assert metas[0] == metas[1]
+
+    def test_each_seeds_client_states_are_built_once_and_shared(self, monkeypatch):
+        """runs builds a seed's client states once and hands every strategy that one dict."""
+        builds, given = [], []
+        build, run_experiment = cli.build_client_states, cli.run_experiment
+
+        def counted(spec, shards, hyper):
+            builds.append(hyper.seed)
+            return build(spec, shards, hyper)
+
+        def keep(spec, hyper, strategy, clients, *args, **kwargs):
+            given.append(clients)
+            return run_experiment(spec, hyper, strategy, clients, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "build_client_states", counted)
+        monkeypatch.setattr(cli, "run_experiment", keep)
+        done = [(hyper.seed, strategy.value) for hyper, strategy, *_ in runs(resolve_config(dict(TINY, seeds=[1, 2])))]
+        assert done == [(seed, s) for seed in (1, 2) for s in ("defkt", "fullavg", "combo")]
+        assert builds == [1, 2]
+        assert given[0] is given[1] is given[2] and given[3] is given[4] is given[5] and given[0] is not given[3]
 
     def test_csv_strategy_and_seed_columns(self, tmp_path):
         config = write_config(tmp_path, strategy="fullavg", seeds=[9])
@@ -820,3 +841,43 @@ class TestBlasThreads:
         assert stdout.count("OPENBLAS_NUM_THREADS=1\n") == 3  # every run ran pinned
         assert len(files) == 6 and files == pinned_files
         assert stdout == pinned_stdout
+
+
+class TestBlasLookup:
+    """defkt.blas finds numpy's OpenBLAS once per process; without it, pin sets nothing and the key says so."""
+
+    @pytest.fixture
+    def fresh_lookup(self):
+        blas._openblas.cache_clear()
+        yield
+        blas._openblas.cache_clear()
+
+    def test_the_library_is_loaded_at_most_once(self, fresh_lookup, monkeypatch):
+        loads, load = [], ctypes.CDLL
+
+        def counted(*args, **kwargs):
+            loads.append(args[0])
+            return load(*args, **kwargs)
+
+        monkeypatch.setattr(blas.ctypes, "CDLL", counted)
+        keys = set()
+        for _ in range(3):
+            assert blas.pin() is None
+            keys.add(blas.environment_key())
+        assert len(loads) <= 1 and len(keys) == 1
+
+    def test_without_the_library_pin_sets_nothing_and_the_key_says_so(self, monkeypatch):
+        lib = blas._openblas()  # the real library, if found, is set to two threads to see whether pin touches it
+        if lib is not None:
+            lib.scipy_openblas_set_num_threads64_(2)
+        try:
+            threads = lib and lib.scipy_openblas_get_num_threads64_()
+            monkeypatch.setattr(blas, "_openblas", lambda: None)
+            assert blas.pin() is None
+            key = blas.environment_key()
+            assert (lib and lib.scipy_openblas_get_num_threads64_()) == threads
+        finally:
+            if lib is not None:
+                lib.scipy_openblas_set_num_threads64_(1)
+        assert key.startswith(f"numpy {np.__version__}; ")
+        assert key.endswith("BLAS threads not pinned (libscipy_openblas not found)")

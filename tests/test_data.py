@@ -266,7 +266,7 @@ class TestViews:
     @staticmethod
     def client_splits(corpus, select, xi):
         shards = partition(corpus if select is None else corpus.subset(select), 4, xi, seed=7)
-        return [train_val_split(shard, 0.8, seed=k) for k, shard in enumerate(shards)]
+        return [train_val_split(shard, seed=k) for k, shard in enumerate(shards)]
 
     @pytest.mark.parametrize("xi", [None, 2], ids=["iid", "noniid"])
     @pytest.mark.parametrize("corpus_subset", [False, True], ids=["corpus", "corpus-subset"])

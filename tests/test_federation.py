@@ -72,10 +72,10 @@ def assert_fresh_and_inputs_unwritten(outputs, inputs, before):
     assert not any(np.shares_memory(out, x) for out in outputs for x in inputs)
 
 
-def tiny_client(client_id: int, seed: int, per_class: int = 12) -> ClientState:
+def tiny_client(seed: int, per_class: int = 12) -> ClientState:
     data = synth_dataset(3, per_class, 6, seed=seed)
     split = train_val_split(data, seed=seed + 1000)
-    return ClientState(client_id=client_id, params=init_params(SPEC, seed), data=split)
+    return ClientState(params=init_params(SPEC, seed), data=split)
 
 
 def tiny_hyper(**overrides) -> HyperParams:
@@ -173,12 +173,12 @@ class TestRoundPlan:
 
 class TestLocalUpdate:
     def test_zero_learning_rate_is_identity(self):
-        client = tiny_client(1, seed=10)
+        client = tiny_client(seed=10)
         out = local_update(client, SPEC, 8, 3, 0.0, 0.5, derive_rng(0))
         np.testing.assert_array_equal(out.params, client.params)
 
     def test_full_batch_no_momentum_matches_single_sgd_step(self):
-        client = tiny_client(1, seed=20)
+        client = tiny_client(seed=20)
         n = len(client.data.train)
         out = local_update(client, SPEC, n, 1, 0.1, 0.0, derive_rng(1))
         batch = client.data.train.batch(slice(None))
@@ -188,7 +188,7 @@ class TestLocalUpdate:
         np.testing.assert_allclose(out.params, expected, rtol=0, atol=1e-12)
 
     def test_training_reduces_loss_on_easy_problem(self):
-        client = tiny_client(1, seed=30, per_class=34)  # ~100 samples
+        client = tiny_client(seed=30, per_class=34)  # ~100 samples
         out = local_update(client, SPEC, 16, 10, 0.05, 0.5, derive_rng(2))
         batch = client.data.train.batch(slice(None))
         before = cross_entropy(softmax(forward(SPEC, client.params, batch)), batch.labels)
@@ -196,7 +196,7 @@ class TestLocalUpdate:
         assert after < before
 
     def test_does_not_mutate_input_state(self):
-        client = tiny_client(1, seed=40)
+        client = tiny_client(seed=40)
         rows = client.data.train.batch(slice(None))
         before = [a.tobytes() for a in (client.params, rows.inputs, rows.labels)]
         out = local_update(client, SPEC, 8, 2, 0.05, 0.5, derive_rng(3))
@@ -206,7 +206,7 @@ class TestLocalUpdate:
 
     def test_sum_reduction_is_mean_with_scaled_rate(self):
         # full-batch, no momentum: sum-reduced gradient is B times the mean one
-        client = tiny_client(1, seed=50)
+        client = tiny_client(seed=50)
         n = len(client.data.train)
         by_sum = local_update(client, SPEC, n, 1, 0.002, 0.0, derive_rng(4), reduction="sum")
         by_mean = local_update(client, SPEC, n, 1, 0.002 * n, 0.0, derive_rng(4), reduction="mean")
@@ -466,7 +466,7 @@ class TestConvWorkingSet:
     """At cnn-pairs' 40 training rows, a cnn-small update holds one step's working set at a time."""
 
     SPEC = ModelSpec.cnn_small()
-    DATA = train_val_split(synth_dataset(10, 5, SPEC.input_dim, seed=1), 0.8, 2)  # 40 training rows
+    DATA = train_val_split(synth_dataset(10, 5, SPEC.input_dim, seed=1), 2)  # 40 training rows
     # Traced peaks at 40 rows (numpy 2.4): a local update 5.3 MB and a one-batch fusion 5.5 MB; 6.7 and
     # 7.8 MB while the conv weight gradient copied dz and the skipped local step's forward kept its cache.
     PEAK_BYTES = 6_000_000
@@ -484,7 +484,7 @@ class TestConvWorkingSet:
             tracemalloc.stop()
 
     def test_a_local_update_peaks_under_6_mb(self):
-        client = ClientState(1, init_params(self.SPEC, 1), self.DATA)
+        client = ClientState(init_params(self.SPEC, 1), self.DATA)
         assert len(self.DATA.train) == 40
         peak = self.traced_peak(lambda: local_update(client, self.SPEC, 40, 1, 0.05, 0.5, derive_rng(3)))
         assert peak < self.PEAK_BYTES
@@ -536,9 +536,9 @@ def _mkt_oracle(w_received, w_local, data, spec, batch_size, passes, lr_r, lr_l,
 def make_states(n: int, shared_init: bool = False) -> dict[int, ClientState]:
     states = {}
     for k in range(1, n + 1):
-        client = tiny_client(k, seed=100 + (0 if shared_init else k))
+        client = tiny_client(seed=100 + (0 if shared_init else k))
         if shared_init:
-            client = ClientState(k, init_params(SPEC, 500), client.data)
+            client = ClientState(init_params(SPEC, 500), client.data)
         states[k] = client
     return states
 
@@ -616,7 +616,7 @@ class TestRunRound:
 
     def test_numerical_failure_names_round_and_client(self):
         states = make_states(2)
-        states[1] = ClientState(1, np.full(param_count(SPEC), np.inf), states[1].data)
+        states[1] = ClientState(np.full(param_count(SPEC), np.inf), states[1].data)
         plan = RoundPlan(round_index=9, senders=(1,), receivers=(2,))
         with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match="round 9, client 1"):
             run_round(states, plan, FusionStrategy.DEFKT, tiny_hyper(num_clients=2), SPEC)
@@ -742,6 +742,23 @@ class TestRunExperiment:
         )
         expected = [t * param_count(SPEC) for t in range(5)]
         assert [r.scalars_transmitted for r in timeline] == expected
+
+    @pytest.mark.parametrize("pooled", [False, True], ids=["inline", "pooled"])
+    @pytest.mark.parametrize("strategy", list(FusionStrategy))
+    def test_leaves_its_clients_as_it_found_them(self, strategy, pooled, monkeypatch):
+        """The same keys, state objects and fields, and bitwise the same params: why cli.runs may share them."""
+        if pooled:  # every update, half and evaluation reaches the gate of a pool on two usable CPUs
+            monkeypatch.setattr(metrics, "PARALLEL_EVAL_WORK", 0)
+            monkeypatch.setattr(metrics.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        hyper = tiny_hyper(rounds=6)
+        clients = experiment_states(hyper)
+        fields = {k: (state, state.params, state.data) for k, state in clients.items()}
+        before = {k: state.params.tobytes() for k, state in clients.items()}
+        _, final = run_experiment(SPEC, hyper, strategy, clients, synth_dataset(3, 20, 6, seed=2), eval_every=2)
+        assert list(clients) == list(fields)
+        assert all(a is b for k, s in clients.items() for a, b in zip((s, s.params, s.data), fields[k]))
+        assert {k: state.params.tobytes() for k, state in clients.items()} == before
+        assert any(final[k].params.tobytes() != before[k] for k in final)  # the run trained
 
     def test_training_beats_the_initial_model(self):
         hyper = tiny_hyper(num_clients=4, rounds=60, seed=5)
@@ -876,7 +893,7 @@ class TestOverlappedRecords:
         cpus(2)
         probe = ComputeProbe(pause=0.002)
         monkeypatch.setattr(metrics, "evaluate", probe.wrap(evaluate))
-        states = {k: tiny_client(k, seed=k) for k in (1, 2, 3, 4)}
+        states = {k: tiny_client(seed=k) for k in (1, 2, 3, 4)}
         global_accuracy(states, SPEC, self.TEST_DATA), local_accuracy(states, SPEC)
         assert probe.threads == [threading.main_thread()] * 8
 

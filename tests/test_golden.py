@@ -63,7 +63,7 @@ def test_cli_sweep_matches_the_benchmark_digests(tmp_path, monkeypatch):
     seeds = [arg for seed in sweep.seeds(1) for arg in ("--seed", str(seed))]
     pinned_python("-m", "defkt.cli", "run", "--config", str(tmp_path / "config.json"), "--out", str(tmp_path),
                   *sweep.flags, *seeds)
-    key = pinned_python("-c", "import golden_run; print(golden_run.environment_key())", cwd=HERE).stdout.strip()
+    key = pinned_python("-c", "from defkt import blas; print(blas.environment_key())").stdout.strip()
     expected = json.loads((PERFBENCH / "golden.json").read_text()).get(key, {}).get("hetero-sweep")
     if expected is None:
         pytest.skip(f"no hetero-sweep digests stored for environment {key!r}; {RECORD_HINT}")
@@ -76,20 +76,21 @@ RUN_LIB = f"""
 import json, sys, tempfile, time
 from pathlib import Path
 sys.path.insert(0, {str(PERFBENCH)!r})
-import golden_run, workloads
+import workloads
+from defkt import blas
 digests = {{}}
 for name in {LIB_WORKLOADS!r}:
     with tempfile.TemporaryDirectory() as tmp:
         info = workloads.run_lib(workloads.WORKLOADS[name], 1, Path(tmp), workloads.Clock(time.process_time))
         csv = {{path.stem: workloads.sha256(path.read_bytes()) for path in Path(tmp).glob("*.csv")}}
     digests[name] = {{"csv": csv, "params": info["params"]}}
-print(json.dumps({{"key": golden_run.environment_key(), "digests": digests}}))
+print(json.dumps({{"key": blas.environment_key(), "digests": digests}}))
 """
 
 
 def test_library_workloads_match_the_benchmark_digests():
     """ref-defkt, ref-avg and cnn-pairs at seed 1, run as the benchmark's lib runner runs them."""
-    run = json.loads(pinned_python("-c", RUN_LIB, cwd=HERE).stdout)
+    run = json.loads(pinned_python("-c", RUN_LIB).stdout)
     stored = json.loads((PERFBENCH / "golden.json").read_text()).get(run["key"], {})
     missing = [name for name in LIB_WORKLOADS if name not in stored]
     if missing:

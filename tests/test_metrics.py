@@ -88,7 +88,7 @@ class TestEvaluate:
 def client_with(params_seed: int, data_seed: int) -> ClientState:
     data = synth_dataset(3, 12, 6, seed=data_seed)
     split = train_val_split(data, seed=data_seed + 1)
-    return ClientState(client_id=0, params=init_params(SPEC, params_seed), data=split)
+    return ClientState(params=init_params(SPEC, params_seed), data=split)
 
 
 class TestAggregates:
@@ -128,9 +128,7 @@ class TestAggregates:
         # and empty Datasets cannot be constructed at all
         client = client_with(1, data_seed=1)
         states = {
-            1: ClientState(
-                1, client.params, ClientData(train=client.data.train, validation=client.data.train)
-            )
+            1: ClientState(client.params, ClientData(train=client.data.train, validation=client.data.train))
         }
         assert 0.0 <= local_accuracy(states, SPEC) <= 1.0
 
@@ -275,7 +273,7 @@ class TestRecordKeys:
 
     def slots(self, vectors):
         data = train_val_split(synth_dataset(3, 12, 20, seed=1), seed=2)
-        states = {k: ClientState(k, v, data) for k, v in enumerate(vectors, start=1)}
+        states = {k: ClientState(v, data) for k, v in enumerate(vectors, start=1)}
         record = whole_record(None, self.SPEC, states, synth_dataset(3, 5, 20, seed=3))
         tests = [record._tests[k] for k in sorted(states)]
         distinct = list(dict.fromkeys(tests))  # the test-set tasks in the order they were submitted
@@ -292,7 +290,7 @@ class TestRecordKeys:
         for k in (1, 2, 3):
             params = init_params(self.SPEC, k)
             refs.append(weakref.ref(params))
-            record.add(k, ClientState(k, params, data))
+            record.add(k, ClientState(params, data))
             del params  # evaluated inline, so only the record's comparison table can still hold it
             assert [ref() is None for ref in refs] == [k == 3] * k
 
@@ -310,7 +308,7 @@ class TestRecordKeys:
         spec = ModelSpec.mlp(784)
         data = train_val_split(synth_dataset(3, 4, 784, seed=1), seed=2)
         rng = np.random.default_rng(5)
-        states = {k: ClientState(k, rng.standard_normal(spec.param_count), data) for k in range(1, 11)}
+        states = {k: ClientState(rng.standard_normal(spec.param_count), data) for k in range(1, 11)}
         test_data = synth_dataset(3, 2, 784, seed=3)
         tracemalloc.start()
         try:
